@@ -35,12 +35,21 @@ EXIT_USAGE = 64
 
 
 def _budget(args):
+    """The per-piece dimension cap from --budget, else SUPERTROESCH_BUDGET,
+    else the default; anything but a positive integer is a usage error."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SUPERTROESCH_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+        source, text = "--budget", args.budget
+    else:
+        source, text = "SUPERTROESCH_BUDGET", os.environ.get("SUPERTROESCH_BUDGET")
+        if not text:
+            return DEFAULT_BUDGET
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return value
 
 
 def _emit(payload, fmt, text_lines):
@@ -59,7 +68,7 @@ def cmd_cohomology(args):
     p = args.p
     u = parse_space(args.space, p)
     n_poly = args.n * p ** args.r
-    data = build_B(n_poly, args.r, u, p, _budget(args))
+    data = build_B(n_poly, args.r, u, p, args.budget)
     table = cohomology_table(data.complex)
     dec = decompose_cyclic(data.complex, validate=False)
     normal = dec.is_normal()
@@ -88,7 +97,7 @@ def cmd_decompose(args):
     p = args.p
     u = parse_space(args.space, p)
     n_poly = args.n * p ** args.r
-    data = build_B(n_poly, args.r, u, p, _budget(args))
+    data = build_B(n_poly, args.r, u, p, args.budget)
     dec = decompose_cyclic(data.complex)
     payload = dec.to_jsonable()
     payload["normal"] = dec.is_normal()
@@ -106,7 +115,7 @@ def cmd_decompose(args):
 
 def cmd_ext_table(args):
     table = ext_table(
-        args.r, args.max_deg, args.p, args.source_parity, args.target_parity, _budget(args)
+        args.r, args.max_deg, args.p, args.source_parity, args.target_parity, args.budget
     )
     payload = table.to_jsonable()
     payload["csv"] = [["s", "dim"]] + [[s, table.dims.get(s, 0)] for s in range(args.max_deg + 1)]
@@ -119,7 +128,7 @@ def cmd_ext_table(args):
 
 def cmd_ring(args):
     try:
-        ok, lines = ring_relation_report(args.p, args.r, _budget(args))
+        ok, lines = ring_relation_report(args.p, args.r, args.budget)
     except BudgetExceededError as exc:
         # the general-r relations need lifting data that is only affordable
         # at r = 1; record what was not computed before signalling the limit
@@ -150,7 +159,7 @@ def cmd_ring(args):
 def _suite_kunneth(args):
     p = args.p
     specs = [(1, "k^{1|0}"), (1, "k^{0|1}"), (3, "k^{0|1}")]
-    built = [build_B(n, 1, parse_space(s, p), p, _budget(args)).complex for n, s in specs]
+    built = [build_B(n, 1, parse_space(s, p), p, args.budget).complex for n, s in specs]
     results = []
     for i, c1 in enumerate(built):
         for j, c2 in enumerate(built):
@@ -164,7 +173,7 @@ def _suite_theorem_b(args):
     results = []
     for n in (1, 2, 3):
         for s in ("k^{1|0}", "k^{0|1}", "k^{1|1}"):
-            rep = verify_theorem_B(n * p, 1, parse_space(s, p), p, _budget(args))
+            rep = verify_theorem_B(n * p, 1, parse_space(s, p), p, args.budget)
             results.append((f"theoremB n={n} U={s}", rep.ok, rep.first_failure or ""))
     return results
 
@@ -176,7 +185,7 @@ def _suite_vanishing(args):
         if n % p == 0:
             continue
         for s in ("k^{1|0}", "k^{0|1}", "k^{1|1}"):
-            data = build_B(n, 1, parse_space(s, p), p, _budget(args))
+            data = build_B(n, 1, parse_space(s, p), p, args.budget)
             table = cohomology_table(data.complex)
             results.append((f"vanishing n={n} U={s}", table.is_zero(), ""))
     return results
@@ -186,7 +195,7 @@ def _suite_corollary_t(args):
     p = args.p
     results = []
     for n in (1, 2):
-        rep = verify_corollary_T(n, 1, k_super(1, 1), p, _budget(args))
+        rep = verify_corollary_T(n, 1, k_super(1, 1), p, args.budget)
         results.append((f"corollaryT n={n}", rep.ok, rep.first_failure or ""))
     return results
 
@@ -204,7 +213,7 @@ def _suite_epsilon(args):
 
 def _suite_jexact(args):
     p = args.p
-    rep = verify_J_exactness(1, k_super(1, 1), 2, p, _budget(args))
+    rep = verify_J_exactness(1, k_super(1, 1), 2, p, args.budget)
     return [(f"J(1) exactness p={p}", rep.ok, rep.summary())]
 
 
@@ -214,7 +223,7 @@ def _suite_ext(args):
         for sp in (0, 1):
             for tp in (0, 1):
                 try:
-                    ext_table(r, 4 * args.p ** r, args.p, sp, tp, _budget(args))
+                    ext_table(r, 4 * args.p ** r, args.p, sp, tp, args.budget)
                     results.append((f"ext r={r} ({sp}->{tp})", True, ""))
                 except AssertionError as exc:
                     results.append((f"ext r={r} ({sp}->{tp})", False, str(exc)))
@@ -222,7 +231,7 @@ def _suite_ext(args):
 
 
 def _suite_ring(args):
-    ok, lines = ring_relation_report(args.p, 1, _budget(args))
+    ok, lines = ring_relation_report(args.p, 1, args.budget)
     return [(name, good, detail) for name, good, detail in lines]
 
 
@@ -265,7 +274,7 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--budget", type=int, default=None, help="max dimension of a graded piece")
+    common.add_argument("--budget", default=None, help="max dimension of a graded piece (a positive integer)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("cohomology", parents=[common], help="cohomology table and normality of the power complex")
@@ -313,6 +322,7 @@ def main(argv=None):
         raise
     try:
         check_prime(args.p)
+        args.budget = _budget(args)
         code = args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

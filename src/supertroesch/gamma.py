@@ -29,7 +29,6 @@ from .superspace import (
     ODD,
     LinearMapSS,
     SuperSpace,
-    frobenius_twist_space,
     hom_space,
     tensor,
 )
@@ -138,16 +137,6 @@ class GammaElement:
 
     def __repr__(self):
         return f"GammaElement(n={self.n}, {len(self.terms)} monomials)"
-
-    def pretty(self):
-        hom = self.hom
-        bits = []
-        for exps, c in self.items():
-            mono = ".".join(
-                hom.basis[i].name + (f"^{e}" if e > 1 else "") for i, e in exps
-            )
-            bits.append(f"{c}*{mono}")
-        return " + ".join(bits) if bits else "0"
 
 
 def zero_element(source, target, n, p):
@@ -605,13 +594,6 @@ def apply_frobenius(el, r):
         i, j = el.unit_pair(idx)
         mat.set(i, j, (mat.get(i, j) + c) % p)
     return mat
-
-
-def frobenius_spaces(el, r):
-    return (
-        frobenius_twist_space(el.source, r, el.p),
-        frobenius_twist_space(el.target, r, el.p),
-    )
 
 
 def tensor_with_identity(el, u, budget=None):

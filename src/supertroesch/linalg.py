@@ -1,8 +1,9 @@
-"""Exact dense/sparse linear algebra over GF(p) for odd primes p.
+"""Exact dense linear algebra over GF(p) for odd primes p.
 
-Every matrix entry is an integer residue in [0, p).  All eliminations use
-first-nonzero pivoting so that ranks, kernel bases and particular solutions
-are reproducible bit for bit, independent of the storage format.
+A matrix is a numpy int64 array of residues in [0, p), so it takes
+8 * rows * cols bytes: a 2,810-dimensional square piece takes about 63 MB.
+All eliminations use first-nonzero pivoting so that ranks, kernel bases and
+particular solutions are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 SUPPORTED_PRIMES = (3, 5, 7)
-
-# Matrices with at least this many columns are stored sparsely.
-DENSE_COLUMN_LIMIT = 2048
 
 
 class ShapeMismatchError(ValueError):
@@ -35,51 +33,32 @@ def inv_mod(a, p):
 
 
 class FpMatrix:
-    """A rows x cols matrix over GF(p), dense (numpy) or sparse (dict of entries)."""
+    """A rows x cols matrix over GF(p), stored as a dense int64 array."""
 
-    __slots__ = ("p", "rows", "cols", "dense", "entries")
+    __slots__ = ("p", "rows", "cols", "data")
 
-    def __init__(self, p, rows, cols, dense=None, entries=None):
+    def __init__(self, p, data):
         check_prime(p)
         self.p = p
-        self.rows = rows
-        self.cols = cols
-        self.dense = dense
-        self.entries = entries
-        if (dense is None) == (entries is None):
-            raise ValueError("exactly one of dense/entries must be given")
+        self.rows, self.cols = data.shape
+        self.data = data
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
-    def zeros(p, rows, cols, sparse=None):
-        if sparse is None:
-            sparse = cols >= DENSE_COLUMN_LIMIT
-        if sparse:
-            return FpMatrix(p, rows, cols, entries={})
-        return FpMatrix(p, rows, cols, dense=np.zeros((rows, cols), dtype=np.int64))
+    def zeros(p, rows, cols):
+        return FpMatrix(p, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
-    def identity(p, n, sparse=None):
-        m = FpMatrix.zeros(p, n, n, sparse=sparse)
-        for i in range(n):
-            m.set(i, i, 1)
-        return m
+    def identity(p, n):
+        return FpMatrix(p, np.eye(n, dtype=np.int64))
 
     @staticmethod
     def from_rows(p, rows_data):
         rows = len(rows_data)
         cols = len(rows_data[0]) if rows else 0
-        arr = np.array(rows_data, dtype=np.int64).reshape(rows, cols) % p
-        return FpMatrix(p, rows, cols, dense=arr)
-
-    @staticmethod
-    def from_entries(p, rows, cols, entry_map, sparse=None):
-        m = FpMatrix.zeros(p, rows, cols, sparse=sparse)
-        for (i, j), v in entry_map.items():
-            m.set(i, j, v)
-        return m
+        return FpMatrix(p, np.array(rows_data, dtype=np.int64).reshape(rows, cols) % p)
 
     # ------------------------------------------------------------------
     # basic access
@@ -88,92 +67,34 @@ class FpMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def is_sparse(self):
-        return self.entries is not None
-
     def get(self, i, j):
-        if self.dense is not None:
-            return int(self.dense[i, j])
-        return self.entries.get((i, j), 0)
+        return int(self.data[i, j])
 
     def set(self, i, j, v):
-        v %= self.p
-        if self.dense is not None:
-            self.dense[i, j] = v
-        elif v:
-            self.entries[(i, j)] = v
-        else:
-            self.entries.pop((i, j), None)
+        self.data[i, j] = v % self.p
 
-    def to_dense(self):
-        if self.dense is not None:
-            return self
-        arr = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            arr[i, j] = v
-        return FpMatrix(self.p, self.rows, self.cols, dense=arr)
-
-    def to_sparse(self):
-        if self.entries is not None:
-            return self
-        ent = {}
-        nz = np.nonzero(self.dense)
-        for i, j in zip(nz[0].tolist(), nz[1].tolist()):
-            ent[(i, j)] = int(self.dense[i, j])
-        return FpMatrix(self.p, self.rows, self.cols, entries=ent)
-
-    def copy(self):
-        if self.dense is not None:
-            return FpMatrix(self.p, self.rows, self.cols, dense=self.dense.copy())
-        return FpMatrix(self.p, self.rows, self.cols, entries=dict(self.entries))
+    def submatrix(self, rows, cols):
+        """The rows and columns at the given indices, in the order given."""
+        return FpMatrix(self.p, self.data[np.ix_(rows, cols)])
 
     def is_zero(self):
-        if self.dense is not None:
-            return not np.any(self.dense)
-        return not self.entries
+        return not self.data.any()
 
     def nonzero_items(self):
-        if self.dense is not None:
-            nz = np.nonzero(self.dense)
-            return [((int(i), int(j)), int(self.dense[i, j])) for i, j in zip(*nz)]
-        return sorted(self.entries.items())
-
-    def column(self, j):
-        return [self.get(i, j) for i in range(self.rows)]
+        """((row, col), value) for every nonzero entry, in row-major order."""
+        i, j = np.nonzero(self.data)
+        return list(zip(zip(i.tolist(), j.tolist()), self.data[i, j].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, FpMatrix):
             return NotImplemented
-        if self.p != other.p or self.shape != other.shape:
-            return False
-        return np.array_equal(self.to_dense().dense, other.to_dense().dense)
+        return self.p == other.p and np.array_equal(self.data, other.data)
 
     def __repr__(self):
-        kind = "sparse" if self.is_sparse() else "dense"
-        return f"FpMatrix(p={self.p}, {self.rows}x{self.cols}, {kind})"
+        return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
 
     # ------------------------------------------------------------------
     # arithmetic
-
-    def __add__(self, other):
-        if self.p != other.p or self.shape != other.shape:
-            raise ShapeMismatchError("add", self.shape, other.shape)
-        a = self.to_dense().dense
-        b = other.to_dense().dense
-        out = FpMatrix(self.p, self.rows, self.cols, dense=(a + b) % self.p)
-        return out.to_sparse() if self.is_sparse() and other.is_sparse() else out
-
-    def __sub__(self, other):
-        return self + other.scale(self.p - 1)
-
-    def scale(self, c):
-        c %= self.p
-        if self.dense is not None:
-            return FpMatrix(self.p, self.rows, self.cols, dense=(self.dense * c) % self.p)
-        return FpMatrix(
-            self.p, self.rows, self.cols,
-            entries={k: (v * c) % self.p for k, v in self.entries.items() if (v * c) % self.p},
-        )
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -182,137 +103,67 @@ class FpMatrix:
         """Matrix times column vector (a list of residues)."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("apply", self.shape, (len(vec), 1))
-        p = self.p
-        if self.dense is not None:
-            if self.cols == 0:
-                return [0] * self.rows
-            v = np.array(vec, dtype=np.int64)
-            return ((self.dense @ v) % p).tolist()
-        out = [0] * self.rows
-        for (i, j), a in self.entries.items():
-            out[i] = (out[i] + a * vec[j]) % p
-        return out
+        return ((self.data @ np.array(vec, dtype=np.int64)) % self.p).tolist()
 
     # ------------------------------------------------------------------
-    # elimination kernels
+    # elimination
 
-    def _rref(self, reduce_above, augment=None):
-        """Row-reduce a copy of self (optionally with an augmented column).
+    def _eliminate(self, reduce_above, aug=None):
+        """Row-reduce a copy of self, optionally with an augmented column.
 
-        Returns (rref rows as list of dicts, pivot column list, augmented
-        column after reduction or None).  The pivot in each column is the
-        first row with a nonzero entry, scanning columns left to right.
+        Columns are scanned left to right; the pivot of a column is the first
+        row at or below the current one with a nonzero entry.  Each pivot row
+        is scaled to 1 and its column cleared below it, and above it too when
+        ``reduce_above`` is set, which gives the unique reduced row echelon
+        form.  Returns (reduced array, pivot columns); an augmented column is
+        the last column of the array.
         """
         p = self.p
-        # Work in dict-of-rows form for both representations; exactness makes
-        # the arithmetic identical, so dense and sparse inputs agree bit for bit.
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in (self.to_sparse().entries if self.dense is None else {}).items():
-            rows[i][j] = v
-        if self.dense is not None:
-            nz = np.nonzero(self.dense)
-            for i, j in zip(nz[0].tolist(), nz[1].tolist()):
-                rows[i][j] = int(self.dense[i, j])
-        aug = list(augment) if augment is not None else None
+        if aug is None:
+            a = self.data.copy()
+        else:
+            a = np.hstack([self.data, np.array(aug, dtype=np.int64).reshape(self.rows, 1) % p])
         pivots = []
-        r = 0
         for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if rows[i].get(c, 0):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            if aug is not None:
-                aug[r], aug[piv] = aug[piv], aug[r]
-            inv = inv_mod(rows[r][c], p)
-            if inv != 1:
-                rows[r] = {k: (v * inv) % p for k, v in rows[r].items()}
-                if aug is not None:
-                    aug[r] = (aug[r] * inv) % p
-            span = range(0, self.rows) if reduce_above else range(r + 1, self.rows)
-            for i in span:
-                if i == r:
-                    continue
-                f = rows[i].get(c, 0)
-                if not f:
-                    continue
-                ri, rr = rows[i], rows[r]
-                for k, v in rr.items():
-                    nv = (ri.get(k, 0) - f * v) % p
-                    if nv:
-                        ri[k] = nv
-                    else:
-                        ri.pop(k, None)
-                if aug is not None:
-                    aug[i] = (aug[i] - f * aug[r]) % p
-            pivots.append(c)
-            r += 1
+            r = len(pivots)
             if r == self.rows:
                 break
-        return rows, pivots, aug
-
-    def rank(self):
-        """Rank over GF(p)."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.dense is not None:
-            return self._rank_dense()
-        return len(self._rref(reduce_above=False)[1])
-
-    def _rank_dense(self):
-        p = self.p
-        a = self.dense.copy()
-        rows, cols = a.shape
-        r = 0
-        for c in range(cols):
-            piv = None
-            for i in range(r, rows):
-                if a[i, c]:
-                    piv = i
-                    break
-            if piv is None:
+            nz = np.flatnonzero(a[r:, c])
+            if not nz.size:
                 continue
+            piv = r + int(nz[0])
             if piv != r:
                 a[[r, piv]] = a[[piv, r]]
             inv = inv_mod(int(a[r, c]), p)
             if inv != 1:
-                a[r] = (a[r] * inv) % p
-            col = a[r + 1:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                a[r + 1 + nz] = (a[r + 1 + nz] - np.outer(col[nz], a[r])) % p
-            r += 1
-            if r == rows:
-                break
-        return r
+                a[r, c:] = (a[r, c:] * inv) % p
+            # left of column c the pivot row is zero, so only c: changes
+            start = 0 if reduce_above else r + 1
+            clear = start + np.flatnonzero(a[start:, c])
+            clear = clear[clear != r]
+            if clear.size:
+                a[clear, c:] = (a[clear, c:] - np.outer(a[clear, c], a[r, c:])) % p
+            pivots.append(c)
+        return a, pivots
+
+    def rank(self):
+        """Rank over GF(p)."""
+        return len(self._eliminate(reduce_above=False)[1])
 
     def kernel_basis(self):
         """Matrix whose columns span ker(self), in free-column order."""
-        rows, pivots, _ = self._rref(reduce_above=True)
+        a, pivots = self._eliminate(reduce_above=True)
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        out = FpMatrix.zeros(self.p, self.cols, len(free), sparse=self.is_sparse())
-        for k, c in enumerate(free):
-            out.set(c, k, 1)
-            for r, pc in enumerate(pivots):
-                v = rows[r].get(c, 0)
-                if v:
-                    out.set(pc, k, self.p - v)
-        return out
+        out = np.zeros((self.cols, len(free)), dtype=np.int64)
+        out[free, range(len(free))] = 1
+        out[pivots, :] = (-a[: len(pivots), free]) % self.p
+        return FpMatrix(self.p, out)
 
     def image_basis(self):
         """Columns of self at its pivot columns; they span the column space."""
-        _, pivots, _ = self._rref(reduce_above=False)
-        out = FpMatrix.zeros(self.p, self.rows, len(pivots), sparse=self.is_sparse())
-        for k, c in enumerate(pivots):
-            for i in range(self.rows):
-                v = self.get(i, c)
-                if v:
-                    out.set(i, k, v)
-        return out
+        _, pivots = self._eliminate(reduce_above=False)
+        return self.submatrix(range(self.rows), pivots)
 
     def solve(self, b):
         """A particular solution x of self @ x = b, or None if inconsistent.
@@ -322,30 +173,12 @@ class FpMatrix:
         """
         if len(b) != self.rows:
             raise ShapeMismatchError("solve", self.shape, (len(b), 1))
-        rows, pivots, aug = self._rref(reduce_above=True, augment=[v % self.p for v in b])
-        for i in range(len(pivots), self.rows):
-            if aug[i]:
-                return None
-        x = [0] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = aug[r]
-        return x
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
-
-
-def image_basis(m):
-    return m.image_basis()
-
-
-def solve(m, b):
-    return m.solve(b)
+        a, pivots = self._eliminate(reduce_above=True, aug=b)
+        if a[len(pivots):, -1].any():
+            return None
+        x = np.zeros(self.cols, dtype=np.int64)
+        x[pivots] = a[: len(pivots), -1]
+        return x.tolist()
 
 
 def matmul(a, b):
@@ -353,27 +186,7 @@ def matmul(a, b):
         raise ValueError("modulus mismatch")
     if a.cols != b.rows:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    p = a.p
-    sparse_out = a.is_sparse() and b.is_sparse()
-    if not sparse_out:
-        ad = a.to_dense().dense
-        bd = b.to_dense().dense
-        if a.cols == 0:
-            prod = np.zeros((a.rows, b.cols), dtype=np.int64)
-        else:
-            prod = (ad @ bd) % p
-        out = FpMatrix(p, a.rows, b.cols, dense=prod)
-        return out
-    bycol = {}
-    for (i, j), v in b.entries.items():
-        bycol.setdefault(i, []).append((j, v))
-    ent = {}
-    for (i, k), va in a.entries.items():
-        for j, vb in bycol.get(k, ()):  # row k of b
-            key = (i, j)
-            ent[key] = (ent.get(key, 0) + va * vb) % p
-    ent = {k: v for k, v in ent.items() if v}
-    return FpMatrix(p, a.rows, b.cols, entries=ent)
+    return FpMatrix(a.p, (a.data @ b.data) % a.p)
 
 
 def matpow(m, k):
@@ -381,7 +194,7 @@ def matpow(m, k):
         raise ShapeMismatchError("matpow", m.shape, m.shape)
     if k < 0:
         raise ValueError("negative power")
-    out = FpMatrix.identity(m.p, m.rows, sparse=m.is_sparse())
+    out = FpMatrix.identity(m.p, m.rows)
     for _ in range(k):
         out = matmul(out, m)
     return out
@@ -392,14 +205,12 @@ def invert(m):
     if m.rows != m.cols:
         raise ShapeMismatchError("invert", m.shape, m.shape)
     n = m.rows
-    out = FpMatrix.zeros(m.p, n, n, sparse=m.is_sparse())
+    out = FpMatrix.zeros(m.p, n, n)
     for k in range(n):
         x = m.solve([1 if i == k else 0 for i in range(n)])
         if x is None:
             return None
-        for i, v in enumerate(x):
-            if v:
-                out.set(i, k, v)
+        out.data[:, k] = x
     # solve() returns a particular solution; for square systems it is the
     # inverse column exactly when m has full rank
     if matmul(m, out) != FpMatrix.identity(m.p, n):
@@ -412,16 +223,8 @@ def hstack(mats):
     mats = list(mats)
     if not mats:
         raise ValueError("hstack of nothing")
-    p = mats[0].p
     rows = mats[0].rows
     for m in mats[1:]:
         if m.rows != rows:
             raise ShapeMismatchError("hstack", (rows, None), m.shape)
-    cols = sum(m.cols for m in mats)
-    out = FpMatrix.zeros(p, rows, cols, sparse=all(m.is_sparse() for m in mats))
-    off = 0
-    for m in mats:
-        for (i, j), v in m.nonzero_items():
-            out.set(i, off + j, v)
-        off += m.cols
-    return out
+    return FpMatrix(mats[0].p, np.hstack([m.data for m in mats]))

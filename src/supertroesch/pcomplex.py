@@ -78,19 +78,6 @@ class PComplex:
 
     # -- parity-aware ranks -------------------------------------------
 
-    def _parity_block(self, mat, src_deg, tgt_deg, parity):
-        src_idx = self.term(src_deg).indices_of_parity(parity)
-        tgt_idx = self.term(tgt_deg).indices_of_parity(parity)
-        out = FpMatrix.zeros(self.p, len(tgt_idx), len(src_idx), sparse=mat.is_sparse())
-        pos_t = {g: k for k, g in enumerate(tgt_idx)}
-        pos_s = {g: k for k, g in enumerate(src_idx)}
-        for (r, c), v in mat.nonzero_items():
-            rt = pos_t.get(r)
-            cs = pos_s.get(c)
-            if rt is not None and cs is not None:
-                out.set(rt, cs, v)
-        return out
-
     def rank_of_power(self, i, m, parity):
         """rank of d^m restricted to the parity part of the degree-i term."""
         if m == 0:
@@ -100,8 +87,9 @@ class PComplex:
         key = (i, m, parity)
         got = self._rank_cache.get(key)
         if got is None:
-            mat = self.iterated_diff(i, m)
-            got = self._parity_block(mat, i, i + m * self.alpha, parity).rank()
+            rows = self.term(i + m * self.alpha).indices_of_parity(parity)
+            cols = self.term(i).indices_of_parity(parity)
+            got = self.iterated_diff(i, m).submatrix(rows, cols).rank()
             self._rank_cache[key] = got
         return got
 
@@ -116,9 +104,6 @@ class CohomologyTable:
 
     def row(self, s):
         return self.rows[s]
-
-    def total_dim(self, s):
-        return sum(e + o for e, o in self.rows[s].values())
 
     def is_zero(self, s=None):
         slices = [s] if s is not None else list(self.rows)
@@ -258,7 +243,7 @@ def decompose_cyclic_oracle(cx):
         ker_par = _column_parity(ker, cx.term(d_top))
         for parity in (EVEN, ODD):
             ker_cols = [j for j, q in enumerate(ker_par) if q == parity or q is None]
-            kmat = _select_columns(ker, ker_cols)
+            kmat = ker.submatrix(range(ker.rows), ker_cols)
             for j in range(1, cx.p + 1):
                 src = d_top - (j - 1) * cx.alpha
                 if j == 1:
@@ -270,7 +255,7 @@ def decompose_cyclic_oracle(cx):
                         img = cx.iterated_diff(src, j - 1).image_basis()
                         img_par = _column_parity(img, cx.term(d_top))
                         icols = [c for c, q in enumerate(img_par) if q == parity or q is None]
-                        imat = _select_columns(img, icols)
+                        imat = img.submatrix(range(img.rows), icols)
                         if imat.cols == 0 or kmat.cols == 0:
                             inter = 0
                         else:
@@ -286,16 +271,6 @@ def decompose_cyclic_oracle(cx):
                     shift = d_top - (j - 1) * cx.alpha
                     out[(shift, j, parity)] = out.get((shift, j, parity), 0) + n
     return CyclicDecomposition(cx.p, cx.alpha, out)
-
-
-def _select_columns(mat, cols):
-    out = FpMatrix.zeros(mat.p, mat.rows, len(cols), sparse=mat.is_sparse())
-    for k, c in enumerate(cols):
-        for i in range(mat.rows):
-            v = mat.get(i, c)
-            if v:
-                out.set(i, k, v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +317,11 @@ class ChainComplex:
             d_out = self.diff(i)
             d_in = self.diff(i - 1)
             sidx = src.indices_of_parity(parity)
-            # block restriction
-            block_out = _restrict(d_out, self.term(i + 1).indices_of_parity(parity), sidx, self.p)
-            block_in = _restrict(d_in, sidx, self.term(i - 1).indices_of_parity(parity), self.p)
+            block_out = d_out.submatrix(self.term(i + 1).indices_of_parity(parity), sidx)
+            block_in = d_in.submatrix(sidx, self.term(i - 1).indices_of_parity(parity))
             k = len(sidx) - block_out.rank()
             out.append(k - block_in.rank())
         return tuple(out)
-
-
-def _restrict(mat, rows, cols, p):
-    out = FpMatrix.zeros(p, len(rows), len(cols), sparse=mat.is_sparse())
-    rpos = {g: k for k, g in enumerate(rows)}
-    cpos = {g: k for k, g in enumerate(cols)}
-    for (r, c), v in mat.nonzero_items():
-        rr = rpos.get(r)
-        cc = cpos.get(c)
-        if rr is not None and cc is not None:
-            out.set(rr, cc, v)
-    return out
 
 
 def contract(cx, s, t):
@@ -473,7 +435,7 @@ def _class_representatives(cx, deg):
     base = img
     r = base.rank()
     for c in range(ker.cols):
-        cand = _select_columns(ker, [c])
+        cand = ker.submatrix(range(ker.rows), [c])
         stacked = hstack([base, cand])
         if stacked.rank() > r:
             chosen.append([ker.get(i, c) for i in range(ker.rows)])

@@ -135,13 +135,6 @@ def power_basis(kind, n, space):
     return tuple(out)
 
 
-def basis_by_zdeg(kind, n, space):
-    table = {}
-    for m in power_basis(kind, n, space):
-        table.setdefault(m.zdeg, []).append(m)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # signed tensors and the symmetric group action
 
@@ -388,20 +381,6 @@ def power_product(m1, m2, p):
     if coeff == 0:
         return {}
     return {monomial_from_counts(kind, m1.space, merged): coeff}
-
-
-def combo_product(c1, c2, kind, space, p):
-    """Product of two {monomial: coeff} dictionaries."""
-    out = {}
-    for a, ca in c1.items():
-        for b, cb in c2.items():
-            for m, c in power_product(a, b, p).items():
-                v = (out.get(m, 0) + ca * cb * c) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-    return out
 
 
 def shuffle_product_via_reps(m1, m2, p, reverse_reps=False):

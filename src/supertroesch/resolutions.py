@@ -145,18 +145,18 @@ def solve_epsilon(r, p, budget=DEFAULT_BUDGET):
         piece = monomials_with_bigrade(sh, shbar, q, p, nxt - choose2, nxt, budget)
         cols = []
         rows = {}
-        entries = {}
+        coeffs = {}
         for k, exps in enumerate(piece):
             el_k = GammaElement(sh, shbar, q, p, {exps: 1})
             comp_k = compose(el_k, d_el)
             for e2, c in comp_k.terms.items():
                 rows.setdefault(e2, len(rows))
-                entries[(rows[e2], k)] = c
+                coeffs[(rows[e2], k)] = c
             cols.append(exps)
         for e2 in rhs.terms:
             rows.setdefault(e2, len(rows))
         mat = FpMatrix.zeros(p, len(rows), len(cols))
-        for (i, k), c in entries.items():
+        for (i, k), c in coeffs.items():
             mat.set(i, k, c)
         b = [0] * len(rows)
         for e2, c in rhs.terms.items():
@@ -309,10 +309,6 @@ class SplicedResolution:
                 if seam in tgt_terms:
                     out[(t, seam)] = self.eps_element(t.kind, t.local)
         return out
-
-    def space_of(self, kind):
-        sh, shbar = _sh_pair(self.p, self.r)
-        return sh if kind == "T" else shbar
 
 
 def check_delta_squared_formal(p, r=1, flavor="J", max_degree=None, budget=DEFAULT_BUDGET):
@@ -681,7 +677,7 @@ class YonedaCalculator:
             piece = self._piece(tau0.kind, tgt.kind, tau0.local, tgt.local)
             unknowns.append((tgt, piece))
         rows = {}
-        entries = {}
+        coeffs = {}
         rhs = {}
         ncols = 0
         colmap = []
@@ -696,13 +692,13 @@ class YonedaCalculator:
                 for i in range(self.q):
                     v = fr.get(i, 0)
                     if v:
-                        entries[(rows[(tgt, i)], ncols + k)] = v
+                        coeffs[(rows[(tgt, i)], ncols + k)] = v
             ncols += len(piece)
         for tgt, piece in unknowns:
             for i in range(self.q):
                 want = 1 if (tgt == rep_term and i == rep_idx) else 0
                 rhs[rows[(tgt, i)]] = want
-        sol = self._solve(entries, rhs, len(rows), ncols)
+        sol = self._solve(coeffs, rhs, len(rows), ncols)
         pos = 0
         m_blocks = {}
         for tgt, piece in unknowns:
@@ -735,7 +731,7 @@ class YonedaCalculator:
 
         d_src_grouped = {key: group_by_target_profile(el) for key, el in d_src.items()}
         rows = {}
-        entries = {}
+        coeffs = {}
         rhs_map = {}
         colmap = []
         ncols = 0
@@ -749,7 +745,7 @@ class YonedaCalculator:
                     for e2, c in comp.terms.items():
                         rk = rows.setdefault((tau, b, e2), len(rows))
                         key = (rk, ncols + k)
-                        entries[key] = (entries.get(key, 0) + c) % self.p
+                        coeffs[key] = (coeffs.get(key, 0) + c) % self.p
             colmap.append(((a, b), len(piece)))
             ncols += len(piece)
         # right-hand side: delta_tgt o prev
@@ -761,7 +757,7 @@ class YonedaCalculator:
                 for e2, c in comp.terms.items():
                     rk = rows.setdefault((tau, b, e2), len(rows))
                     rhs_map[rk] = (rhs_map.get(rk, 0) + c) % self.p
-        sol = self._solve(entries, rhs_map, len(rows), ncols)
+        sol = self._solve(coeffs, rhs_map, len(rows), ncols)
         out = {}
         pos = 0
         for (a, b), piece in unknowns:
@@ -772,9 +768,9 @@ class YonedaCalculator:
                 out[(a, b)] = el
         return out
 
-    def _solve(self, entries, rhs_map, nrows, ncols):
+    def _solve(self, coeffs, rhs_map, nrows, ncols):
         mat = FpMatrix.zeros(self.p, nrows, ncols)
-        for (i, k), v in entries.items():
+        for (i, k), v in coeffs.items():
             mat.set(i, k, v)
         b = [0] * nrows
         for i, v in rhs_map.items():

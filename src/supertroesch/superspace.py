@@ -36,10 +36,6 @@ class SuperSpace:
         if len(set(names)) != len(names):
             raise ValueError("basis names must be unique")
 
-    @staticmethod
-    def from_elements(elems):
-        return SuperSpace(tuple(elems))
-
     @property
     def dim(self):
         return len(self.basis)
@@ -68,10 +64,6 @@ class SuperSpace:
 
 
 ZERO_SPACE = SuperSpace(())
-
-
-def make_space(names, zdegs, parities):
-    return SuperSpace(tuple(BasisElement(n, z, pi) for n, z, pi in zip(names, zdegs, parities)))
 
 
 def k_super(m, n):
@@ -187,22 +179,6 @@ def rho(p, r, s):
         if base_p_digit(i, s, p) <= p - 2:
             m.set(i + p ** s, i, 1)
     return LinearMapSS(sh, sh, m, EVEN, p ** s)
-
-
-def map_on_tensor_with_identity(f, u):
-    """f tensor 1_U as a LinearMapSS from source x U to target x U.
-
-    Valid as written because the identity factor is even, so no Koszul sign
-    appears regardless of the parity of f.
-    """
-    src = tensor(f.source, u)
-    tgt = tensor(f.target, u)
-    du = u.dim
-    m = FpMatrix.zeros(f.matrix.p, tgt.dim, src.dim)
-    for (i, j), v in f.matrix.nonzero_items():
-        for k in range(du):
-            m.set(i * du + k, j * du + k, v)
-    return LinearMapSS(src, tgt, m, f.parity, f.zshift)
 
 
 def relabel_map(f, new_source, new_target):

@@ -208,9 +208,6 @@ class PowerComplexData:
     index: dict  # zdeg -> {exps: position}
     monomials: dict  # zdeg -> [PowerMonomial]
 
-    def monomial_position(self, mono):
-        return self.index[mono.zdeg][mono.exps]
-
 
 def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     """S^n(param tensor U) with differential sum of (param_maps[r-1-s])_{p^s}."""

@@ -105,6 +105,23 @@ def test_budget_env_var():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "abc", "1.5"])
+@pytest.mark.parametrize("source", ["--budget", "SUPERTROESCH_BUDGET"])
+def test_budget_must_be_positive_integer(source, value, monkeypatch, capsys):
+    argv = ["cohomology", "--p", "3", "--n", "1", "--space", "k^{1|1}"]
+    if source == "--budget":
+        monkeypatch.delenv("SUPERTROESCH_BUDGET", raising=False)
+        argv += ["--budget", value]
+    else:
+        monkeypatch.setenv("SUPERTROESCH_BUDGET", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{source} must be a positive integer, got {value!r}" in captured.err
+
+
 def test_deterministic_output():
     args = ["ext-table", "--p", "3", "--r", "1", "--max-deg", "9", "--format", "json"]
     a = run_cli(*args).stdout

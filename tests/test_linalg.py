@@ -13,8 +13,8 @@ from supertroesch.linalg import (
 from supertroesch.superspace import rho
 
 
-def random_matrix(rng, p, rows, cols, sparse=False, density=0.5):
-    m = FpMatrix.zeros(p, rows, cols, sparse=sparse)
+def random_matrix(rng, p, rows, cols, density=0.5):
+    m = FpMatrix.zeros(p, rows, cols)
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
@@ -85,21 +85,127 @@ def test_matmul_associative():
         assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
 
 
-def test_dense_sparse_agree():
+def rref_oracle(m, reduce_above, augment=None):
+    """Reference elimination on a list of dict rows, independent of the
+    library's numpy routine, with the same first-nonzero pivoting.  Returns
+    (reduced rows, pivot columns, reduced augmented column or None)."""
+    p = m.p
+    rows = [dict() for _ in range(m.rows)]
+    for (i, j), v in m.nonzero_items():
+        rows[i][j] = v
+    aug = list(augment) if augment is not None else None
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        piv = None
+        for i in range(r, m.rows):
+            if rows[i].get(c, 0):
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if aug is not None:
+            aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(rows[r][c], p - 2, p)
+        if inv != 1:
+            rows[r] = {k: (v * inv) % p for k, v in rows[r].items()}
+            if aug is not None:
+                aug[r] = (aug[r] * inv) % p
+        span = range(0, m.rows) if reduce_above else range(r + 1, m.rows)
+        for i in span:
+            if i == r:
+                continue
+            f = rows[i].get(c, 0)
+            if not f:
+                continue
+            ri, rr = rows[i], rows[r]
+            for k, v in rr.items():
+                nv = (ri.get(k, 0) - f * v) % p
+                if nv:
+                    ri[k] = nv
+                else:
+                    ri.pop(k, None)
+            if aug is not None:
+                aug[i] = (aug[i] - f * aug[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return rows, pivots, aug
+
+
+def oracle_kernel_basis(m):
+    rows, pivots, _ = rref_oracle(m, reduce_above=True)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = FpMatrix.zeros(m.p, m.cols, len(free))
+    for k, c in enumerate(free):
+        out.set(c, k, 1)
+        for r, pc in enumerate(pivots):
+            out.set(pc, k, -rows[r].get(c, 0))
+    return out
+
+
+def oracle_image_basis(m):
+    _, pivots, _ = rref_oracle(m, reduce_above=False)
+    out = FpMatrix.zeros(m.p, m.rows, len(pivots))
+    for k, c in enumerate(pivots):
+        for i in range(m.rows):
+            out.set(i, k, m.get(i, c))
+    return out
+
+
+def oracle_solve(m, b):
+    _, pivots, aug = rref_oracle(m, reduce_above=True, augment=[v % m.p for v in b])
+    if any(aug[len(pivots):]):
+        return None
+    x = [0] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r]
+    return x
+
+
+def test_elimination_matches_rref_oracle():
     rng = random.Random(13)
-    for _ in range(200):
+    for _ in range(1200):
         p = rng.choice((3, 5, 7))
-        rows = rng.randrange(0, 6)
-        cols = rng.randrange(0, 6)
-        d = random_matrix(rng, p, rows, cols, sparse=False)
-        s = d.to_sparse()
-        assert d.rank() == s.rank()
-        assert d.kernel_basis().to_dense() == s.kernel_basis().to_dense()
-        assert d.image_basis().to_dense() == s.image_basis().to_dense()
+        rows = rng.randrange(0, 9)
+        cols = rng.randrange(0, 9)
+        m = random_matrix(rng, p, rows, cols, density=rng.uniform(0.1, 0.9))
+        assert m.rank() == len(rref_oracle(m, reduce_above=False)[1])
+        assert m.kernel_basis() == oracle_kernel_basis(m)
+        assert m.image_basis() == oracle_image_basis(m)
         b = [rng.randrange(p) for _ in range(rows)]
-        xd = d.solve(b)
-        xs = s.solve(b)
-        assert xd == xs
+        assert m.solve(b) == oracle_solve(m, b)
+        # a right-hand side in the image is always solvable
+        x = [rng.randrange(p) for _ in range(cols)]
+        y = m.apply(x)
+        assert oracle_solve(m, y) is not None
+        assert m.solve(y) == oracle_solve(m, y)
+        # the same comparisons on a submatrix, empty row or column lists included
+        sub = m.submatrix(
+            [i for i in range(rows) if rng.random() < 0.5],
+            [j for j in range(cols) if rng.random() < 0.5],
+        )
+        assert sub.rank() == len(rref_oracle(sub, reduce_above=False)[1])
+        assert sub.kernel_basis() == oracle_kernel_basis(sub)
+        assert sub.image_basis() == oracle_image_basis(sub)
+        c = [rng.randrange(p) for _ in range(sub.rows)]
+        assert sub.solve(c) == oracle_solve(sub, c)
+
+
+def test_submatrix_with_empty_index_lists():
+    m = FpMatrix.from_rows(5, [[1, 2, 3], [4, 0, 1]])
+    assert m.submatrix([1, 0], [2, 0]) == FpMatrix.from_rows(5, [[1, 4], [3, 1]])
+    for rows, cols in (([], []), ([], [0, 2]), ([0, 1], [])):
+        sub = m.submatrix(rows, cols)
+        assert sub.shape == (len(rows), len(cols))
+        assert sub.rank() == 0
+        assert sub.kernel_basis() == FpMatrix.identity(5, len(cols))
+        assert sub.image_basis().shape == (len(rows), 0)
+        assert sub.solve([0] * len(rows)) == [0] * len(cols)
+        if rows:
+            assert sub.solve([1] * len(rows)) is None
 
 
 def test_solve_inconsistent_returns_none():
