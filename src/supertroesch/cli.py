@@ -273,39 +273,32 @@ def build_parser():
         description="Exact GF(p) computations with p-complexes of symmetric powers on superspaces",
     )
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--budget", default=None, help="max dimension of a graded piece (a positive integer)")
+    with_r = argparse.ArgumentParser(add_help=False)
+    with_r.add_argument("--r", type=int, default=1)
+    power = argparse.ArgumentParser(add_help=False)
+    power.add_argument("--n", type=int, default=1, help="twisted symmetric power index")
+    power.add_argument("--space", required=True, help="test space: k^{m|n}, Sh(r), PiSh(r)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("cohomology", parents=[common], help="cohomology table and normality of the power complex")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--r", type=int, default=1)
-    c.add_argument("--n", type=int, default=1, help="twisted symmetric power index")
-    c.add_argument("--space", required=True, help='test space: k^{m|n}, Sh(r), PiSh(r)')
+    c = sub.add_parser("cohomology", parents=[common, with_r, power], help="cohomology table and normality of the power complex")
     c.set_defaults(func=cmd_cohomology)
 
-    d = sub.add_parser("decompose", parents=[common], help="cyclic decomposition of the power complex")
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--r", type=int, default=1)
-    d.add_argument("--n", type=int, default=1)
-    d.add_argument("--space", required=True)
+    d = sub.add_parser("decompose", parents=[common, with_r, power], help="cyclic decomposition of the power complex")
     d.set_defaults(func=cmd_decompose)
 
-    e = sub.add_parser("ext-table", parents=[common], help="derived Hom dimensions between twist functors")
-    e.add_argument("--p", type=int, required=True)
-    e.add_argument("--r", type=int, default=1)
+    e = sub.add_parser("ext-table", parents=[common, with_r], help="derived Hom dimensions between twist functors")
     e.add_argument("--max-deg", type=int, required=True)
     e.add_argument("--source-parity", type=int, choices=(0, 1), default=0)
     e.add_argument("--target-parity", type=int, choices=(0, 1), default=0)
     e.set_defaults(func=cmd_ext_table)
 
-    g = sub.add_parser("ring", parents=[common], help="multiplicative relations of the Ext generators")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--r", type=int, default=1)
+    g = sub.add_parser("ring", parents=[common, with_r], help="multiplicative relations of the Ext generators")
     g.set_defaults(func=cmd_ring)
 
     v = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    v.add_argument("--p", type=int, required=True)
     v.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
     v.set_defaults(func=cmd_verify)
     return ap

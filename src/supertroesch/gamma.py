@@ -17,7 +17,10 @@ from .powers import (
     PowerKind,
     PowerMonomial,
     SignedTensor,
+    add_mod_p,
+    koszul_sign_of_arrangement,
     lift_from_power,
+    multiply_out,
     power_basis,
     project_checked,
     sort_with_sign,
@@ -63,11 +66,7 @@ class GammaElement:
         return divmod(idx, self.source.dim)
 
     def add_term(self, exps, coeff):
-        c = (self.terms.get(exps, 0) + coeff) % self.p
-        if c:
-            self.terms[exps] = c
-        else:
-            self.terms.pop(exps, None)
+        add_mod_p(self.terms, exps, coeff, self.p)
 
     def is_zero(self):
         return not self.terms
@@ -174,8 +173,7 @@ def _even_multiset_expansion(n, items, p, budget=None):
             raise BudgetExceededError("divided power expansion", len(out), budget)
         if pos == k:
             if rem == 0:
-                exps = tuple(sorted(acc))
-                out[exps] = (out.get(exps, 0) + coeff) % p
+                add_mod_p(out, tuple(sorted(acc)), coeff, p)
             return
         idx, scal = items[pos]
         if pos == k - 1:
@@ -188,7 +186,7 @@ def _even_multiset_expansion(n, items, p, budget=None):
                 rec(pos + 1, rem - e, acc + [(idx, e)] if e else acc, c)
 
     rec(0, n, [], 1)
-    return {k2: v for k2, v in out.items() if v}
+    return out
 
 
 def identity_element(space, n, p, budget=None):
@@ -321,11 +319,7 @@ def compose(g, f, check_spaces=True, f_grouped=None):
     if f_grouped is None:
         f_grouped = group_by_target_profile(f)
     for g_exps, cg in g.terms.items():
-        # group the factors of g by their source index in V
-        g_by_src = {}
-        for idx, e in g_exps:
-            i, j = divmod(idx, dim_v)
-            g_by_src.setdefault(j, {})[idx] = e
+        g_by_src = _group_by_source(g_exps, dim_v)
         g_profile = tuple(sorted((j, sum(cnt.values())) for j, cnt in g_by_src.items()))
         for f_exps, cf in f_grouped.get(g_profile, ()):
             f_seq = []
@@ -342,6 +336,14 @@ def compose(g, f, check_spaces=True, f_grouped=None):
         for idx, e in exps:
             if e > 1 and out_par[idx] == ODD:
                 raise AssertionError("inadmissible monomial survived composition")
+    return out
+
+
+def _group_by_source(exps, dim_v):
+    """The factors of a monomial as {source index: {unit index: exponent}}."""
+    out = {}
+    for idx, e in exps:
+        out.setdefault(idx % dim_v, {})[idx] = e
     return out
 
 
@@ -363,7 +365,7 @@ def _compose_assign(out, s, coeff, g_by_src, g_par, f_par, dim_u, dim_v, n):
         if k == n:
             # sign of t as an arrangement of g's multiset, and the Koszul
             # sign for composing tensors of maps factorwise
-            sgn = _arr_sign_partial(t_seq, g_par)
+            sgn = (-1) ** koszul_sign_of_arrangement(t_seq, g_par)
             kz = 0
             for a in range(n):
                 if f_par[s[a]] == EVEN:
@@ -393,18 +395,6 @@ def _compose_assign(out, s, coeff, g_by_src, g_par, f_par, dim_u, dim_v, n):
             pool[t_idx] += 1
 
     rec(0, coeff)
-
-
-def _arr_sign_partial(seq, parities):
-    s = 0
-    n = len(seq)
-    for a in range(n):
-        if parities[seq[a]] == EVEN:
-            continue
-        for b in range(a + 1, n):
-            if parities[seq[b]] == ODD and seq[a] > seq[b]:
-                s += 1
-    return (-1) ** s
 
 
 def _seq_to_exps(seq):
@@ -460,55 +450,30 @@ def compose_slow(g, f):
 # functorial actions
 
 
-def apply_sym_matrix(el, n=None):
+def apply_sym_matrix(el):
     """Matrix of the induced map on symmetric powers, in power-basis order."""
-    n = el.n if n is None else n
-    if n != el.n:
-        raise ValueError("degree mismatch")
-    src_basis = power_basis(PowerKind.SYM, n, el.source)
-    tgt_basis = power_basis(PowerKind.SYM, n, el.target)
+    tgt_basis = power_basis(PowerKind.SYM, el.n, el.target)
     tgt_index = {m.exps: k for k, m in enumerate(tgt_basis)}
-    p = el.p
-    dim_v = el.source.dim
-    src_par = el.source.parities()
-    tgt_par = el.target.parities()
-    g_par = el.hom.parities()
-    mat = FpMatrix.zeros(p, len(tgt_basis), len(src_basis))
-    for col, mono in enumerate(src_basis):
-        rep = mono.factor_sequence()
-        for g_exps, cg in el.terms.items():
-            g_by_src = {}
-            for idx, e in g_exps:
-                i, j = divmod(idx, dim_v)
-                g_by_src.setdefault(j, {})[idx] = e
-            _sym_assign(
-                mat, col, rep, g_by_src, cg, p, dim_v, src_par, tgt_par, g_par, tgt_index
-            )
-    return mat
+    return apply_sym_block(el, power_basis(PowerKind.SYM, el.n, el.source), tgt_index, len(tgt_basis))
 
 
-def _sym_assign(mat, col, rep, g_by_src, coeff, p, dim_v, src_par, tgt_par, g_par, tgt_index):
+def _sym_assign(entries, col, rep, g_by_src, coeff, dim_v, src_par, tgt_par, g_par, tgt_index):
     n = len(rep)
     t_seq = [0] * n
     out_seq = [0] * n
 
     def rec(k):
         if k == n:
-            sgn = _arr_sign_partial(t_seq, g_par)
-            kz = 0
+            kz = koszul_sign_of_arrangement(t_seq, g_par)
             for a in range(n):
                 for b in range(a + 1, n):
                     kz += g_par[t_seq[b]] * src_par[rep[a]]
             srt, ssign = sort_with_sign(PowerKind.SYM, out_seq, tgt_par)
             if srt is None:
                 return
-            key = _seq_to_exps(srt)
-            row = tgt_index.get(key)
-            if row is None:
-                return
-            total = (coeff * sgn * ssign * (-1) ** kz) % p
-            if total:
-                mat.set(row, col, (mat.get(row, col) + total) % p)
+            row = tgt_index.get(_seq_to_exps(srt))
+            if row is not None:
+                entries.append(((row, col), coeff * ssign * (-1) ** kz))
             return
         pool = g_by_src.get(rep[k])
         if not pool:
@@ -533,23 +498,17 @@ def apply_sym_block(el, src_monos, tgt_pos, rows):
     indices; images landing outside tgt_pos are dropped (they must be zero
     when the element is degree homogeneous across the chosen pieces).
     """
-    p = el.p
     dim_v = el.source.dim
     src_par = el.source.parities()
     tgt_par = el.target.parities()
     g_par = el.hom.parities()
-    mat = FpMatrix.zeros(p, rows, len(src_monos))
+    grouped = [(_group_by_source(g_exps, dim_v), cg) for g_exps, cg in el.terms.items()]
+    entries = []
     for col, mono in enumerate(src_monos):
         rep = mono.factor_sequence()
-        for g_exps, cg in el.terms.items():
-            g_by_src = {}
-            for idx, e in g_exps:
-                i, j = divmod(idx, dim_v)
-                g_by_src.setdefault(j, {})[idx] = e
-            _sym_assign(
-                mat, col, rep, g_by_src, cg, p, dim_v, src_par, tgt_par, g_par, tgt_pos
-            )
-    return mat
+        for g_by_src, cg in grouped:
+            _sym_assign(entries, col, rep, g_by_src, cg, dim_v, src_par, tgt_par, g_par, tgt_pos)
+    return FpMatrix.from_coords(el.p, rows, len(src_monos), entries)
 
 
 def apply_sym(el):
@@ -584,70 +543,22 @@ def apply_frobenius(el, r):
     if el.n != p ** r:
         raise ValueError(f"degree {el.n} is not p^r = {p ** r}")
     hom = el.hom
-    mat = FpMatrix.zeros(p, el.target.dim, el.source.dim)
+    entries = []
     for exps, c in el.terms.items():
-        if len(exps) != 1:
-            continue
-        idx, e = exps[0]
-        if e != p ** r or hom.basis[idx].parity != EVEN:
-            continue
-        i, j = el.unit_pair(idx)
-        mat.set(i, j, (mat.get(i, j) + c) % p)
-    return mat
+        if len(exps) == 1 and exps[0][1] == p ** r and hom.basis[exps[0][0]].parity == EVEN:
+            entries.append((el.unit_pair(exps[0][0]), c))
+    return FpMatrix.from_coords(p, el.target.dim, el.source.dim, entries)
 
 
 def tensor_with_identity(el, u, budget=None):
     """Extend each matrix unit by the identity of u: the parameterized morphism."""
-    p = el.p
     new_src = tensor(el.source, u)
-    new_tgt = tensor(el.target, u)
     du = u.dim
-    u_par = u.parities()
-    out = GammaElement(new_src, new_tgt, el.n, p)
-    hom = el.hom
-    for exps, c in el.terms.items():
-        factors = []  # one {exps: coeff} per gamma factor
-        dead = False
-        for idx, e in exps:
-            i, j = el.unit_pair(idx)
-            unit_parity = hom.basis[idx].parity
-            images = []
-            for k in range(du):
-                new_idx = (i * du + k) * new_src.dim + (j * du + k)
-                images.append((new_idx, 1))
-            if unit_parity == EVEN:
-                expansion = _even_multiset_expansion(e, images, p, budget)
-            else:
-                # odd units occur with exponent one; gamma_1 is linear
-                expansion = {((new_idx, 1),): coeff for new_idx, coeff in images}
-            if not expansion:
-                dead = True
-                break
-            factors.append(expansion)
-        if dead:
-            continue
-        combo = {(): 1}
-        from .powers import power_product
 
-        new_hom = hom_space(new_src, new_tgt)
-        for fac in factors:
-            nxt = {}
-            for e1, c1 in combo.items():
-                m1 = PowerMonomial(PowerKind.DIV, new_hom, e1)
-                for e2, c2 in fac.items():
-                    m2 = PowerMonomial(PowerKind.DIV, new_hom, e2)
-                    for m, cc in power_product(m1, m2, p).items():
-                        v = (nxt.get(m.exps, 0) + c1 * c2 * cc) % p
-                        if v:
-                            nxt[m.exps] = v
-                        else:
-                            nxt.pop(m.exps, None)
-            combo = nxt
-            if budget is not None and len(combo) > budget:
-                raise BudgetExceededError("tensor_with_identity", len(combo), budget)
-        for e2, c2 in combo.items():
-            out.add_term(e2, c * c2)
-    return out
+    def unit_images(i, j, unit_parity):
+        return [((i * du + k) * new_src.dim + (j * du + k), 1) for k in range(du)]
+
+    return _tensor_identity(el, new_src, tensor(el.target, u), unit_images, "tensor_with_identity", budget)
 
 
 def tensor_identity_left(el, w, budget=None):
@@ -656,48 +567,38 @@ def tensor_identity_left(el, w, budget=None):
     A unit f picks up the sign (-1)^{parity(f) * parity(w_k)} on the k-th
     summand, from f passing the left tensor factor.
     """
-    p = el.p
     new_src = tensor(w, el.source)
-    new_tgt = tensor(w, el.target)
     dsrc = el.source.dim
     dtgt = el.target.dim
     w_par = w.parities()
-    out = GammaElement(new_src, new_tgt, el.n, p)
-    hom = el.hom
-    from .powers import power_product
 
-    new_hom = hom_space(new_src, new_tgt)
+    def unit_images(i, j, unit_parity):
+        return [
+            ((k * dtgt + i) * new_src.dim + (k * dsrc + j), (-1) ** (unit_parity * w_par[k]) % el.p)
+            for k in range(w.dim)
+        ]
+
+    return _tensor_identity(el, new_src, tensor(w, el.target), unit_images, "tensor_identity_left", budget)
+
+
+def _tensor_identity(el, new_src, new_tgt, unit_images, stage, budget):
+    """el with each matrix unit (i, j) replaced by the sum of the new units
+    that unit_images(i, j, parity) lists as (new unit index, coeff) pairs,
+    each monomial multiplied out; budget errors name the stage."""
+    p = el.p
+    hom = el.hom
+    out = GammaElement(new_src, new_tgt, el.n, p)
     for exps, c in el.terms.items():
-        factors = []
+        factors = []  # one {exps: coeff} per gamma factor
         for idx, e in exps:
-            i, j = el.unit_pair(idx)
             unit_parity = hom.basis[idx].parity
-            images = []
-            for k in range(w.dim):
-                new_idx = (k * dtgt + i) * new_src.dim + (k * dsrc + j)
-                sign = (-1) ** (unit_parity * w_par[k]) % p
-                images.append((new_idx, sign))
+            images = unit_images(*el.unit_pair(idx), unit_parity)
             if unit_parity == EVEN:
                 factors.append(_even_multiset_expansion(e, images, p, budget))
             else:
+                # odd units occur with exponent one; gamma_1 is linear
                 factors.append({((new_idx, 1),): coeff for new_idx, coeff in images})
-        combo = {(): 1}
-        for fac in factors:
-            nxt = {}
-            for e1, c1 in combo.items():
-                m1 = PowerMonomial(PowerKind.DIV, new_hom, e1)
-                for e2, c2 in fac.items():
-                    m2 = PowerMonomial(PowerKind.DIV, new_hom, e2)
-                    for m, cc in power_product(m1, m2, p).items():
-                        v = (nxt.get(m.exps, 0) + c1 * c2 * cc) % p
-                        if v:
-                            nxt[m.exps] = v
-                        else:
-                            nxt.pop(m.exps, None)
-            combo = nxt
-            if budget is not None and len(combo) > budget:
-                raise BudgetExceededError("tensor_identity_left", len(combo), budget)
-        for e2, c2 in combo.items():
+        for e2, c2 in multiply_out(PowerKind.DIV, out.hom, factors, p, budget, stage).items():
             out.add_term(e2, c * c2)
     return out
 

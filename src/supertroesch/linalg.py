@@ -55,6 +55,21 @@ class FpMatrix:
         return FpMatrix(p, np.eye(n, dtype=np.int64))
 
     @staticmethod
+    def from_coords(p, rows, cols, entries):
+        """A rows x cols matrix from ((row, col), value) pairs.
+
+        Values given at the same position are summed, and the sums are
+        reduced into [0, p) once, so negative values are allowed.
+        """
+        data = np.zeros((rows, cols), dtype=np.int64)
+        entries = list(entries)
+        if entries:
+            coords, values = zip(*entries)
+            i, j = np.array(coords, dtype=np.int64).reshape(-1, 2).T
+            np.add.at(data, (i, j), np.array(values, dtype=np.int64))
+        return FpMatrix(p, data % p)
+
+    @staticmethod
     def from_rows(p, rows_data):
         rows = len(rows_data)
         cols = len(rows_data[0]) if rows else 0

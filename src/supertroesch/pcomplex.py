@@ -398,7 +398,7 @@ def _tensor_with_offsets(c1, c2):
         tgt = spaces.get(z + alpha)
         if tgt is None:
             continue
-        mat = FpMatrix.zeros(p, tgt.dim, sp.dim)
+        entries = []
         for i in c1.degrees():
             j = z - i
             if (i, j) not in offsets or not c1.term(i).dim or not c2.term(j).dim:
@@ -408,14 +408,13 @@ def _tensor_with_offsets(c1, c2):
             if (i + alpha, j) in offsets:
                 toff = offsets[(i + alpha, j)]
                 for (r, c), v in c1.diff(i).nonzero_items():
-                    for b in range(d2):
-                        mat.set(toff + r * d2 + b, off + c * d2 + b, v)
+                    entries += [((toff + r * d2 + b, off + c * d2 + b), v) for b in range(d2)]
             if (i, j + alpha) in offsets:
                 toff = offsets[(i, j + alpha)]
                 d2t = c2.term(j + alpha).dim
                 for (r, c), v in c2.diff(j).nonzero_items():
-                    for a in range(c1.term(i).dim):
-                        mat.set(toff + a * d2t + r, off + a * d2 + c, v)
+                    entries += [((toff + a * d2t + r, off + a * d2 + c), v) for a in range(c1.term(i).dim)]
+        mat = FpMatrix.from_coords(p, tgt.dim, sp.dim, entries)
         if not mat.is_zero():
             diffs[z] = mat
     return PComplex(p, alpha, spaces, diffs), offsets
@@ -498,13 +497,10 @@ def _spans_cohomology(cx, deg, vectors):
     ker_rank = cx.dim(deg) - cx.diff(deg).rank()
     if not vectors:
         return img.rank() == ker_rank
-    vmat = FpMatrix.zeros(cx.p, cx.dim(deg), len(vectors))
-    for k, v in enumerate(vectors):
-        for i, x in enumerate(v):
-            if x:
-                vmat.set(i, k, x)
-    d = cx.diff(deg)
-    if not matmul(d, vmat).is_zero():
+    vmat = FpMatrix.from_coords(
+        cx.p, cx.dim(deg), len(vectors), [((i, k), x) for k, v in enumerate(vectors) for i, x in enumerate(v) if x]
+    )
+    if not matmul(cx.diff(deg), vmat).is_zero():
         return False
     return hstack([img, vmat]).rank() == ker_rank
 
@@ -526,11 +522,11 @@ def build_from_blocks(p, alpha, blocks):
                 arrows.append((deg - alpha, prev, deg, pos))
             prev = pos
     spaces = {d: SuperSpace(tuple(lst)) for d, lst in elems.items()}
-    diffs = {}
+    by_src = {}
     for (sdeg, scol, tdeg, trow) in arrows:
-        m = diffs.get(sdeg)
-        if m is None:
-            m = FpMatrix.zeros(p, spaces[tdeg].dim if tdeg in spaces else 0, spaces[sdeg].dim)
-            diffs[sdeg] = m
-        m.set(trow, scol, 1)
+        by_src.setdefault(sdeg, []).append(((trow, scol), 1))
+    diffs = {
+        sdeg: FpMatrix.from_coords(p, spaces[sdeg + alpha].dim, spaces[sdeg].dim, entries)
+        for sdeg, entries in by_src.items()
+    }
     return PComplex(p, alpha, spaces, diffs)

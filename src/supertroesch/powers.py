@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .errors import BudgetExceededError
 from .superspace import EVEN, ODD, SuperSpace
 
 
@@ -53,6 +54,15 @@ def binom_mod(n, k, p):
     if k < 0 or k > n:
         return 0
     return math.comb(n, k) % p
+
+
+def add_mod_p(coeffs, key, c, p):
+    """Add c to coeffs[key] mod p; a key whose sum is 0 is removed."""
+    v = (coeffs.get(key, 0) + c) % p
+    if v:
+        coeffs[key] = v
+    else:
+        coeffs.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,7 @@ class SignedTensor:
         self.terms = terms if terms is not None else {}
 
     def add_term(self, key, coeff):
-        c = (self.terms.get(key, 0) + coeff) % self.p
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
+        add_mod_p(self.terms, key, coeff, self.p)
 
     def items(self):
         return sorted(self.terms.items())
@@ -318,17 +324,10 @@ def project_to_power(kind, t):
             srt, sign = sort_with_sign(kind, key, par)
             if srt is None:
                 continue
-            m = monomial_from_sequence(kind, t.space, srt)
-            c = (out.get(m, 0) + sign * coeff) % t.p
-        else:
-            if any(key[a] > key[a + 1] for a in range(len(key) - 1)):
-                continue
-            m = monomial_from_sequence(kind, t.space, key)
-            c = coeff % t.p
-        if c:
-            out[m] = c
-        else:
-            out.pop(m, None)
+            add_mod_p(out, monomial_from_sequence(kind, t.space, srt), sign * coeff, t.p)
+        elif all(key[a] <= key[a + 1] for a in range(len(key) - 1)):
+            # each sorted key is its own monomial, met once
+            add_mod_p(out, monomial_from_sequence(kind, t.space, key), coeff, t.p)
     return out
 
 
@@ -381,6 +380,26 @@ def power_product(m1, m2, p):
     if coeff == 0:
         return {}
     return {monomial_from_counts(kind, m1.space, merged): coeff}
+
+
+def multiply_out(kind, space, factors, p, budget=None, stage=None):
+    """Product of the factors, in order, each a {exps: coeff} combination.
+
+    Returns {exps: coeff}.  With a budget, the running product may hold at
+    most that many monomials after each factor; the error names the stage.
+    """
+    combo = {(): 1}
+    for fac in factors:
+        nxt = {}
+        for e1, c1 in combo.items():
+            m1 = PowerMonomial(kind, space, e1)
+            for e2, c2 in fac.items():
+                for m, c in power_product(m1, PowerMonomial(kind, space, e2), p).items():
+                    add_mod_p(nxt, m.exps, c1 * c2 * c, p)
+        combo = nxt
+        if budget is not None and len(combo) > budget:
+            raise BudgetExceededError(stage, len(combo), budget)
+    return combo
 
 
 def shuffle_product_via_reps(m1, m2, p, reverse_reps=False):
@@ -445,15 +464,7 @@ def coproduct_component(m, a, b, p):
             left = monomial_from_counts(kind, m.space, left_counts)
             right_counts = {i: e - left_counts.get(i, 0) for i, e in gens}
             right = monomial_from_counts(kind, m.space, right_counts)
-            c = (coeff * (-1) ** sign_exp) % p
-            if not c:
-                return
-            key = (left, right)
-            v = (out.get(key, 0) + c) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            add_mod_p(out, (left, right), coeff * (-1) ** sign_exp, p)
             return
         i, e = gens[idx]
         for x in range(min(e, rem_left), -1, -1):

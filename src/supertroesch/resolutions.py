@@ -25,6 +25,7 @@ from .gamma import (
 )
 from .linalg import FpMatrix
 from .pcomplex import ChainComplex
+from .powers import add_mod_p
 from .superspace import BasisElement, SuperSpace, build_Sh, parity_shift, rho
 from .troesch import DEFAULT_BUDGET, build_B, build_B_bar
 
@@ -155,9 +156,7 @@ def solve_epsilon(r, p, budget=DEFAULT_BUDGET):
             cols.append(exps)
         for e2 in rhs.terms:
             rows.setdefault(e2, len(rows))
-        mat = FpMatrix.zeros(p, len(rows), len(cols))
-        for (i, k), c in coeffs.items():
-            mat.set(i, k, c)
+        mat = FpMatrix.from_coords(p, len(rows), len(cols), coeffs.items())
         b = [0] * len(rows)
         for e2, c in rhs.terms.items():
             b[rows[e2]] = c
@@ -396,19 +395,19 @@ def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=Fals
         tgt_row = layout.get(m + 1, [])
         if not src_row or not tgt_row:
             continue
-        total_src = sum(d for _, _, d in src_row)
-        total_tgt = sum(d for _, _, d in tgt_row)
-        mat = FpMatrix.zeros(p, total_tgt, total_src)
         blocks = res.blocks(m, max_q)
         tgt_off = {t: off for t, off, _ in tgt_row}
+        entries = []
         for (src_t, off_s, dim_s) in src_row:
             for (src2, tgt2), el in blocks.items():
                 if src2 != src_t or tgt2 not in tgt_off:
                     continue
                 block = _evaluate_block(res, el, src_t, tgt2, data_for, u, p, r, budget)
                 off_t = tgt_off[tgt2]
-                for (i, j), v in block.nonzero_items():
-                    mat.set(off_t + i, off_s + j, v)
+                entries += [((off_t + i, off_s + j), v) for (i, j), v in block.nonzero_items()]
+        total_src = sum(d for _, _, d in src_row)
+        total_tgt = sum(d for _, _, d in tgt_row)
+        mat = FpMatrix.from_coords(p, total_tgt, total_src, entries)
         if not mat.is_zero():
             diffs[m] = mat
     cx = ChainComplex(p, terms, diffs)
@@ -660,7 +659,6 @@ class YonedaCalculator:
 
     def lift(self, cls, up_to):
         """Blocks of a chain map lifting the class, through source degree up_to."""
-        key = (cls, up_to)
         have = self._lift_cache.get(cls)
         if have is not None and have[0] >= up_to:
             return have[1]
@@ -677,22 +675,17 @@ class YonedaCalculator:
             piece = self._piece(tau0.kind, tgt.kind, tau0.local, tgt.local)
             unknowns.append((tgt, piece))
         rows = {}
-        coeffs = {}
+        coeffs = []
         rhs = {}
         ncols = 0
-        colmap = []
         for tgt, piece in unknowns:
-            for k, exps in enumerate(piece):
-                colmap.append((tgt, exps))
             for i in range(self.q):
                 rows.setdefault((tgt, i), len(rows))
             for k, exps in enumerate(piece):
                 el_k = self._element_from_coords(tau0.kind, tgt.kind, [exps], [1])
                 fr = apply_frobenius(el_k, self.r)
                 for i in range(self.q):
-                    v = fr.get(i, 0)
-                    if v:
-                        coeffs[(rows[(tgt, i)], ncols + k)] = v
+                    coeffs.append(((rows[(tgt, i)], ncols + k), fr.get(i, 0)))
             ncols += len(piece)
         for tgt, piece in unknowns:
             for i in range(self.q):
@@ -731,9 +724,8 @@ class YonedaCalculator:
 
         d_src_grouped = {key: group_by_target_profile(el) for key, el in d_src.items()}
         rows = {}
-        coeffs = {}
+        coeffs = []
         rhs_map = {}
-        colmap = []
         ncols = 0
         for (a, b), piece in unknowns:
             for k, exps in enumerate(piece):
@@ -744,9 +736,7 @@ class YonedaCalculator:
                     comp = compose(el_k, dblock, f_grouped=d_src_grouped[(tau, a2)])
                     for e2, c in comp.terms.items():
                         rk = rows.setdefault((tau, b, e2), len(rows))
-                        key = (rk, ncols + k)
-                        coeffs[key] = (coeffs.get(key, 0) + c) % self.p
-            colmap.append(((a, b), len(piece)))
+                        coeffs.append(((rk, ncols + k), c))
             ncols += len(piece)
         # right-hand side: delta_tgt o prev
         for (tau, mid), el1 in prev_blocks.items():
@@ -755,8 +745,7 @@ class YonedaCalculator:
                     continue
                 comp = compose(el2, el1)
                 for e2, c in comp.terms.items():
-                    rk = rows.setdefault((tau, b, e2), len(rows))
-                    rhs_map[rk] = (rhs_map.get(rk, 0) + c) % self.p
+                    add_mod_p(rhs_map, rows.setdefault((tau, b, e2), len(rows)), c, self.p)
         sol = self._solve(coeffs, rhs_map, len(rows), ncols)
         out = {}
         pos = 0
@@ -769,9 +758,10 @@ class YonedaCalculator:
         return out
 
     def _solve(self, coeffs, rhs_map, nrows, ncols):
-        mat = FpMatrix.zeros(self.p, nrows, ncols)
-        for (i, k), v in coeffs.items():
-            mat.set(i, k, v)
+        """Solve the system whose matrix has the given ((row, col), value)
+        entries, summed where a position repeats, for the {row: value}
+        right-hand side."""
+        mat = FpMatrix.from_coords(self.p, nrows, ncols, coeffs)
         b = [0] * nrows
         for i, v in rhs_map.items():
             b[i] = v
@@ -800,14 +790,10 @@ class YonedaCalculator:
             vec = rep.get(src_t)
             if vec is None:
                 continue
-            fr_mat = apply_frobenius(el, self.r)
-            for i in range(self.q):
-                acc = 0
-                for jj in range(self.q):
-                    acc = (acc + fr_mat.get(i, jj) * vec[jj]) % self.p
-                if acc:
-                    cur = out_vec.setdefault(tgt_t, [0] * self.q)
-                    cur[i] = (cur[i] + acc) % self.p
+            img = apply_frobenius(el, self.r).apply(vec)
+            cur = out_vec.setdefault(tgt_t, [0] * self.q)
+            for i, v in enumerate(img):
+                cur[i] = (cur[i] + v) % self.p
         # express in canonical classes
         result = {}
         out_cls_proto = ExtClassRef(a_cls.source_parity, b_cls.target_parity, s_a + b_cls.degree)
@@ -816,9 +802,7 @@ class YonedaCalculator:
             for i, v in enumerate(vec):
                 if v and i != idx0:
                     raise AssertionError("product does not land on the canonical slot")
-            v = vec[idx0]
-            if v:
-                result[out_cls_proto] = (result.get(out_cls_proto, 0) + v) % self.p
+            add_mod_p(result, out_cls_proto, vec[idx0], self.p)
         return result
 
     def product_expression(self, b_cls, expr):
@@ -826,8 +810,8 @@ class YonedaCalculator:
         out = {}
         for a_cls, c in expr.items():
             for cls2, v in self.product(b_cls, a_cls).items():
-                out[cls2] = (out.get(cls2, 0) + c * v) % self.p
-        return {k: v for k, v in out.items() if v}
+                add_mod_p(out, cls2, c * v, self.p)
+        return out
 
 
 def yoneda_product(r, class_a, class_b, p=3, budget=DEFAULT_BUDGET):

@@ -174,10 +174,7 @@ def rho(p, r, s):
         raise ValueError(f"rho index s={s} out of range for r={r}")
     sh = build_Sh(p, r)
     q = p ** r
-    m = FpMatrix.zeros(p, q, q)
-    for i in range(q):
-        if base_p_digit(i, s, p) <= p - 2:
-            m.set(i + p ** s, i, 1)
+    m = FpMatrix.from_coords(p, q, q, [((i + p ** s, i), 1) for i in range(q) if base_p_digit(i, s, p) <= p - 2])
     return LinearMapSS(sh, sh, m, EVEN, p ** s)
 
 

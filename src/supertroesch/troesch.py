@@ -18,11 +18,11 @@ from .pcomplex import (
 )
 from .powers import (
     PowerKind,
-    PowerMonomial,
+    add_mod_p,
     binom_mod,
-    monomial_from_counts,
+    inversion_count,
+    multiply_out,
     power_basis,
-    power_product,
 )
 from .superspace import (
     EVEN,
@@ -98,15 +98,7 @@ def convolution_apply(images, d, mono, p):
                     inv += 1
         for o in odd_seq:
             counts[o] = 1
-        c = c * (-1) ** inv % p
-        if not c:
-            return
-        exps = tuple(sorted(counts.items()))
-        v = (out.get(exps, 0) + c) % p
-        if v:
-            out[exps] = v
-        else:
-            out.pop(exps, None)
+        add_mod_p(out, tuple(sorted(counts.items())), c * (-1) ** inv, p)
 
     lvec = [0] * len(gens)
 
@@ -139,55 +131,19 @@ def convolution_apply_oracle(images, d, mono, p):
     from .powers import coproduct_component
 
     n = mono.degree
-    space = mono.space
     if d > n:
         return {}
     out = {}
     for (left, right), c0 in coproduct_component(mono, n - d, d, p):
         # S^d(f) on the right factor: every factor mapped
-        img = {right.exps: 1}
-        done = {}
-        for exps, c1 in img.items():
-            seq = []
-            coeff = c1
-            dead = False
-            for g, e in exps:
-                if g not in images:
-                    dead = True
-                    break
-                g2, scal = images[g]
-                coeff = coeff * pow(scal, e, p) % p
-                seq.append((g2, e))
-            if dead or not coeff:
-                continue
-            combo = {(): 1}
-            for g2, e in seq:
-                m2 = monomial_from_counts(PowerKind.SYM, space, {g2: e})
-                nxt = {}
-                for ee, cc in combo.items():
-                    m1 = PowerMonomial(PowerKind.SYM, space, ee)
-                    for m3, c3 in power_product(m1, m2, p).items():
-                        v = (nxt.get(m3.exps, 0) + cc * c3) % p
-                        if v:
-                            nxt[m3.exps] = v
-                        else:
-                            nxt.pop(m3.exps, None)
-                combo = nxt
-            for ee, cc in combo.items():
-                v = (done.get(ee, 0) + coeff * cc) % p
-                if v:
-                    done[ee] = v
-                else:
-                    done.pop(ee, None)
-        for ee, cc in done.items():
-            m_l = left
-            m_r = PowerMonomial(PowerKind.SYM, space, ee)
-            for m4, c4 in power_product(m_l, m_r, p).items():
-                v = (out.get(m4.exps, 0) + c0 * cc * c4) % p
-                if v:
-                    out[m4.exps] = v
-                else:
-                    out.pop(m4.exps, None)
+        if any(g not in images for g, _ in right.exps):
+            continue
+        factors = [{left.exps: c0}]
+        for g, e in right.exps:
+            g2, scal = images[g]
+            factors.append({((g2, e),): pow(scal, e, p)})
+        for exps, c in multiply_out(PowerKind.SYM, mono.space, factors, p).items():
+            add_mod_p(out, exps, c, p)
     return out
 
 
@@ -241,15 +197,16 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
         tgt = by_z.get(z + alpha)
         if tgt is None:
             continue
-        mat = FpMatrix.zeros(p, len(tgt), len(monos))
         tpos = index[z + alpha]
+        entries = []
         for col, m in enumerate(monos):
             for images, d in images_list:
                 for exps, c in convolution_apply(images, d, m, p).items():
                     row = tpos.get(exps)
                     if row is None:
                         raise AssertionError("differential left the expected graded piece")
-                    mat.set(row, col, (mat.get(row, col) + c) % p)
+                    entries.append(((row, col), c))
+        mat = FpMatrix.from_coords(p, len(tgt), len(monos), entries)
         if not mat.is_zero():
             diffs[z] = mat
     cx = PComplex(p, alpha, spaces, diffs)
@@ -319,26 +276,13 @@ def eta_images(n, r, u, p=3, budget=DEFAULT_BUDGET, space=None):
     u_tw = SuperSpace(u_tw_elems)
     out = []
     for m in power_basis(PowerKind.SYM, n, u_tw):
-        combo = {(): 1}
+        factors = []
         for uidx, e in m.exps:
-            b = u.basis[uidx]
-            if b.parity == EVEN:
-                piece = {((0 * u.dim + uidx, q * e),): 1}
+            if u.basis[uidx].parity == EVEN:
+                factors.append({((0 * u.dim + uidx, q * e),): 1})
             else:
-                piece = {tuple((i * u.dim + uidx, 1) for i in range(q)): 1}
-            nxt = {}
-            for e1, c1 in combo.items():
-                m1 = PowerMonomial(PowerKind.SYM, w, e1)
-                for e2, c2 in piece.items():
-                    m2 = PowerMonomial(PowerKind.SYM, w, e2)
-                    for m3, c3 in power_product(m1, m2, p).items():
-                        v = (nxt.get(m3.exps, 0) + c1 * c2 * c3) % p
-                        if v:
-                            nxt[m3.exps] = v
-                        else:
-                            nxt.pop(m3.exps, None)
-            combo = nxt
-        out.append((combo, m.zdeg, m.parity))
+                factors.append({tuple((i * u.dim + uidx, 1) for i in range(q)): 1})
+        out.append((multiply_out(PowerKind.SYM, w, factors, p), m.zdeg, m.parity))
     return out
 
 
@@ -412,21 +356,14 @@ def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET, slices=None):
             if combo:
                 by_deg.setdefault(zdeg, []).append(combo)
         for deg, combos in sorted(by_deg.items()):
-            piece = data.monomials.get(deg, [])
             pos = data.index.get(deg, {})
-            vecs = []
-            for combo in combos:
-                vec = [0] * len(piece)
-                for exps, c in combo.items():
-                    vec[pos[exps]] = c
-                vecs.append(vec)
-            dmat = cx.diff(deg)
-            vmat = FpMatrix.zeros(p, len(piece), len(vecs))
-            for k, v in enumerate(vecs):
-                for i, x in enumerate(v):
-                    if x:
-                        vmat.set(i, k, x)
-            cocycle = matmul(dmat, vmat).is_zero()
+            vmat = FpMatrix.from_coords(
+                p,
+                len(data.monomials.get(deg, [])),
+                len(combos),
+                [((pos[exps], k), c) for k, combo in enumerate(combos) for exps, c in combo.items()],
+            )
+            cocycle = matmul(cx.diff(deg), vmat).is_zero()
             report.add(f"eta cocycles deg {deg}", cocycle)
             src = deg - (p - 1) * cx.alpha
             img = cx.iterated_diff(src, p - 1).image_basis()
@@ -468,72 +405,6 @@ def verify_corollary_T(n, r, u, p=3, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# bigrading diagnostic (r >= 2)
-
-
-def bigrade(data):
-    """Split degrees as (deg', deg'') from the base-p digits of the shifts.
-
-    Returns {zdeg: [(deg', deg'') per monomial]} plus the two partial
-    differentials as matrices, checking they commute.
-    """
-    p = data.p
-    r = data.r
-    if r < 2:
-        raise ValueError("the bigrading needs r >= 2")
-    u_dim = data.space.dim // data.param.dim
-    per_term = {}
-    for z, monos in data.monomials.items():
-        rows = []
-        for m in monos:
-            d2 = 0
-            for g, e in m.exps:
-                sh_idx = g // u_dim
-                d2 += e * (sh_idx % p)
-            rows.append((m.zdeg - d2, d2))
-        per_term[z] = rows
-    # d'' = (rho_0)_{p^{r-1}}; d' = rest
-    sh = data.param
-    from .superspace import relabel_map
-
-    base = rho(p, r, 0)
-    rho0 = relabel_map(base, sh, sh) if sh.basis[0].name != "sh_0" else base
-    images = phi_images_on_tensor(rho0, u_dim)
-    alpha = p ** (r - 1)
-    d2_mats = {}
-    for z, monos in sorted(data.monomials.items()):
-        tgt = data.monomials.get(z + alpha)
-        if tgt is None:
-            continue
-        mat = FpMatrix.zeros(p, len(tgt), len(monos))
-        tpos = data.index[z + alpha]
-        for col, m in enumerate(monos):
-            for exps, c in convolution_apply(images, p ** (r - 1), m, p).items():
-                mat.set(tpos[exps], col, c)
-        d2_mats[z] = mat
-    d1_mats = {}
-    for z in data.monomials:
-        full = data.complex.diff(z)
-        part = d2_mats.get(z)
-        d1_mats[z] = full - part if part is not None else full
-    # commutation on evaluated matrices
-    for z in sorted(data.monomials):
-        a = _get(d1_mats, data, z + alpha) @ _get(d2_mats, data, z)
-        b = _get(d2_mats, data, z + alpha) @ _get(d1_mats, data, z)
-        if a != b:
-            raise AssertionError(f"d' and d'' do not commute at degree {z}")
-    return per_term, d1_mats, d2_mats
-
-
-def _get(mats, data, z):
-    m = mats.get(z)
-    if m is not None:
-        return m
-    alpha = data.complex.alpha
-    return FpMatrix.zeros(data.p, data.complex.dim(z + alpha), data.complex.dim(z))
-
-
-# ---------------------------------------------------------------------------
 # the one-dimensional purely odd oracle (auxiliary complex on nilpotent
 # truncated polynomial generators)
 
@@ -558,14 +429,13 @@ def build_D_complex(n, p):
         tgt = terms.get(z + 1)
         if tgt is None:
             continue
-        mat = FpMatrix.zeros(p, len(tgt), len(lst))
-        for col, b in enumerate(lst):
-            for i in range(n):
-                if b[i] < p - 1:
-                    nb = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    _, row = index[nb]
-                    mat.set(row, col, (mat.get(row, col) + 1) % p)
-        diffs[z] = mat
+        entries = [
+            ((index[b[:i] + (b[i] + 1,) + b[i + 1:]][1], col), 1)
+            for col, b in enumerate(lst)
+            for i in range(n)
+            if b[i] < p - 1
+        ]
+        diffs[z] = FpMatrix.from_coords(p, len(tgt), len(lst), entries)
     return PComplex(p, 1, spaces, diffs), index
 
 
@@ -583,62 +453,35 @@ def d_oracle_maps(n, p):
         raise ValueError("the averaging map needs 1 <= n < p")
     dcx, dindex = build_D_complex(n, p)
     cdata = build_B(n, 1, k_super(0, 1), p)
-    ccx = cdata.complex
+    inv_nfact = pow(math.factorial(n) % p, p - 2, p)
+    perms = list(itertools.permutations(range(n)))
     varphi = {}
     psi = {}
+    s_maps = {}
     for z in dcx.degrees():
-        dn = dcx.dim(z)
-        cn = ccx.dim(z)
-        vp = FpMatrix.zeros(p, cn, dn)
-        ps = FpMatrix.zeros(p, dn, cn)
-        dlist = [b for b in dindex if sum(b) == z]
-        dlist.sort(key=lambda b: dindex[b][1])
+        dlist = sorted((b for b in dindex if sum(b) == z), key=lambda b: dindex[b][1])
+        dn = len(dlist)
+        cn = cdata.complex.dim(z)
         cpos = cdata.index.get(z, {})
+        vp = []
         for col, b in enumerate(dlist):
             # product w_{b_1} ... w_{b_n} in the exterior part
-            seen = set()
-            dup = False
-            inv = 0
-            for a_ in range(n):
-                if b[a_] in seen:
-                    dup = True
-                    break
-                seen.add(b[a_])
-                for b_ in range(a_ + 1, n):
-                    if b[a_] > b[b_]:
-                        inv += 1
-            if dup:
+            if len(set(b)) < n:
                 continue
-            exps = tuple(sorted((i, 1) for i in b))
-            row = cpos.get(exps)
-            if row is None:
-                continue
-            vp.set(row, col, (-1) ** inv % p)
+            row = cpos.get(tuple(sorted((i, 1) for i in b)))
+            if row is not None:
+                vp.append(((row, col), (-1) ** inversion_count(b)))
+        ps = []
         for ccol, m in enumerate(cdata.monomials.get(z, [])):
-            seq = [g for g, e in m.exps for _ in range(e)]
-            key = tuple(seq)
+            key = tuple(m.factor_sequence())
             if key in dindex:
-                _, drow = dindex[key]
-                ps.set(drow, ccol, 1)
-        varphi[z] = vp
-        psi[z] = ps
-    # signed symmetrizer
-    s_maps = {}
-    inv_nfact = pow(math.factorial(n) % p, p - 2, p)
-    for z in dcx.degrees():
-        dlist = [b for b in dindex if sum(b) == z]
-        dlist.sort(key=lambda b: dindex[b][1])
-        dn = dcx.dim(z)
-        mat = FpMatrix.zeros(p, dn, dn)
-        for col, b in enumerate(dlist):
-            for sigma in itertools.permutations(range(n)):
-                sgn = 1
-                for a_ in range(n):
-                    for b_ in range(a_ + 1, n):
-                        if sigma[a_] > sigma[b_]:
-                            sgn = -sgn
-                nb = tuple(b[sigma[i]] for i in range(n))
-                _, row = dindex[nb]
-                mat.set(row, col, (mat.get(row, col) + sgn * inv_nfact) % p)
-        s_maps[z] = mat
+                ps.append(((dindex[key][1], ccol), 1))
+        sym = [
+            ((dindex[tuple(b[i] for i in sigma)][1], col), (-1) ** inversion_count(sigma) * inv_nfact)
+            for col, b in enumerate(dlist)
+            for sigma in perms
+        ]
+        varphi[z] = FpMatrix.from_coords(p, cn, dn, vp)
+        psi[z] = FpMatrix.from_coords(p, dn, cn, ps)
+        s_maps[z] = FpMatrix.from_coords(p, dn, dn, sym)
     return dcx, cdata, varphi, psi, s_maps

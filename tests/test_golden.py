@@ -2,17 +2,24 @@
 
 Each fixture in ``tests/golden/<name>.out`` is the UTF-8 stdout of one
 command, run through ``cli.main`` in-process.  The README commands are
-locked in their documented form and, where the README shows text output,
-also with ``--format json``.
+locked in their documented form, with ``--format csv``, and, where the
+README shows text output, also with ``--format json``.  The matrices behind
+the printed ranks are locked separately, by digest.
 """
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from supertroesch import cli
+from supertroesch.gamma import tensor_with_identity
+from supertroesch.resolutions import build_J, d_element
+from supertroesch.superspace import k_super
+from supertroesch.troesch import build_B, eta_images
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,11 +35,17 @@ README = {
 CASES = {
     **README,
     **{f"{name}_json": f"{cmd} --format json" for name, cmd in README.items() if "--format" not in cmd},
+    **{
+        f"{name}_csv": f"{README[name].split(' --format')[0]} --format csv"
+        for name in ("readme_cohomology", "readme_decompose", "readme_ext_table", "readme_ring", "readme_verify_kunneth")
+    },
     "cohomology_p5_k11": "cohomology --p 5 --n 1 --space k^{1|1}",
     "decompose_p5_k11": "decompose --p 5 --n 1 --space k^{1|1}",
     "cohomology_p3_r2_k01": "cohomology --p 3 --r 2 --n 1 --space k^{0|1}",
     "ext_table_p5": "ext-table --p 5 --max-deg 20",
     "verify_p5_kunneth": "verify --p 5 --suite kunneth",
+    "verify_p5_epsilon": "verify --p 5 --suite epsilon",
+    "verify_p5_jexact": "verify --p 5 --suite jexact",
 }
 
 
@@ -47,3 +60,49 @@ def test_golden_stdout(name):
         cli.main(CASES[name].split())
     assert exc.value.code == 0
     assert buf.getvalue().encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _matrices_digest(diffs):
+    """sha256 over (degree, shape) and the int64 bytes of every matrix."""
+    h = hashlib.sha256()
+    for z in sorted(diffs):
+        m = diffs[z]
+        h.update(repr((z, m.shape)).encode())
+        h.update(np.ascontiguousarray(m.data, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _terms_digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# the matrices and terms behind the printed ranks: a wrong sign or entry at
+# any fill site changes one of these even where the stdout stays the same
+MATRIX_DIGESTS = {
+    "B_9(1) k^{1|1}": (
+        lambda: _matrices_digest(build_B(9, 1, k_super(1, 1), 3).complex.diffs),
+        "be25547ea985c0fea856a5d5935a7758c6eb8b0e5b8139ae2fb44f6333a7186c",
+    ),
+    "B_7(2) k^{1|0}": (
+        lambda: _matrices_digest(build_B(7, 2, k_super(1, 0), 3).complex.diffs),
+        "40070925effb6d16140373f74bc5c5834b20616a8d773987c59b3431d3c659c4",
+    ),
+    "J(1) k^{1|1}": (
+        lambda: _matrices_digest(build_J(1, k_super(1, 1), 1, 3).complex.diffs),
+        "8ccf3c9b3db154dc658e6c83e2fcf6a0de335c4483ae253c6aef12a833e48a50",
+    ),
+    "d (x) 1_{k^{1|1}}": (
+        lambda: _terms_digest(sorted(tensor_with_identity(d_element(3, 1), k_super(1, 1)).terms.items())),
+        "1efc381c5f357f35204481e011214a1b1c1db8f9304a7f300b6971bda2f3d19d",
+    ),
+    "eta_images(1, 1, k^{1|1})": (
+        lambda: _terms_digest([(sorted(c.items()), z, par) for c, z, par in eta_images(1, 1, k_super(1, 1), 3)]),
+        "74458847fe6ee2bdefc59dd7a3ef9bfc2c4a6573f24957c9785f889c4ece82da",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_DIGESTS))
+def test_matrix_digest(name):
+    compute, want = MATRIX_DIGESTS[name]
+    assert compute() == want

@@ -196,10 +196,14 @@ def test_elimination_matches_rref_oracle():
 
 def test_submatrix_with_empty_index_lists():
     m = FpMatrix.from_rows(5, [[1, 2, 3], [4, 0, 1]])
+    # coordinates: repeated positions add up, negative values wrap into [0, p)
+    entries = [((0, 0), 1), ((0, 1), -3), ((0, 2), 1), ((1, 0), 9), ((0, 2), 2), ((1, 2), -4), ((1, 1), 0)]
+    assert FpMatrix.from_coords(5, 2, 3, entries) == m
     assert m.submatrix([1, 0], [2, 0]) == FpMatrix.from_rows(5, [[1, 4], [3, 1]])
     for rows, cols in (([], []), ([], [0, 2]), ([0, 1], [])):
         sub = m.submatrix(rows, cols)
         assert sub.shape == (len(rows), len(cols))
+        assert FpMatrix.from_coords(5, len(rows), len(cols), []) == sub
         assert sub.rank() == 0
         assert sub.kernel_basis() == FpMatrix.identity(5, len(cols))
         assert sub.image_basis().shape == (len(rows), 0)

@@ -5,6 +5,7 @@ from supertroesch.powers import (
     PowerKind,
     SignedTensor,
     act_sigma,
+    add_mod_p,
     coproduct_component,
     lift_from_power,
     monomial_from_counts,
@@ -109,6 +110,12 @@ def test_project_examples():
     x, y = 0, 1
     t = SignedTensor(v, 2, 3, {(x, y): 1, (y, x): 1})
     assert project_to_power(EXT, t) == {}
+    # the shared accumulator reduces mod p and drops a key whose sum is 0
+    coeffs = {(x,): 2}
+    add_mod_p(coeffs, (y,), -1, 3)
+    assert coeffs == {(x,): 2, (y,): 2}
+    add_mod_p(coeffs, (x,), 4, 3)
+    assert coeffs == {(y,): 2}
 
 
 def test_lift_div_gamma2():

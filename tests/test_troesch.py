@@ -9,7 +9,6 @@ from supertroesch.pcomplex import cohomology, cohomology_table
 from supertroesch.powers import PowerKind, PowerMonomial, power_basis
 from supertroesch.superspace import ZERO_SPACE, k_super, tensor, build_Sh
 from supertroesch.troesch import (
-    bigrade,
     build_B,
     build_T,
     convolution_apply,
@@ -296,18 +295,6 @@ def _full_diff(data):
 def _pad(mat, n):
     assert mat.rows == mat.cols == n
     return mat
-
-
-def test_bigrade_r2():
-    p = 3
-    data = build_B(9, 2, k_super(0, 1), p)
-    per_term, d1m, d2m = bigrade(data)
-    for z, rows in per_term.items():
-        for dp, dpp in rows:
-            assert dp + dpp == z
-            assert dpp == dpp % p + (dpp // p) * p  # digits wellformed
-    with pytest.raises(ValueError):
-        bigrade(build_B(3, 1, k_super(0, 1), p))
 
 
 def test_d_oracle_properties():
