@@ -17,11 +17,13 @@ from .powers import (
     PowerKind,
     PowerMonomial,
     SignedTensor,
+    act_sigma,
     add_mod_p,
     koszul_sign_of_arrangement,
     lift_from_power,
     multiply_out,
     power_basis,
+    power_product,
     project_checked,
     sort_with_sign,
     _distinct_arrangements,
@@ -30,6 +32,7 @@ from .powers import (
 from .superspace import (
     EVEN,
     ODD,
+    BasisElement,
     LinearMapSS,
     SuperSpace,
     hom_space,
@@ -216,8 +219,6 @@ def element_product(a, b, budget=None):
     """Divided-power product of two elements of the same Hom space."""
     if (a.source, a.target, a.p) != (b.source, b.target, b.p):
         raise ValueError("product requires the same Hom space")
-    from .powers import power_product
-
     hom = a.hom
     out = GammaElement(a.source, a.target, a.n + b.n, a.p)
     for ea, ca in a.terms.items():
@@ -263,8 +264,6 @@ def expand_to_invariant_tensor(el, check=False):
         m = PowerMonomial(PowerKind.DIV, el.hom, exps)
         t = t + lift_from_power(m, el.p).scaled(c)
     if check:
-        from .powers import act_sigma
-
         n = el.n
         for k in range(n - 1):
             sigma = list(range(n))
@@ -526,8 +525,6 @@ def apply_sym(el):
 
 @lru_cache(maxsize=None)
 def _sym_power_space(space, n):
-    from .superspace import BasisElement
-
     elems = []
     for m in power_basis(PowerKind.SYM, n, space):
         elems.append(BasisElement(m.label(), m.zdeg, m.parity))

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import FpMatrix, hstack, matmul
-from .superspace import EVEN, ODD, SuperSpace, ZERO_SPACE
+from .superspace import EVEN, ODD, ZERO_SPACE, BasisElement, SuperSpace
 
 
 class PDifferentialError(ValueError):
@@ -375,8 +375,6 @@ def _tensor_with_offsets(c1, c2):
     p = c1.p
     raw = {}
     offsets = {}
-    from .superspace import BasisElement
-
     for i in c1.degrees():
         for j in c2.degrees():
             z = i + j
@@ -507,8 +505,6 @@ def _spans_cohomology(cx, deg, vectors):
 
 def build_from_blocks(p, alpha, blocks):
     """A p-complex that is a direct sum of cyclic blocks (shift, length, parity)."""
-    from .superspace import BasisElement
-
     elems = {}
     arrows = []
     for k, (shift, length, parity) in enumerate(blocks):

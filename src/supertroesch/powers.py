@@ -7,6 +7,7 @@ dictionary equality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -421,8 +422,6 @@ def shuffle_product_via_reps(m1, m2, p, reverse_reps=False):
     for k1, c1 in t1.terms.items():
         for k2, c2 in t2.terms.items():
             base.add_term(k1 + k2, c1 * c2)
-    import itertools
-
     positions = list(itertools.combinations(range(n), a))
     if reverse_reps:
         positions = positions[::-1]

@@ -16,8 +16,11 @@ from .gamma import (
     apply_sym_block,
     compose,
     compose_power,
+    differential_element,
+    element_from_map,
     element_product,
     gamma_monomial,
+    group_by_target_profile,
     monomials_with_bigrade,
     relabel_element,
     tensor_with_identity,
@@ -26,7 +29,15 @@ from .gamma import (
 from .linalg import FpMatrix
 from .pcomplex import ChainComplex
 from .powers import add_mod_p
-from .superspace import BasisElement, SuperSpace, build_Sh, parity_shift, rho
+from .superspace import (
+    ODD,
+    BasisElement,
+    SuperSpace,
+    build_Sh,
+    parity_shift,
+    relabel_map,
+    rho,
+)
 from .troesch import DEFAULT_BUDGET, build_B, build_B_bar
 
 # ---------------------------------------------------------------------------
@@ -63,9 +74,6 @@ ELEMENT_TERM_CAP = 1_000_000
 @lru_cache(maxsize=None)
 def d_element(p, r, barred=False):
     """The formal differential of polynomial degree p^r, over Sh or its shift."""
-    from .gamma import differential_element
-    from .superspace import relabel_map
-
     sh, shbar = _sh_pair(p, r)
     maps = [rho(p, r, s) for s in range(r)]
     if barred:
@@ -117,6 +125,44 @@ def epsilon_prime_components_by_zdeg(p, r=1, budget=DEFAULT_BUDGET):
     return solve_epsilon(r, p, budget)
 
 
+def _solve_elements(p, n, unknowns, image, rhs, stage):
+    """Solve for unknown elements of degree-n divided Hom powers.
+
+    unknowns lists (key, source, target, piece): an element from source to
+    target spanned by the monomials of piece.  image(key, el) gives
+    {row key: coeff} for a one-monomial element of the unknown at key, and
+    rhs is {row key: coeff}.  Columns follow the unknowns, then the piece
+    order, so the pivots and the particular solution (free variables 0)
+    do not depend on how rows are keyed.  Returns {key: element} for the
+    nonzero unknowns.
+    """
+    rows = {}
+    coeffs = []
+    col = 0
+    for key, source, target, piece in unknowns:
+        for exps in piece:
+            el = GammaElement(source, target, n, p, {exps: 1})
+            for row, c in image(key, el).items():
+                coeffs.append(((rows.setdefault(row, len(rows)), col), c))
+            col += 1
+    for row in rhs:
+        rows.setdefault(row, len(rows))
+    b = [0] * len(rows)
+    for row, c in rhs.items():
+        b[rows[row]] = c
+    x = FpMatrix.from_coords(p, len(rows), col, coeffs).solve(b)
+    if x is None:
+        raise AssertionError(f"{stage}: the linear system is inconsistent")
+    out = {}
+    col = 0
+    for key, source, target, piece in unknowns:
+        terms = {exps: c for exps, c in zip(piece, x[col: col + len(piece)]) if c}
+        col += len(piece)
+        if terms:
+            out[key] = GammaElement(source, target, n, p, terms)
+    return out
+
+
 def solve_epsilon(r, p, budget=DEFAULT_BUDGET):
     """Solve the splice morphism degree by degree from the chain equation.
 
@@ -129,46 +175,24 @@ def solve_epsilon(r, p, budget=DEFAULT_BUDGET):
     q = p ** r
     h = p ** (r - 1)
     choose2 = q * (q - 1) // 2
-    base = zero_element(sh, shbar, q, p)
+    top = q * (q - 1)
+    # the bottom component: the units (0, j) with sign (-1)^{0 + 1 + ... + (q-1)}
     units = [((0, j), 1) for j in range(q)]
-    coeff = 1
-    for j in range(q):
-        coeff = coeff * (-1) ** j
-    base = gamma_monomial(sh, shbar, q, p, units, coeff % p)
-    comps = {choose2: base}
+    comps = {choose2: gamma_monomial(sh, shbar, q, p, units, (-1) ** choose2 % p)}
     d_el = d_element(p, r)
     dbar_el = d_element(p, r, barred=True)
-    ell = choose2
-    top = q * (q - 1)
-    while ell < top:
-        rhs = compose(dbar_el, comps[ell])
+    for ell in range(choose2, top, h):
         nxt = ell + h
         piece = monomials_with_bigrade(sh, shbar, q, p, nxt - choose2, nxt, budget)
-        cols = []
-        rows = {}
-        coeffs = {}
-        for k, exps in enumerate(piece):
-            el_k = GammaElement(sh, shbar, q, p, {exps: 1})
-            comp_k = compose(el_k, d_el)
-            for e2, c in comp_k.terms.items():
-                rows.setdefault(e2, len(rows))
-                coeffs[(rows[e2], k)] = c
-            cols.append(exps)
-        for e2 in rhs.terms:
-            rows.setdefault(e2, len(rows))
-        mat = FpMatrix.from_coords(p, len(rows), len(cols), coeffs.items())
-        b = [0] * len(rows)
-        for e2, c in rhs.terms.items():
-            b[rows[e2]] = c
-        x = mat.solve(b)
-        if x is None:
-            raise AssertionError(f"splice solve failed at degree {nxt}")
-        el = zero_element(sh, shbar, q, p)
-        for k, exps in enumerate(cols):
-            if x[k]:
-                el.add_term(exps, x[k])
-        comps[nxt] = el
-        ell = nxt
+        sol = _solve_elements(
+            p,
+            q,
+            [(nxt, sh, shbar, piece)],
+            lambda _, el: compose(el, d_el).terms,
+            compose(dbar_el, comps[ell]).terms,
+            f"splice solve at degree {nxt}",
+        )
+        comps[nxt] = sol.get(nxt, zero_element(sh, shbar, q, p))
     # top consistency: dbar o eps_top must vanish
     last = compose(dbar_el, comps[top])
     if not last.is_zero():
@@ -198,8 +222,6 @@ def check_epsilon_chain(p, r=1, comps=None):
 def check_pascal(p):
     """rho_bar o phi_j - phi_j o rho = phi_{j-1} for 0 <= j < p."""
     sh, shbar = _sh_pair(p, 1)
-    from .gamma import element_from_map
-
     rho_el = element_from_map(rho(p, 1, 0), 1, p)
     rhobar_el = relabel_element(rho_el, shbar, shbar)
     for j in range(p):
@@ -539,14 +561,22 @@ def _assert_frobenius_kills_differential(p, r):
     """The twist functor annihilates every differential block of the spliced
     resolution, so the induced Hom complexes have zero differentials.
 
-    For small polynomial degree this is checked by materializing the
-    elements.  For larger degree the same holds structurally: every monomial
-    of a convolution component gamma_{p^s}(rho)*gamma_{p^r - p^s}(1) with
-    s < r carries an off-diagonal shift unit of exponent at most p^s < p^r,
-    so none is a p^r-th divided power of a single even unit; the splice
-    blocks consist of odd units and die as well; odd-step blocks are
-    (p-1)-fold composites of the one-step block, and the twist is functorial.
+    The twist keeps only the p^r-th divided power of a single even matrix
+    unit.  A one-step block is a sum of gamma_{p^s}(rho) * gamma_{p^r - p^s}(1)
+    with s < r; rho has a zero diagonal and p^s < p^r, so every monomial
+    holds an off-diagonal and a diagonal unit.  The splice blocks lie in the
+    divided powers of Hom(Sh, Pi Sh) and Hom(Pi Sh, Sh), whose units are all
+    odd.  Odd-step blocks are (p-1)-fold composites of one-step blocks, and
+    the twist is functorial.  The premises are checked for every (p, r); for
+    small polynomial degree the twisted elements are checked as well.
     """
+    for s in range(r):
+        if rho(p, r, s).matrix.data.diagonal().any():
+            raise AssertionError(f"rho_{s} should have a zero diagonal")
+    sh, shbar = _sh_pair(p, r)
+    # the unit E(i, j) of either Hom space has parity par(sh_i) + par(pi sh_j)
+    if {(a + b) % 2 for a in sh.parities() for b in shbar.parities()} != {ODD}:
+        raise AssertionError("every splice unit should be odd")
     if p ** r <= 5:
         if not apply_frobenius(d_element(p, r), r).is_zero():
             raise AssertionError("twist of the differential should vanish")
@@ -628,147 +658,76 @@ class YonedaCalculator:
         self.q = p ** r
         self.budget = budget
         self.res = {f: SplicedResolution(p, r, f, budget) for f in ("J", "Jbar")}
-        self._lift_cache = {}
+        self._lifts = {}  # class -> {source degree: blocks}
 
-    # -- piece enumeration --------------------------------------------
-
-    def _piece(self, src_kind, tgt_kind, src_local, tgt_local):
+    def _unknown(self, key, src, tgt):
+        """The (key, source, target, piece) unknown of a block from term src to
+        term tgt: piece lists the monomials of its bigraded piece."""
         p, r = self.p, self.r
         sh, shbar = _sh_pair(p, r)
         spaces = {"T": sh, "Tbar": shbar}
-        return monomials_with_bigrade(
-            spaces[src_kind],
-            spaces[tgt_kind],
+        piece = monomials_with_bigrade(
+            spaces[src.kind],
+            spaces[tgt.kind],
             self.q,
             p,
-            zdeg_of_local(p, r, tgt_local),
-            zdeg_of_local(p, r, src_local),
+            zdeg_of_local(p, r, tgt.local),
+            zdeg_of_local(p, r, src.local),
             self.budget,
         )
-
-    def _element_from_coords(self, src_kind, tgt_kind, piece, coords):
-        sh, shbar = _sh_pair(self.p, self.r)
-        spaces = {"T": sh, "Tbar": shbar}
-        el = zero_element(spaces[src_kind], spaces[tgt_kind], self.q, self.p)
-        for exps, c in zip(piece, coords):
-            if c:
-                el.add_term(exps, c)
-        return el
+        return key, spaces[src.kind], spaces[tgt.kind], piece
 
     # -- lifting --------------------------------------------------------
 
     def lift(self, cls, up_to):
-        """Blocks of a chain map lifting the class, through source degree up_to."""
-        have = self._lift_cache.get(cls)
-        if have is not None and have[0] >= up_to:
-            return have[1]
+        """Blocks of a chain map lifting the class, {source degree: blocks},
+        through at least source degree up_to.  The blocks are cached per class
+        and extended step by step as up_to grows."""
         src_res = self.res["J" if cls.source_parity == 0 else "Jbar"]
         tgt_res = self.res["J" if cls.target_parity == 0 else "Jbar"]
-        s_b = cls.degree
-        blocks = {}
-        # base step: blocks out of degree 0 constrained by the representative
-        rep_flavor, rep_term, rep_idx = _class_term_and_index(self.p, self.r, cls)
-        assert rep_flavor == tgt_res.flavor
-        tau0 = src_res.terms(0)[0]
-        unknowns = []
-        for tgt in tgt_res.terms(s_b):
-            piece = self._piece(tau0.kind, tgt.kind, tau0.local, tgt.local)
-            unknowns.append((tgt, piece))
-        rows = {}
-        coeffs = []
-        rhs = {}
-        ncols = 0
-        for tgt, piece in unknowns:
-            for i in range(self.q):
-                rows.setdefault((tgt, i), len(rows))
-            for k, exps in enumerate(piece):
-                el_k = self._element_from_coords(tau0.kind, tgt.kind, [exps], [1])
-                fr = apply_frobenius(el_k, self.r)
-                for i in range(self.q):
-                    coeffs.append(((rows[(tgt, i)], ncols + k), fr.get(i, 0)))
-            ncols += len(piece)
-        for tgt, piece in unknowns:
-            for i in range(self.q):
-                want = 1 if (tgt == rep_term and i == rep_idx) else 0
-                rhs[rows[(tgt, i)]] = want
-        sol = self._solve(coeffs, rhs, len(rows), ncols)
-        pos = 0
-        m_blocks = {}
-        for tgt, piece in unknowns:
-            coords = sol[pos: pos + len(piece)]
-            pos += len(piece)
-            el = self._element_from_coords(tau0.kind, tgt.kind, piece, coords)
-            if not el.is_zero():
-                m_blocks[(tau0, tgt)] = el
-        blocks[0] = m_blocks
-        # inductive steps
-        for m in range(0, up_to):
+        blocks = self._lifts.get(cls)
+        if blocks is None:
+            # base step: blocks out of degree 0 constrained by the representative
+            rep_flavor, rep_term, rep_idx = _class_term_and_index(self.p, self.r, cls)
+            assert rep_flavor == tgt_res.flavor
+            tau0 = src_res.terms(0)[0]
+
+            def image(key, el):
+                fr = apply_frobenius(el, self.r)
+                return {(key[1], i): fr.get(i, 0) for i in range(self.q)}
+
+            unknowns = [self._unknown((tau0, tgt), tau0, tgt) for tgt in tgt_res.terms(cls.degree)]
+            rhs = {(rep_term, rep_idx): 1}
+            blocks = self._lifts[cls] = {0: _solve_elements(self.p, self.q, unknowns, image, rhs, "lifting base step")}
+        for m in range(len(blocks) - 1, up_to):
             blocks[m + 1] = self._lift_step(cls, src_res, tgt_res, blocks[m], m)
-        self._lift_cache[cls] = (up_to, blocks)
         return blocks
 
     def _lift_step(self, cls, src_res, tgt_res, prev_blocks, m):
         s_b = cls.degree
-        src_terms = src_res.terms(m)
-        mid_src = src_res.terms(m + 1)
-        tgt_terms = tgt_res.terms(m + 1 + s_b)
         d_src = src_res.blocks(m)
         d_tgt = tgt_res.blocks(m + s_b)
-        unknowns = []
-        for a in mid_src:
-            for b in tgt_terms:
-                piece = self._piece(a.kind, b.kind, a.local, b.local)
-                if piece:
-                    unknowns.append(((a, b), piece))
-        from .gamma import group_by_target_profile
-
+        unknowns = [self._unknown((a, b), a, b) for a in src_res.terms(m + 1) for b in tgt_res.terms(m + 1 + s_b)]
+        unknowns = [u for u in unknowns if u[3]]
         d_src_grouped = {key: group_by_target_profile(el) for key, el in d_src.items()}
-        rows = {}
-        coeffs = []
-        rhs_map = {}
-        ncols = 0
-        for (a, b), piece in unknowns:
-            for k, exps in enumerate(piece):
-                el_k = self._element_from_coords(a.kind, b.kind, [exps], [1])
-                for (tau, a2), dblock in d_src.items():
-                    if a2 != a:
-                        continue
-                    comp = compose(el_k, dblock, f_grouped=d_src_grouped[(tau, a2)])
-                    for e2, c in comp.terms.items():
-                        rk = rows.setdefault((tau, b, e2), len(rows))
-                        coeffs.append(((rk, ncols + k), c))
-            ncols += len(piece)
+
+        def image(key, el):
+            a, b = key
+            out = {}
+            for (tau, a2), dblock in d_src.items():
+                if a2 == a:
+                    comp = compose(el, dblock, f_grouped=d_src_grouped[(tau, a2)])
+                    out.update({(tau, b, e2): c for e2, c in comp.terms.items()})
+            return out
+
         # right-hand side: delta_tgt o prev
+        rhs = {}
         for (tau, mid), el1 in prev_blocks.items():
             for (mid2, b), el2 in d_tgt.items():
-                if mid2 != mid:
-                    continue
-                comp = compose(el2, el1)
-                for e2, c in comp.terms.items():
-                    add_mod_p(rhs_map, rows.setdefault((tau, b, e2), len(rows)), c, self.p)
-        sol = self._solve(coeffs, rhs_map, len(rows), ncols)
-        out = {}
-        pos = 0
-        for (a, b), piece in unknowns:
-            coords = sol[pos: pos + len(piece)]
-            pos += len(piece)
-            el = self._element_from_coords(a.kind, b.kind, piece, coords)
-            if not el.is_zero():
-                out[(a, b)] = el
-        return out
-
-    def _solve(self, coeffs, rhs_map, nrows, ncols):
-        """Solve the system whose matrix has the given ((row, col), value)
-        entries, summed where a position repeats, for the {row: value}
-        right-hand side."""
-        mat = FpMatrix.from_coords(self.p, nrows, ncols, coeffs)
-        b = [0] * nrows
-        for i, v in rhs_map.items():
-            b[i] = v
-        x = mat.solve(b)
-        if x is None:
-            raise AssertionError("chain-map lifting system is inconsistent")
-        return x
+                if mid2 == mid:
+                    for e2, c in compose(el2, el1).terms.items():
+                        add_mod_p(rhs, (tau, b, e2), c, self.p)
+        return _solve_elements(self.p, self.q, unknowns, image, rhs, f"lifting step {m + 1}")
 
     # -- products -------------------------------------------------------
 
@@ -812,11 +771,6 @@ class YonedaCalculator:
             for cls2, v in self.product(b_cls, a_cls).items():
                 add_mod_p(out, cls2, c * v, self.p)
         return out
-
-
-def yoneda_product(r, class_a, class_b, p=3, budget=DEFAULT_BUDGET):
-    """The Yoneda product class_a after class_b, as {basis class: coefficient}."""
-    return YonedaCalculator(p, r, budget).product(class_a, class_b)
 
 
 def ring_relation_report(p=3, r=1, budget=DEFAULT_BUDGET):

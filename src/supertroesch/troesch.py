@@ -5,6 +5,7 @@ concentration theorem for their cohomology and its contraction corollary."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,8 +21,11 @@ from .powers import (
     PowerKind,
     add_mod_p,
     binom_mod,
+    coproduct_component,
+    dim_formula_sym,
     inversion_count,
     multiply_out,
+    multiset_coeff,
     power_basis,
 )
 from .superspace import (
@@ -30,7 +34,9 @@ from .superspace import (
     BasisElement,
     SuperSpace,
     build_Sh,
+    k_super,
     parity_shift,
+    relabel_map,
     rho,
     tensor,
 )
@@ -128,8 +134,6 @@ def convolution_apply_oracle(images, d, mono, p):
     Splits the monomial, applies the full algebra action of the map to the
     degree-d part, and multiplies back.
     """
-    from .powers import coproduct_component
-
     n = mono.degree
     if d > n:
         return {}
@@ -171,8 +175,6 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     # cheap pigeonhole bound before enumerating anything: some graded piece
     # must exceed the budget once the total dimension is large enough
     ev, od = w.dims_by_parity()
-    from .powers import dim_formula_sym
-
     total = dim_formula_sym(n, ev, od)
     n_degrees = n * max((b.zdeg for b in w.basis), default=0) + 1
     if total > budget * n_degrees:
@@ -213,14 +215,6 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     return PowerComplexData(p, r, n, param, w, cx, index, by_z)
 
 
-def formal_differential(p, r, n, budget=None):
-    """The degree-n differential as an element of the divided Hom power."""
-    from .gamma import differential_element
-
-    _check_build_args(p, r)
-    return differential_element(p, r, n, [rho(p, r, s) for s in range(r)], budget)
-
-
 def build_B(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
     """The p-complex of the degree-n symmetric power of Sh_r tensor U."""
     _check_build_args(p, r)
@@ -245,8 +239,6 @@ def build_B_bar(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
     sh = build_Sh(p, r)
     shbar = parity_shift(sh)
     base_maps = [rho(p, r, s) for s in range(r)]
-    from .superspace import relabel_map
-
     maps = [relabel_map(f, shbar, shbar) for f in base_maps]
     data = build_power_pcomplex(p, r, n, shbar, maps, u, budget)
     if validate:
@@ -258,7 +250,7 @@ def build_B_bar(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
 # generator cocycles
 
 
-def eta_images(n, r, u, p=3, budget=DEFAULT_BUDGET, space=None):
+def eta_images(n, r, u, p=3, space=None):
     """All degree-n products of generator images: cocycles representing the
     cohomology of the built complex.
 
@@ -300,8 +292,6 @@ def expected_theorem_dims(n, r, u, p):
     dim0, dim1 = u.dims_by_parity()
     out = {}
     for ell in range(0, m + 1):
-        from .powers import multiset_coeff
-
         d = multiset_coeff(dim0, m - ell) * math.comb(dim1, ell)
         if d:
             deg = ell * (q * (q - 1) // 2)
@@ -350,7 +340,7 @@ def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET, slices=None):
         report.add(f"H_[{s}] table", True)
     if n % q == 0:
         m = n // q
-        images = eta_images(m, r, u, p, budget, space=data.space)
+        images = eta_images(m, r, u, p, space=data.space)
         by_deg = {}
         for combo, zdeg, parity in images:
             if combo:
@@ -411,11 +401,9 @@ def verify_corollary_T(n, r, u, p=3, budget=DEFAULT_BUDGET):
 
 def build_D_complex(n, p):
     """Tensor power of k[x]/(x^p) with the sum-of-raises differential."""
-    from itertools import product as iproduct
-
     terms = {}
     index = {}
-    for b in iproduct(range(p), repeat=n):
+    for b in itertools.product(range(p), repeat=n):
         z = sum(b)
         lst = terms.setdefault(z, [])
         index[b] = (z, len(lst))
@@ -445,10 +433,6 @@ def d_oracle_maps(n, p):
     Returns (D complex, C data, varphi, psi, s) where varphi and psi are
     {degree: FpMatrix} and s is the signed symmetrizer on D.
     """
-    import itertools
-
-    from .superspace import k_super
-
     if not (1 <= n < p):
         raise ValueError("the averaging map needs 1 <= n < p")
     dcx, dindex = build_D_complex(n, p)

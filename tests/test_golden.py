@@ -17,7 +17,7 @@ import pytest
 
 from supertroesch import cli
 from supertroesch.gamma import tensor_with_identity
-from supertroesch.resolutions import build_J, d_element
+from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, e_class, solve_epsilon
 from supertroesch.superspace import k_super
 from supertroesch.troesch import build_B, eta_images
 
@@ -46,6 +46,9 @@ CASES = {
     "verify_p5_kunneth": "verify --p 5 --suite kunneth",
     "verify_p5_epsilon": "verify --p 5 --suite epsilon",
     "verify_p5_jexact": "verify --p 5 --suite jexact",
+    # exit 0 means every relation holds; the fixture carries "e(1)^5 = +1",
+    # the p-th power sign (-1)^{p(p-1)/2} at p = 5
+    "ring_p5": "ring --p 5",
 }
 
 
@@ -76,6 +79,18 @@ def _terms_digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
+def _epsilon_digest(r, p):
+    return _terms_digest([(z, sorted(el.terms.items())) for z, el in sorted(solve_epsilon(r, p).items())])
+
+
+def _lift_digest(cls, up_to, p=3):
+    """Every block of a fresh r = 1 chain-map lift, degree by degree."""
+    blocks = YonedaCalculator(p, 1).lift(cls, up_to)
+    return _terms_digest(
+        [(m, sorted((key, sorted(el.terms.items())) for key, el in blocks[m].items())) for m in range(up_to + 1)]
+    )
+
+
 # the matrices and terms behind the printed ranks: a wrong sign or entry at
 # any fill site changes one of these even where the stdout stays the same
 MATRIX_DIGESTS = {
@@ -98,6 +113,30 @@ MATRIX_DIGESTS = {
     "eta_images(1, 1, k^{1|1})": (
         lambda: _terms_digest([(sorted(c.items()), z, par) for c, z, par in eta_images(1, 1, k_super(1, 1), 3)]),
         "74458847fe6ee2bdefc59dd7a3ef9bfc2c4a6573f24957c9785f889c4ece82da",
+    ),
+    "solve_epsilon(1, 3)": (
+        lambda: _epsilon_digest(1, 3),
+        "3c1b19742d920a8faa9081323f09ab7c40ef8749d5c7b8e40ce8ceca3bf5cd12",
+    ),
+    "solve_epsilon(1, 5)": (
+        lambda: _epsilon_digest(1, 5),
+        "7c2fd72ff29bae064ed858542d79dbe32d6a653df13533b07b721417de199be2",
+    ),
+    "lift(e(1), 4)": (
+        lambda: _lift_digest(e_class(1), 4),
+        "08077b8289a83b5295591beb0c7f19f049042cebf912477532116c93a47db45a",
+    ),
+    "lift(c, 3)": (
+        lambda: _lift_digest(c_class(3, 1), 3),
+        "1621a3fd7627df8e9fca876d81eec92a2923640eba38fcd39ed65d338204109d",
+    ),
+    "lift(cΠ, 2)": (
+        lambda: _lift_digest(c_class(3, 1, conjugate=True), 2),
+        "d1d490e92192074b62668b0d88e49f810273858349daf414d680003c1c6caec4",
+    ),
+    "lift(eΠ(1), 3)": (
+        lambda: _lift_digest(e_class(1, source_parity=1), 3),
+        "a96fbc2026154c1b0d5f5f279917368b28a57b0e5319f4bd7e6e4eea1e27a3e7",
     ),
 }
 

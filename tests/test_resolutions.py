@@ -2,13 +2,18 @@ import json
 
 import pytest
 
+from types import SimpleNamespace
+
+from supertroesch import resolutions
 from supertroesch.gamma import (
     compose,
+    differential_element,
     element_product,
     gamma_monomial,
     monomials_with_bigrade,
 )
-from supertroesch.superspace import build_Sh, k_super, parity_shift
+from supertroesch.linalg import FpMatrix
+from supertroesch.superspace import build_Sh, k_super, parity_shift, rho
 from supertroesch.resolutions import (
     ExtClassRef,
     FormalTerm,
@@ -235,18 +240,51 @@ def test_ring_report():
 
 
 def test_yoneda_product_wrapper():
-    from supertroesch.resolutions import yoneda_product
-
-    assert yoneda_product(1, e_class(1), e_class(1)) == {e_class(2): 1}
+    # a fresh calculator, with nothing lifted yet
+    assert YonedaCalculator(3, 1).product(e_class(1), e_class(1)) == {e_class(2): 1}
 
 
 def test_formal_differential_wrapper():
-    from supertroesch.troesch import formal_differential
-
-    el = formal_differential(3, 1, 3)
-    assert el == d_element(3, 1)
+    el = d_element(3, 1)
+    assert el == differential_element(3, 1, 3, [rho(3, 1, 0)])
     # zdeg shift is uniformly p^{r-1}
     assert {t - s for (t, s) in el.bigrades()} == {1}
+
+
+def test_lift_resumes_from_cached_blocks(monkeypatch):
+    steps = []
+    lift_step = YonedaCalculator._lift_step
+
+    def counted(self, cls, src_res, tgt_res, prev_blocks, m):
+        steps.append(m)
+        return lift_step(self, cls, src_res, tgt_res, prev_blocks, m)
+
+    monkeypatch.setattr(YonedaCalculator, "_lift_step", counted)
+    calc = YonedaCalculator(3, 1)
+    calc.lift(e_class(1), 2)
+    blocks = calc.lift(e_class(1), 4)
+    # two steps for degree 2, then only the two new ones for degree 4
+    assert steps == [0, 1, 2, 3]
+    assert calc.lift(e_class(1), 3) is blocks and steps == [0, 1, 2, 3]
+    fresh = YonedaCalculator(3, 1).lift(e_class(1), 4)
+    assert all(blocks[m] == fresh[m] for m in range(5))
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])
+def test_frobenius_premises_checked_above_materialized_degree(p, r, monkeypatch):
+    resolutions._assert_frobenius_kills_differential(p, r)
+    # a shift map with a diagonal entry, or an even splice unit, breaks the
+    # argument, and the check says so without building the differential
+    q = p ** r
+    diagonal = SimpleNamespace(matrix=FpMatrix.from_coords(p, q, q, [((0, 0), 1)]))
+    with monkeypatch.context() as m:
+        m.setattr(resolutions, "rho", lambda p_, r_, s: diagonal)
+        with pytest.raises(AssertionError, match="zero diagonal"):
+            resolutions._assert_frobenius_kills_differential(p, r)
+    sh = build_Sh(p, r)
+    monkeypatch.setattr(resolutions, "_sh_pair", lambda p_, r_: (sh, sh))
+    with pytest.raises(AssertionError, match="splice unit"):
+        resolutions._assert_frobenius_kills_differential(p, r)
 
 
 def test_e_pth_power_vanishing_r2_or_skip():
@@ -269,13 +307,6 @@ def test_e_pth_power_vanishing_r2_or_skip():
 def test_J_exactness_p5():
     rep = verify_J_exactness(1, k_super(1, 1), 1, 5)
     assert rep.ok, rep.summary()
-
-
-def test_ring_relations_p5():
-    # the p-th power sign flips with the prime: (-1)^{p(p-1)/2} = +1 here
-    ok, lines = ring_relation_report(5, 1)
-    assert ok
-    assert any("e(1)^5 = +1" in name for name, _, _ in lines)
 
 
 def test_zdeg_of_local():
