@@ -4,6 +4,14 @@ A matrix is a numpy int64 array of residues in [0, p), so it takes
 8 * rows * cols bytes: a 2,810-dimensional square piece takes about 63 MB.
 All eliminations use first-nonzero pivoting so that ranks, kernel bases and
 particular solutions are reproducible bit for bit.
+
+Products are the one place floating point appears.  ``_mod_p_product``
+multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
+int64 ``@`` never does.  This is exact because it first checks that the
+largest possible dot product, inner * (p-1)**2, is at most 2**53: float64
+holds every integer up to 2**53, so every partial sum is an exact integer
+in whatever order BLAS adds.  The result is reduced mod p and returned as
+int64 residues, identical to ``(a @ b) % p`` in int64.
 """
 
 from __future__ import annotations
@@ -118,7 +126,8 @@ class FpMatrix:
         """Matrix times column vector (a list of residues)."""
         if len(vec) != self.cols:
             raise ShapeMismatchError("apply", self.shape, (len(vec), 1))
-        return ((self.data @ np.array(vec, dtype=np.int64)) % self.p).tolist()
+        col = np.array(vec, dtype=np.int64).reshape(self.cols, 1) % self.p
+        return _mod_p_product(self.data, col, self.p)[:, 0].tolist()
 
     # ------------------------------------------------------------------
     # elimination
@@ -196,41 +205,30 @@ class FpMatrix:
         return x.tolist()
 
 
+def _mod_p_product(a, b, p):
+    """a @ b mod p for int64 arrays of residues in [0, p), as int64.
+
+    Raises ValueError, before converting anything, when a dot product could
+    exceed 2**53, the largest integer range float64 holds exactly.
+    """
+    inner = a.shape[1]
+    if inner * (p - 1) ** 2 > 2**53:
+        raise ValueError(
+            f"matmul: {inner} inner columns at p = {p} break the exact bound "
+            f"inner * (p-1)**2 <= 2**53"
+        )
+    prod = a.astype(np.float64) @ b.astype(np.float64)
+    # in place: a second float64 result array would raise peak memory
+    np.fmod(prod, p, out=prod)
+    return prod.astype(np.int64)
+
+
 def matmul(a, b):
     if a.p != b.p:
         raise ValueError("modulus mismatch")
     if a.cols != b.rows:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    return FpMatrix(a.p, (a.data @ b.data) % a.p)
-
-
-def matpow(m, k):
-    if m.rows != m.cols:
-        raise ShapeMismatchError("matpow", m.shape, m.shape)
-    if k < 0:
-        raise ValueError("negative power")
-    out = FpMatrix.identity(m.p, m.rows)
-    for _ in range(k):
-        out = matmul(out, m)
-    return out
-
-
-def invert(m):
-    """Inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
-        raise ShapeMismatchError("invert", m.shape, m.shape)
-    n = m.rows
-    out = FpMatrix.zeros(m.p, n, n)
-    for k in range(n):
-        x = m.solve([1 if i == k else 0 for i in range(n)])
-        if x is None:
-            return None
-        out.data[:, k] = x
-    # solve() returns a particular solution; for square systems it is the
-    # inverse column exactly when m has full rank
-    if matmul(m, out) != FpMatrix.identity(m.p, n):
-        return None
-    return out
+    return FpMatrix(a.p, _mod_p_product(a.data, b.data, a.p))
 
 
 def hstack(mats):

@@ -64,14 +64,14 @@ def phi_images_on_tensor(param_map, u_dim):
     return images
 
 
-def convolution_apply(images, d, mono, p):
+def convolution_apply(images, d, mono, par, p):
     """Apply the degree-d convolution component of an even map to a monomial.
 
     images sends a generator index to (image index, coefficient) or is
-    missing when the generator dies.  Returns {exps tuple: coeff}.
+    missing when the generator dies; par is ``mono.space.parities()``, which
+    callers compute once for all the monomials of a space.  Returns
+    {exps tuple: coeff}.
     """
-    space = mono.space
-    par = space.parities()
     gens = list(mono.exps)
     live = [k for k, (g, e) in enumerate(gens) if g in images]
     out = {}
@@ -191,6 +191,7 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
         spaces[z] = SuperSpace(tuple(BasisElement(m.label(), z, m.parity) for m in monos))
         index[z] = {m.exps: k for k, m in enumerate(monos)}
     alpha = p ** (r - 1)
+    par = w.parities()
     images_list = [
         (phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p ** s) for s in range(r)
     ]
@@ -203,7 +204,7 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
         entries = []
         for col, m in enumerate(monos):
             for images, d in images_list:
-                for exps, c in convolution_apply(images, d, m, p).items():
+                for exps, c in convolution_apply(images, d, m, par, p).items():
                     row = tpos.get(exps)
                     if row is None:
                         raise AssertionError("differential left the expected graded piece")

@@ -295,9 +295,10 @@ def test_tensor_with_identity_matches_direct_matrix():
     basis = power_basis(PowerKind.SYM, p, w)
     idx = {m.exps: k for k, m in enumerate(basis)}
     images = phi_images_on_tensor(rho(p, 1, 0), 1)
+    par = w.parities()
     want = FpMatrix.zeros(p, len(basis), len(basis))
     for col, m in enumerate(basis):
-        for exps, c in convolution_apply(images, p, m, p).items():
+        for exps, c in convolution_apply(images, p, m, par, p).items():
             want.set(idx[exps], col, c)
     assert mat == want
 

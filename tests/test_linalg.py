@@ -1,15 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from supertroesch.linalg import (
-    FpMatrix,
-    ShapeMismatchError,
-    hstack,
-    invert,
-    matmul,
-    matpow,
-)
+from oracles import invert, matpow
+from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.superspace import rho
 
 
@@ -83,6 +78,41 @@ def test_matmul_associative():
         b = random_matrix(rng, p, a.cols, rng.randrange(1, 5))
         c = random_matrix(rng, p, b.cols, rng.randrange(1, 5))
         assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+
+
+def test_product_matches_int64_reference():
+    """matmul and apply against int64 ``(a @ b) % p``, bit for bit."""
+    rng = np.random.default_rng(5)
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (7, 13, 5), (40, 65, 33)]
+    for p in (3, 5, 7):
+        for rows, inner, cols in shapes:
+            a = FpMatrix(p, rng.integers(0, p, (rows, inner)))
+            b = FpMatrix(p, rng.integers(0, p, (inner, cols)))
+            ref = (a.data @ b.data) % p
+            for got in (matmul(a, b).data, (a @ b).data):
+                assert got.dtype == np.int64 and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+            # apply reduces its list first, so unreduced entries work too
+            vec = rng.integers(-2 * p, 2 * p, inner)
+            assert a.apply(vec.tolist()) == ((a.data @ vec) % p).tolist()
+        # every dot product at its largest for this inner size
+        n = 5000
+        a = FpMatrix(p, np.full((1, n), p - 1, dtype=np.int64))
+        b = FpMatrix(p, np.full((n, 1), p - 1, dtype=np.int64))
+        ref = (a.data @ b.data) % p
+        assert matmul(a, b).data.tobytes() == ref.tobytes()
+        assert a.apply([p - 1] * n) == ref[:, 0].tolist()
+
+
+def test_product_bound_checked_before_conversion():
+    # zero-stride views: 2**48 columns and nothing allocated; at p = 7 the
+    # largest dot product 36 * 2**48 exceeds 2**53, so matmul must refuse
+    # before casting, which would ask for petabytes
+    n = 2**48
+    a = FpMatrix(7, np.broadcast_to(np.int64(6), (1, n)))
+    b = FpMatrix(7, np.broadcast_to(np.int64(6), (n, 1)))
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        matmul(a, b)
 
 
 def rref_oracle(m, reduce_above, augment=None):

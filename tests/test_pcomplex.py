@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from supertroesch.linalg import FpMatrix, invert, matmul
+from oracles import invert
+from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import (
     PComplex,
     PDifferentialError,

@@ -1,6 +1,7 @@
 import pytest
 
-from supertroesch.linalg import FpMatrix, matmul, matpow
+from oracles import matpow
+from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.superspace import (
     EVEN,
     ODD,

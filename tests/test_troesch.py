@@ -55,13 +55,14 @@ def test_convolution_vs_coproduct_oracle():
     u = k_super(1, 1)
     w = tensor(sh, u)
     images = phi_images_on_tensor(rho(p, 1, 0), u.dim)
+    par = w.parities()
     cases = 0
     while cases < 200:
         n = rng.randrange(1, 5)
         basis = power_basis(PowerKind.SYM, n, w)
         m = rng.choice(basis)
         d = rng.randrange(0, n + 1)
-        fast = convolution_apply(images, d, m, p)
+        fast = convolution_apply(images, d, m, par, p)
         slow = convolution_apply_oracle(images, d, m, p)
         assert fast == slow, (m, d)
         cases += 1
@@ -77,6 +78,7 @@ def test_convolution_vs_formal_route():
     sh = build_Sh(p, 1)
     w = tensor(sh, u)
     images = phi_images_on_tensor(rho(p, 1, 0), u.dim)
+    par = w.parities()
     for n in (1, 2, 3):
         el = tensor_with_identity(phi_d(rho(p, 1, 0), 1, n, p), u)
         mat = apply_sym_matrix(el)
@@ -84,7 +86,7 @@ def test_convolution_vs_formal_route():
         idx = {m.exps: k for k, m in enumerate(basis)}
         want = FpMatrix.zeros(p, len(basis), len(basis))
         for col, m in enumerate(basis):
-            for exps, c in convolution_apply(images, 1, m, p).items():
+            for exps, c in convolution_apply(images, 1, m, par, p).items():
                 want.set(idx[exps], col, c)
         assert mat == want
 
@@ -96,6 +98,7 @@ def test_leibniz_rule():
     u = k_super(1, 1)
     w = tensor(sh, u)
     images = phi_images_on_tensor(rho(p, 1, 0), u.dim)
+    par = w.parities()
     cases = 0
     while cases < 200:
         na, nb = rng.randrange(1, 3), rng.randrange(1, 3)
@@ -107,14 +110,14 @@ def test_leibniz_rule():
         d = rng.randrange(0, na + nb + 1)
         lhs = {}
         for m, c in xy.items():
-            for exps, c2 in convolution_apply(images, d, m, p).items():
+            for exps, c2 in convolution_apply(images, d, m, par, p).items():
                 v = (lhs.get(exps, 0) + c * c2) % p
                 lhs[exps] = v
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {}
         for ell in range(0, d + 1):
-            fx = convolution_apply(images, ell, x, p)
-            fy = convolution_apply(images, d - ell, y, p)
+            fx = convolution_apply(images, ell, x, par, p)
+            fy = convolution_apply(images, d - ell, y, par, p)
             for e1, c1 in fx.items():
                 m1 = PowerMonomial(PowerKind.SYM, w, e1)
                 for e2, c2 in fy.items():
@@ -134,6 +137,7 @@ def test_p_power_rule():
     u = k_super(2, 0)
     w = tensor(sh, u)
     images = phi_images_on_tensor(rho(p, 1, 0), u.dim)
+    par = w.parities()
     from supertroesch.powers import power_product
 
     cases = 0
@@ -145,11 +149,11 @@ def test_p_power_rule():
 
         xp = monomial_from_counts(PowerKind.SYM, w, xp_counts)
         for d in range(0, 2 * p + 1):
-            got = convolution_apply(images, d, xp, p)
+            got = convolution_apply(images, d, xp, par, p)
             if d % p:
                 assert got == {}, (x, d)
             else:
-                inner = convolution_apply(images, d // p, x, p)
+                inner = convolution_apply(images, d // p, x, par, p)
                 want = {}
                 for exps, c in inner.items():
                     cube = {g: e * p for g, e in exps}
