@@ -1,14 +1,20 @@
 """The morphism calculus of divided powers of Hom spaces.
 
 An element of the degree-n divided power of Hom(V, W) is stored as a GF(p)
-combination of monomials in matrix units.  Composition, the action on
-symmetric powers, and the induced map on Frobenius twists are all computed
-through the identification with symmetric-group-equivariant maps between
-tensor powers, with Koszul signs throughout.
+combination of monomials in matrix units.  These elements form the Schur
+superalgebra in its divided-power basis, and composition and the action on
+symmetric powers follow its closed product rule (Green, LNM 830, 2.3;
+Brundan-Kujawa 2003 for the signs): a sum over tables of exponents, each
+with a product of multinomials and the Koszul sign of one representative
+arrangement.  The identification with symmetric-group-equivariant maps
+between tensor powers (expand_to_invariant_tensor) gives the reference
+composition compose_slow.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 
 from .errors import BudgetExceededError
@@ -26,8 +32,6 @@ from .powers import (
     power_product,
     project_checked,
     sort_with_sign,
-    _distinct_arrangements,
-    arrangement_sign,
 )
 from .superspace import (
     EVEN,
@@ -293,107 +297,99 @@ def group_by_target_profile(f):
     return out
 
 
-def compose(g, f, check_spaces=True, f_grouped=None):
+def compose(g, f, f_grouped=None):
     """Composition in the divided-power Hom calculus: g after f.
 
-    Expanding both sides over arrangements of their factor multisets, the
-    factorwise composite of maps carries the Koszul sign for odd factors of g
-    passing odd factors of f.  Only arrangements whose composite lands on a
-    sorted tuple are recorded; those coefficients determine the invariant
-    result.  The targets of f must match the sources of g as multisets for a
-    monomial pair to contribute, so f is indexed by that profile; pass
-    f_grouped (from group_by_target_profile) to reuse the index.
+    For monomials g = gamma(A) and f = gamma(B), A indexed by (w, v) and B by
+    (v, u), g o f sums over the tables T[w, v, u] with sum_u T = A[w, v] and
+    sum_w T = B[v, u], enumerated per middle index v.  A table gives gamma(C),
+    C[w, u] = sum_v T[w, v, u], times prod C[w, u]! / prod T[w, v, u]! and the
+    Koszul sign of one arrangement: C's units sorted, v ascending inside each
+    unit's block.  A C with an odd unit of exponent >= 2 is skipped, as its
+    arrangements cancel.  The targets of f must match the sources of g as
+    multisets for a monomial pair to meet, so f is indexed by that profile;
+    pass f_grouped (from group_by_target_profile) to reuse the index.
     """
     if g.n != f.n:
         raise ValueError(f"degree mismatch: {g.n} vs {f.n}")
-    if check_spaces and g.source != f.target:
+    if g.source != f.target:
         raise ValueError("middle spaces do not match")
-    p = g.p
-    n = g.n
     dim_u = f.source.dim
     dim_v = f.target.dim
     g_par = g.hom.parities()
     f_par = f.hom.parities()
-    out = GammaElement(f.source, g.target, n, p)
+    out = GammaElement(f.source, g.target, g.n, g.p)
+    out_par = out.hom.parities()
     if f_grouped is None:
         f_grouped = group_by_target_profile(f)
     for g_exps, cg in g.terms.items():
-        g_by_src = _group_by_source(g_exps, dim_v)
-        g_profile = tuple(sorted((j, sum(cnt.values())) for j, cnt in g_by_src.items()))
-        for f_exps, cf in f_grouped.get(g_profile, ()):
-            f_seq = []
+        g_by_v = {}  # v -> [(w, A[w, v])]
+        for idx, e in g_exps:
+            w, v = divmod(idx, dim_v)
+            g_by_v.setdefault(v, []).append((w, e))
+        profile = tuple((v, sum(e for _, e in col)) for v, col in sorted(g_by_v.items()))
+        for f_exps, cf in f_grouped.get(profile, ()):
+            f_by_v = {}  # v -> [(u, B[v, u])]
             for idx, e in f_exps:
-                f_seq.extend([idx] * e)
-            base = (cg * cf) % p
-            for s in _cached_arrangements(tuple(f_seq)):
-                sign_s = arrangement_sign(PowerKind.DIV, s, f_par)
-                _compose_assign(
-                    out, s, sign_s * base, g_by_src, g_par, f_par, dim_u, dim_v, n
-                )
-    out_par = out.hom.parities()
-    for exps in out.terms:
-        for idx, e in exps:
-            if e > 1 and out_par[idx] == ODD:
-                raise AssertionError("inadmissible monomial survived composition")
-    return out
-
-
-def _group_by_source(exps, dim_v):
-    """The factors of a monomial as {source index: {unit index: exponent}}."""
-    out = {}
-    for idx, e in exps:
-        out.setdefault(idx % dim_v, {})[idx] = e
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cached_arrangements(seq):
-    return _distinct_arrangements(seq)
-
-
-def _compose_assign(out, s, coeff, g_by_src, g_par, f_par, dim_u, dim_v, n):
-    """Backtracking over assignments of g's factors to the positions of s."""
-    p = out.p
-    # remaining multiset of g factors, keyed by source index
-    remaining = {j: dict(cnt) for j, cnt in g_by_src.items()}
-    s_pairs = [divmod(idx, dim_u) for idx in s]  # (target in V, source in U)
-    t_seq = [0] * n
-    comp_seq = [0] * n
-
-    def rec(k, acc):
-        if k == n:
-            # sign of t as an arrangement of g's multiset, and the Koszul
-            # sign for composing tensors of maps factorwise
-            sgn = (-1) ** koszul_sign_of_arrangement(t_seq, g_par)
-            kz = 0
-            for a in range(n):
-                if f_par[s[a]] == EVEN:
+                v, u = divmod(idx, dim_u)
+                f_by_v.setdefault(v, []).append((u, e))
+            per_v = [[(v, t) for t in _tables(g_by_v[v], f_by_v[v])] for v, _ in profile]
+            for choice in itertools.product(*per_v):
+                cells = sorted((w * dim_u + u, v, t) for v, table in choice for w, u, t in table)
+                exps = {}
+                for c, _, t in cells:
+                    exps[c] = exps.get(c, 0) + t
+                if any(e > 1 and out_par[c] == ODD for c, e in exps.items()):
                     continue
-                for b in range(a + 1, n):
-                    kz += g_par[t_seq[b]] * f_par[s[a]]
-            total = (acc * sgn * (-1) ** kz) % p
-            if total:
-                out.add_term(_seq_to_exps(comp_seq), total)
-            return
-        a_k, b_k = s_pairs[k]
-        pool = remaining.get(a_k)
-        if not pool:
-            return
-        lower = comp_seq[k - 1] if k else -1
-        for t_idx in sorted(pool):
-            if pool[t_idx] == 0:
-                continue
-            c_k, _ = divmod(t_idx, dim_v)
-            comp_idx = c_k * dim_u + b_k
-            if comp_idx < lower:
-                continue
-            pool[t_idx] -= 1
-            t_seq[k] = t_idx
-            comp_seq[k] = comp_idx
-            rec(k + 1, acc)
-            pool[t_idx] += 1
+                coeff = cg * cf * _multinomial(exps.values(), [t for *_, t in cells])
+                if coeff % g.p:
+                    t_seq = [c // dim_u * dim_v + v for c, v, t in cells for _ in range(t)]
+                    s_seq = [v * dim_u + c % dim_u for c, v, t in cells for _ in range(t)]
+                    out.add_term(tuple(exps.items()), coeff * (-1) ** _koszul_exponent(t_seq, g_par, s_seq, f_par))
+    return out
 
-    rec(0, coeff)
+
+def _tables(col, row):
+    """The tables t[w, u] >= 0 with row sums a_w and column sums b_u.
+
+    col lists (w, a_w) and row lists (u, b_u), with equal totals.  A table is
+    ((w, u, t[w, u]), ...) over its nonzero cells.
+    """
+    if not col:
+        return [()]
+    (w, a), rest = col[0], col[1:]
+    out = []
+    for parts in _bounded_compositions(a, [b for _, b in row]):
+        head = tuple((w, u, x) for (u, _), x in zip(row, parts) if x)
+        out += [head + t for t in _tables(rest, [(u, b - x) for (u, b), x in zip(row, parts)])]
+    return out
+
+
+def _bounded_compositions(a, caps):
+    """All tuples x with 0 <= x[j] <= caps[j] that sum to a."""
+    if not caps:
+        return [()] if a == 0 else []
+    return [(x,) + t for x in range(min(a, caps[0]) + 1) for t in _bounded_compositions(a - x, caps[1:])]
+
+
+def _multinomial(top, bottom):
+    """prod of top! over prod of bottom!, for exponents where it is an integer."""
+    return math.prod(map(math.factorial, top)) // math.prod(map(math.factorial, bottom))
+
+
+def _koszul_exponent(t_seq, t_par, s_seq, s_par):
+    """(-1)-exponent of composing the tensors t_seq and s_seq factorwise.
+
+    Each sequence counts as one arrangement of its monomial, and every odd
+    factor of t_seq passes the odd factors of s_seq to its left.
+    """
+    e = koszul_sign_of_arrangement(t_seq, t_par) + koszul_sign_of_arrangement(s_seq, s_par)
+    odd_t = 0
+    for a in range(len(s_seq) - 1, -1, -1):
+        if s_par[s_seq[a]] == ODD:
+            e += odd_t
+        odd_t += t_par[t_seq[a]]
+    return e
 
 
 def _seq_to_exps(seq):
@@ -456,57 +452,35 @@ def apply_sym_matrix(el):
     return apply_sym_block(el, power_basis(PowerKind.SYM, el.n, el.source), tgt_index, len(tgt_basis))
 
 
-def _sym_assign(entries, col, rep, g_by_src, coeff, dim_v, src_par, tgt_par, g_par, tgt_index):
-    n = len(rep)
-    t_seq = [0] * n
-    out_seq = [0] * n
-
-    def rec(k):
-        if k == n:
-            kz = koszul_sign_of_arrangement(t_seq, g_par)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    kz += g_par[t_seq[b]] * src_par[rep[a]]
-            srt, ssign = sort_with_sign(PowerKind.SYM, out_seq, tgt_par)
-            if srt is None:
-                return
-            row = tgt_index.get(_seq_to_exps(srt))
-            if row is not None:
-                entries.append(((row, col), coeff * ssign * (-1) ** kz))
-            return
-        pool = g_by_src.get(rep[k])
-        if not pool:
-            return
-        for t_idx in sorted(pool):
-            if pool[t_idx] == 0:
-                continue
-            c_k, _ = divmod(t_idx, dim_v)
-            pool[t_idx] -= 1
-            t_seq[k] = t_idx
-            out_seq[k] = c_k
-            rec(k + 1)
-            pool[t_idx] += 1
-
-    rec(0)
-
-
 def apply_sym_block(el, src_monos, tgt_pos, rows):
     """Matrix of the induced symmetric-power map on a selected graded piece.
 
     src_monos are the column monomials; tgt_pos maps exponent tuples to row
     indices; images landing outside tgt_pos are dropped (they must be zero
     when the element is degree homogeneous across the chosen pieces).
+
+    gamma(A) sends x^b to one monomial or to zero.  It is zero unless
+    sum_w A[w, v] = b_v for every v; then the image is x^c, with
+    c_w = sum_v A[w, v], times prod_v b_v! / prod A[w, v]! and the sign of
+    one assignment of A's factors to x^b: w ascending inside each v block.
     """
     dim_v = el.source.dim
     src_par = el.source.parities()
     tgt_par = el.target.parities()
     g_par = el.hom.parities()
-    grouped = [(_group_by_source(g_exps, dim_v), cg) for g_exps, cg in el.terms.items()]
+    col_of = {mono.exps: col for col, mono in enumerate(src_monos)}
     entries = []
-    for col, mono in enumerate(src_monos):
-        rep = mono.factor_sequence()
-        for g_by_src, cg in grouped:
-            _sym_assign(entries, col, rep, g_by_src, cg, dim_v, src_par, tgt_par, g_par, tgt_pos)
+    for g_exps, cg in el.terms.items():
+        t_seq = [idx for idx, e in sorted(g_exps, key=lambda ie: (ie[0] % dim_v, ie[0])) for _ in range(e)]
+        rep = [idx % dim_v for idx in t_seq]
+        b_exps = _seq_to_exps(rep)
+        if b_exps not in col_of:
+            continue
+        img, sign = sort_with_sign(PowerKind.SYM, [idx // dim_v for idx in t_seq], tgt_par)
+        row = None if img is None else tgt_pos.get(_seq_to_exps(img))
+        if row is not None:
+            coeff = cg * sign * _multinomial([b for _, b in b_exps], [e for _, e in g_exps])
+            entries.append(((row, col_of[b_exps]), coeff * (-1) ** _koszul_exponent(t_seq, g_par, rep, src_par)))
     return FpMatrix.from_coords(el.p, rows, len(src_monos), entries)
 
 

@@ -1,6 +1,8 @@
 """Reference routines that only the tests use, kept out of the library."""
 
+from supertroesch.gamma import expand_to_invariant_tensor
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, matmul
+from supertroesch.powers import PowerKind, SignedTensor, power_basis, project_to_power
 
 
 def matpow(m, k):
@@ -30,3 +32,32 @@ def invert(m):
     if matmul(m, out) != FpMatrix.identity(m.p, n):
         return None
     return out
+
+
+def apply_sym_slow(el):
+    """The symmetric-power action of el by the tensor route, in power-basis order.
+
+    el is expanded to its invariant tensor of maps; each key acts factorwise
+    on the sorted factor sequence of a source monomial x, with the Koszul
+    exponent sum_{a<b} |g_b| |x_a| of moving the maps past the vectors, and
+    the image tensor is projected to the symmetric power.
+    """
+    n = el.n
+    dim_v = el.source.dim
+    g_par = el.hom.parities()
+    x_par = el.source.parities()
+    src_basis = power_basis(PowerKind.SYM, n, el.source)
+    tgt_index = {m.exps: k for k, m in enumerate(power_basis(PowerKind.SYM, n, el.target))}
+    maps = expand_to_invariant_tensor(el).terms
+    entries = []
+    for col, mono in enumerate(src_basis):
+        x = mono.factor_sequence()
+        image = SignedTensor(el.target, n, el.p)
+        for key, c in maps.items():
+            if any(g % dim_v != xa for g, xa in zip(key, x)):
+                continue
+            kz = sum(g_par[key[b]] * x_par[x[a]] for a in range(n) for b in range(a + 1, n))
+            image.add_term(tuple(g // dim_v for g in key), c * (-1) ** kz)
+        for m, c in project_to_power(PowerKind.SYM, image).items():
+            entries.append(((tgt_index[m.exps], col), c))
+    return FpMatrix.from_coords(el.p, len(tgt_index), len(src_basis), entries)

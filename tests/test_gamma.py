@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import apply_sym_slow
 from supertroesch.gamma import (
     apply_frobenius,
     apply_sym_matrix,
@@ -20,6 +21,7 @@ from supertroesch.gamma import (
     zero_element,
 )
 from supertroesch.linalg import FpMatrix, matmul
+from supertroesch.powers import PowerKind, power_basis
 from supertroesch.superspace import (
     build_Sh,
     hom_space,
@@ -31,8 +33,6 @@ from supertroesch.superspace import (
 
 
 def random_element(rng, src, tgt, n, p, terms=2):
-    from supertroesch.powers import PowerKind, power_basis
-
     basis = power_basis(PowerKind.DIV, n, hom_space(src, tgt))
     el = zero_element(src, tgt, n, p)
     for _ in range(terms):
@@ -93,6 +93,27 @@ def test_compose_matches_slow_reference():
         f = random_element(rng, u, v, n, 3)
         g = random_element(rng, v, w, n, 3)
         assert compose(g, f) == compose_slow(g, f)
+    # p = 5 up to n = 5 on denser elements, where some multinomials vanish
+    # mod p and composites with a repeated odd unit cancel
+    spaces = [k_super(1, 1), k_super(2, 1), k_super(1, 2)]
+    pairs = []
+    for _ in range(40):
+        u, v, w = (rng.choice(spaces) for _ in range(3))
+        n = rng.randrange(1, 6)
+        pairs.append((random_element(rng, v, w, n, 5, terms=10), random_element(rng, u, v, n, 5, terms=10)))
+    # every monomial of gamma_5 End(k^{1|1}) on both sides
+    k11 = k_super(1, 1)
+    g, f = zero_element(k11, k11, 5, 5), zero_element(k11, k11, 5, 5)
+    for m in power_basis(PowerKind.DIV, 5, hom_space(k11, k11)):
+        g.add_term(m.exps, rng.randrange(1, 5))
+        f.add_term(m.exps, rng.randrange(1, 5))
+    pairs.append((g, f))
+    nonzero = 0
+    for g, f in pairs:
+        comp = compose(g, f)
+        assert comp == compose_slow(g, f)
+        nonzero += not comp.is_zero()
+    assert nonzero >= 0.75 * len(pairs)
 
 
 def test_compose_associative():
@@ -162,6 +183,23 @@ def test_apply_sym_identity_and_functorial():
         f = random_element(rng, u, v, n, 3)
         g = random_element(rng, v, w, n, 3)
         assert apply_sym_matrix(compose(g, f)) == matmul(apply_sym_matrix(g), apply_sym_matrix(f))
+
+
+def test_apply_sym_matches_tensor_route():
+    rng = random.Random(17)
+    cases = nonzero = 0
+    for _ in range(300):
+        src = k_super(rng.randrange(0, 3), rng.randrange(0, 3))
+        tgt = k_super(rng.randrange(0, 3), rng.randrange(0, 3))
+        n = rng.randrange(1, 6)
+        if not src.dim or not tgt.dim or not power_basis(PowerKind.DIV, n, hom_space(src, tgt)):
+            continue
+        el = random_element(rng, src, tgt, n, rng.choice((3, 5)), terms=rng.randrange(1, 12))
+        mat = apply_sym_matrix(el)
+        assert mat == apply_sym_slow(el)
+        cases += 1
+        nonzero += not mat.is_zero()
+    assert cases >= 200 and nonzero >= 0.6 * cases
 
 
 def test_apply_sym_wrapper_gradings():

@@ -17,7 +17,7 @@ import pytest
 
 from supertroesch import cli
 from supertroesch.gamma import tensor_with_identity
-from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, e_class, solve_epsilon
+from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, d_power_element, e_class, solve_epsilon
 from supertroesch.superspace import k_super
 from supertroesch.troesch import build_B, eta_images
 
@@ -46,6 +46,9 @@ CASES = {
     "verify_p5_kunneth": "verify --p 5 --suite kunneth",
     "verify_p5_epsilon": "verify --p 5 --suite epsilon",
     "verify_p5_jexact": "verify --p 5 --suite jexact",
+    "verify_p5_vanishing": "verify --p 5 --suite vanishing",
+    "verify_p5_corollaryT": "verify --p 5 --suite corollaryT",
+    "verify_p5_ext": "verify --p 5 --suite ext",
     # exit 0 means every relation holds; the fixture carries "e(1)^5 = +1",
     # the p-th power sign (-1)^{p(p-1)/2} at p = 5
     "ring_p5": "ring --p 5",
@@ -121,6 +124,16 @@ MATRIX_DIGESTS = {
     "solve_epsilon(1, 5)": (
         lambda: _epsilon_digest(1, 5),
         "7c2fd72ff29bae064ed858542d79dbe32d6a653df13533b07b721417de199be2",
+    ),
+    # d^4 at p = 5 over Sh and over its parity shift, 1,185 terms each; the
+    # two digests agree because the shift keeps every unit index and parity
+    "d(5, 1)^4": (
+        lambda: _terms_digest(sorted(d_power_element(5, 1, 4).terms.items())),
+        "e2f08debe02ab5dc20a0265427e9269c73c009504b0a0818d3dd04f747ea0ef5",
+    ),
+    "dbar(5, 1)^4": (
+        lambda: _terms_digest(sorted(d_power_element(5, 1, 4, barred=True).terms.items())),
+        "e2f08debe02ab5dc20a0265427e9269c73c009504b0a0818d3dd04f747ea0ef5",
     ),
     "lift(e(1), 4)": (
         lambda: _lift_digest(e_class(1), 4),
