@@ -69,12 +69,18 @@ class FpMatrix:
         Values given at the same position are summed, and the sums are
         reduced into [0, p) once, so negative values are allowed.
         """
-        data = np.zeros((rows, cols), dtype=np.int64)
         entries = list(entries)
-        if entries:
-            coords, values = zip(*entries)
-            i, j = np.array(coords, dtype=np.int64).reshape(-1, 2).T
-            np.add.at(data, (i, j), np.array(values, dtype=np.int64))
+        if not entries:
+            return FpMatrix.zeros(p, rows, cols)
+        coords, values = zip(*entries)
+        i, j = np.array(coords, dtype=np.int64).reshape(-1, 2).T
+        return FpMatrix.from_arrays(p, rows, cols, i, j, values)
+
+    @staticmethod
+    def from_arrays(p, rows, cols, i, j, values):
+        """``from_coords`` with the rows, columns and values as three arrays."""
+        data = np.zeros((rows, cols), dtype=np.int64)
+        np.add.at(data, (i, j), np.asarray(values, dtype=np.int64))
         return FpMatrix(p, data % p)
 
     @staticmethod

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .linalg import FpMatrix, hstack, matmul
 from .superspace import EVEN, ODD, ZERO_SPACE, BasisElement, SuperSpace
 
@@ -35,9 +37,10 @@ class PComplex:
             tgt = self.term(i + self.alpha)
             if m.shape != (tgt.dim, src.dim):
                 raise ValueError(f"differential at {i} has shape {m.shape}, expected {(tgt.dim, src.dim)}")
-            for (r, c), _ in m.nonzero_items():
-                if tgt.basis[r].parity != src.basis[c].parity:
-                    raise ValueError(f"differential at {i} is not even")
+            odd_rows = np.array(tgt.parities()) == ODD
+            odd_cols = np.array(src.parities()) == ODD
+            if m.data[np.ix_(odd_rows, ~odd_cols)].any() or m.data[np.ix_(~odd_rows, odd_cols)].any():
+                raise ValueError(f"differential at {i} is not even")
 
     def term(self, i):
         return self.terms.get(i, ZERO_SPACE)

@@ -35,6 +35,12 @@ class SuperSpace:
         names = [b.name for b in self.basis]
         if len(set(names)) != len(names):
             raise ValueError("basis names must be unique")
+        # the value the generated __hash__ would give, computed once: power
+        # monomials key dicts and hash their space on every lookup
+        object.__setattr__(self, "_hash", hash((self.basis,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self):

@@ -1,13 +1,22 @@
 """The p-complexes B_n(r) = S^n(Sh_r tensor -) with differential built from
 convolution components of the shift maps, their evaluation at test spaces,
 the algebra-generator cocycles, and computational verification of the
-concentration theorem for their cohomology and its contraction corollary."""
+concentration theorem for their cohomology and its contraction corollary.
+
+A complex is built in one array pass: every degree-n monomial of
+W = Sh_r tensor U is a row of one exponent array, ``convolution_terms``
+expands all rows at once into the terms of each component, an exact
+byte-string lookup finds each target's row, and the terms are split by
+source degree into one fill per differential.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .linalg import FpMatrix, hstack, matmul
@@ -64,67 +73,100 @@ def phi_images_on_tensor(param_map, u_dim):
     return images
 
 
+def convolution_terms(exps, images, d, par, p):
+    """Every term of the degree-d convolution component of an even map, on
+    every row of an exponent array at once.
+
+    exps is an (m, dim W) array of symmetric-power exponent rows; images
+    sends a generator index to (image index, coefficient) and omits the
+    generators the map kills; par lists the generator parities.  The
+    component sends x^a to the sum over l <= a with |l| = d of
+    prod binom(a_g, l_g) * scal_g^{l_g} * x^{a-l} * f(x)^l.  Returns
+    (src, targets, coeffs): the source row of each term, its target
+    exponent row (in the dtype of exps) and its coefficient in [1, p).
+    Terms are not merged, so one target can occur more than once per
+    source row.
+    """
+    m, dim = exps.shape
+    live = sorted(images)
+    img = np.array([images[g][0] for g in live], dtype=np.int64)
+    if any(par[g] != par[g2] for g, g2 in zip(live, img.tolist())):
+        raise ValueError("convolution components are defined for even maps only")
+    a = exps[:, live].astype(np.int64)
+    # cap[:, j]: degree the live generators from j on can still take
+    cap = np.zeros((m, len(live) + 1), dtype=np.int64)
+    cap[:, :-1] = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+    top = int(exps.max(initial=0))
+    binom = np.array([[binom_mod(e, l, p) for l in range(top + 1)] for e in range(top + 1)], dtype=np.int64)
+    # states (source row, remaining degree, coefficient); each step over a
+    # live generator records the chosen l and the parent state
+    src = np.flatnonzero(cap[:, 0] >= d)
+    rem = np.full(src.size, d, dtype=np.int64)
+    coef = np.ones(src.size, dtype=np.int64)
+    steps = []
+    for j in range(len(live)):
+        aj = a[src, j]
+        parents, ls = [], []
+        for l in range(min(d, top) + 1):
+            c = binom[aj, l]
+            keep = np.flatnonzero((c != 0) & (rem >= l) & (rem - l <= cap[src, j + 1]))
+            parents.append(keep)
+            ls.append(np.full(keep.size, l, dtype=exps.dtype))
+        parent = np.concatenate(parents)
+        lj = np.concatenate(ls)
+        coef = coef[parent] * binom[aj[parent], lj] % p
+        src, rem = src[parent], rem[parent] - lj
+        steps.append((parent, lj))
+    # every surviving state has rem = 0; walk the parents back to its l
+    # vector.  l <= a, so the targets stay in the dtype of exps
+    lvec = np.zeros((src.size, len(live)), dtype=exps.dtype)
+    at = np.arange(src.size)
+    for j in range(len(live) - 1, -1, -1):
+        parent, lj = steps.pop()
+        lvec[:, j] = lj[at]
+        at = parent[at]
+    tgt = exps[src]
+    for j, g in enumerate(live):
+        tgt[:, g] -= lvec[:, j]
+        tgt[:, img[j]] += lvec[:, j]
+        scal = images[g][1] % p
+        if scal != 1:
+            coef = coef * np.array([pow(scal, l, p) for l in range(top + 1)])[lvec[:, j]] % p
+    # odd generators square to zero; the survivors are sorted with the
+    # Koszul sign of the sequence (g where it stays, f(g) where it moves)
+    odd = [g for g in range(dim) if par[g] == ODD]
+    if odd:
+        ok = (tgt[:, odd] <= 1).all(axis=1)
+        src, tgt, coef, lvec = src[ok], tgt[ok], coef[ok], lvec[ok]
+        where = {g: j for j, g in enumerate(live)}
+        present = exps[src][:, odd] > 0
+        seq = np.tile(np.array(odd, dtype=np.int64), (src.size, 1))
+        for k, g in enumerate(odd):
+            if g in where:
+                moved = lvec[:, where[g]] > 0
+                seq[moved, k] = img[where[g]]
+        inv = np.zeros(src.size, dtype=np.int64)
+        for k in range(len(odd) - 1):
+            later = present[:, k + 1:] & (seq[:, k + 1:] < seq[:, k : k + 1])
+            inv += present[:, k] * later.sum(axis=1)
+        coef = np.where(inv % 2, p - coef, coef)
+    return src, tgt, coef
+
+
 def convolution_apply(images, d, mono, par, p):
     """Apply the degree-d convolution component of an even map to a monomial.
 
     images sends a generator index to (image index, coefficient) or is
-    missing when the generator dies; par is ``mono.space.parities()``, which
-    callers compute once for all the monomials of a space.  Returns
-    {exps tuple: coeff}.
+    missing when the generator dies; par is ``mono.space.parities()``.  The
+    one-row case of ``convolution_terms``.  Returns {exps tuple: coeff}.
     """
-    gens = list(mono.exps)
-    live = [k for k, (g, e) in enumerate(gens) if g in images]
+    row = np.zeros((1, len(par)), dtype=np.int64)
+    for g, e in mono.exps:
+        row[0, g] = e
+    _, tgts, coeffs = convolution_terms(row, images, d, par, p)
     out = {}
-
-    def emit(lvec, coeff):
-        counts = {}
-        odd_seq = []
-        c = coeff
-        for (g, e), l in zip(gens, lvec):
-            a = e - l
-            if a:
-                if par[g] == ODD:
-                    odd_seq.append(g)
-                else:
-                    counts[g] = counts.get(g, 0) + a
-            if l:
-                g2, scal = images[g]
-                c = c * pow(scal, l, p) % p
-                if par[g2] == ODD:
-                    odd_seq.append(g2)
-                else:
-                    counts[g2] = counts.get(g2, 0) + l
-        # odd factors each occur once; sort them, tracking the Koszul sign
-        inv = 0
-        for a_ in range(len(odd_seq)):
-            for b_ in range(a_ + 1, len(odd_seq)):
-                if odd_seq[a_] == odd_seq[b_]:
-                    return
-                if odd_seq[a_] > odd_seq[b_]:
-                    inv += 1
-        for o in odd_seq:
-            counts[o] = 1
-        add_mod_p(out, tuple(sorted(counts.items())), c * (-1) ** inv, p)
-
-    lvec = [0] * len(gens)
-
-    def rec(pos, rem, coeff):
-        if rem == 0:
-            emit(lvec, coeff)
-            return
-        if pos == len(live):
-            return
-        k = live[pos]
-        g, e = gens[k]
-        top = min(e, rem)
-        for l in range(top, -1, -1):
-            c = coeff * binom_mod(e, l, p) % p if l else coeff
-            if c:
-                lvec[k] = l
-                rec(pos + 1, rem - l, c)
-        lvec[k] = 0
-
-    rec(0, d, 1)
+    for t, c in zip(tgts.tolist(), coeffs.tolist()):
+        add_mod_p(out, tuple((g, e) for g, e in enumerate(t) if e), c, p)
     return out
 
 
@@ -169,6 +211,39 @@ class PowerComplexData:
     monomials: dict  # zdeg -> [PowerMonomial]
 
 
+def _exponent_array(monos, dim, n):
+    """One exponent row per monomial, in the order given."""
+    exps = np.zeros((len(monos), dim), dtype=np.min_scalar_type(n))
+    flat = [(k, g, e) for k, m in enumerate(monos) for g, e in m.exps]
+    if flat:
+        rows, gens, vals = np.array(flat, dtype=np.int64).T
+        exps[rows, gens] = vals
+    return exps
+
+
+def _differential_terms(exps, zdeg, alpha, components, par, p):
+    """Every term of the differential sum of the (images, d) components, as
+    (source row, target row, coefficient) arrays ordered by source degree.
+
+    Each target row is found by an exact binary search over the exponent
+    rows read as byte strings; a target missing from exps or outside degree
+    zdeg + alpha is an AssertionError.
+    """
+    terms = [convolution_terms(exps, images, d, par, p) for images, d in components]
+    src, tgt, coef = (np.concatenate(parts) for parts in zip(*terms))
+    row = np.zeros(src.size, dtype=np.int64)
+    if src.size:
+        key = np.dtype((np.void, exps.dtype.itemsize * exps.shape[1]))
+        keys = np.ascontiguousarray(exps).view(key).ravel()
+        order = np.argsort(keys, kind="stable")
+        at = np.searchsorted(keys[order], np.ascontiguousarray(tgt).view(key).ravel())
+        row = order[np.minimum(at, len(exps) - 1)]
+        if (exps[row] != tgt).any() or (zdeg[row] != zdeg[src] + alpha).any():
+            raise AssertionError("differential left the expected graded piece")
+    by_src = np.argsort(zdeg[src], kind="stable")
+    return src[by_src], row[by_src], coef[by_src]
+
+
 def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     """S^n(param tensor U) with differential sum of (param_maps[r-1-s])_{p^s}."""
     w = tensor(param, u)
@@ -179,37 +254,37 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     n_degrees = n * max((b.zdeg for b in w.basis), default=0) + 1
     if total > budget * n_degrees:
         raise BudgetExceededError("total symmetric power dimension", total, budget * n_degrees)
+    monos = power_basis(PowerKind.SYM, n, w)
+    exps = _exponent_array(monos, w.dim, n)
+    zdeg = exps.astype(np.int64) @ np.array(w.zdegs(), dtype=np.int64)
+    parity = (exps.astype(np.int64) @ np.array(w.parities(), dtype=np.int64) % 2).tolist()
+    members = {}
+    for k, z in enumerate(zdeg.tolist()):
+        members.setdefault(z, []).append(k)
+    for z, ks in members.items():
+        if len(ks) > budget:
+            raise BudgetExceededError(f"graded piece at degree {z}", len(ks), budget)
+    local = np.zeros(len(monos), dtype=np.int64)  # position within its piece
     by_z = {}
-    for m in power_basis(PowerKind.SYM, n, w):
-        by_z.setdefault(m.zdeg, []).append(m)
-    for z, monos in by_z.items():
-        if len(monos) > budget:
-            raise BudgetExceededError(f"graded piece at degree {z}", len(monos), budget)
     spaces = {}
     index = {}
-    for z, monos in by_z.items():
-        spaces[z] = SuperSpace(tuple(BasisElement(m.label(), z, m.parity) for m in monos))
-        index[z] = {m.exps: k for k, m in enumerate(monos)}
+    for z, ks in members.items():
+        local[ks] = np.arange(len(ks))
+        by_z[z] = [monos[k] for k in ks]
+        spaces[z] = SuperSpace(tuple(BasisElement(monos[k].label(), z, parity[k]) for k in ks))
+        index[z] = {m.exps: k for k, m in enumerate(by_z[z])}
     alpha = p ** (r - 1)
-    par = w.parities()
-    images_list = [
-        (phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p ** s) for s in range(r)
-    ]
+    components = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
+    src, row, coef = _differential_terms(exps, zdeg, alpha, components, w.parities(), p)
+    # split the terms by source piece: one fill per differential
+    zsrc = zdeg[src]
     diffs = {}
-    for z, monos in sorted(by_z.items()):
-        tgt = by_z.get(z + alpha)
-        if tgt is None:
+    for z, piece in sorted(by_z.items()):
+        tgt_piece = by_z.get(z + alpha)
+        if tgt_piece is None:
             continue
-        tpos = index[z + alpha]
-        entries = []
-        for col, m in enumerate(monos):
-            for images, d in images_list:
-                for exps, c in convolution_apply(images, d, m, par, p).items():
-                    row = tpos.get(exps)
-                    if row is None:
-                        raise AssertionError("differential left the expected graded piece")
-                    entries.append(((row, col), c))
-        mat = FpMatrix.from_coords(p, len(tgt), len(monos), entries)
+        part = slice(np.searchsorted(zsrc, z, "left"), np.searchsorted(zsrc, z, "right"))
+        mat = FpMatrix.from_arrays(p, len(tgt_piece), len(piece), local[row[part]], local[src[part]], coef[part])
         if not mat.is_zero():
             diffs[z] = mat
     cx = PComplex(p, alpha, spaces, diffs)

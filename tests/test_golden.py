@@ -19,7 +19,7 @@ from supertroesch import cli
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, d_power_element, e_class, solve_epsilon
 from supertroesch.superspace import k_super
-from supertroesch.troesch import build_B, eta_images
+from supertroesch.troesch import build_B, build_B_bar, eta_images
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,6 +104,23 @@ MATRIX_DIGESTS = {
     "B_7(2) k^{1|0}": (
         lambda: _matrices_digest(build_B(7, 2, k_super(1, 0), 3).complex.diffs),
         "40070925effb6d16140373f74bc5c5834b20616a8d773987c59b3431d3c659c4",
+    ),
+    # odd generators (Koszul signs, the exponent-1 cut) and p = 5 binomials
+    "B_6(1) k^{2|1}": (
+        lambda: _matrices_digest(build_B(6, 1, k_super(2, 1), 3).complex.diffs),
+        "f2dbcb6fc1374dd24747d793f7fc9471ebb55bcbc2068229fe88469725e2b56a",
+    ),
+    "B_5(1) k^{1|2} p=5": (
+        lambda: _matrices_digest(build_B(5, 1, k_super(1, 2), 5).complex.diffs),
+        "cab943da92ec134781a2dbe007ec468fe589fd7fd45f9c9cc3aba3cee88c64a3",
+    ),
+    "Bbar_5(1) k^{2|1} p=5": (
+        lambda: _matrices_digest(build_B_bar(5, 1, k_super(2, 1), 5).complex.diffs),
+        "6c2b7b1ea8277c32262fc9fb629e7695a1587a0acc3234f95fdaf32b6472ac43",
+    ),
+    "B_5(2) k^{0|2}": (
+        lambda: _matrices_digest(build_B(5, 2, k_super(0, 2), 3).complex.diffs),
+        "e3a4f4d8defe31c3319c33011be5e495e8675dfe074884bde30f200d812aa87e",
     ),
     "J(1) k^{1|1}": (
         lambda: _matrices_digest(build_J(1, k_super(1, 1), 1, 3).complex.diffs),

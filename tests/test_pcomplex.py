@@ -106,6 +106,18 @@ def test_decompose_rejects_bad_differential():
         decompose_cyclic(cx)
 
 
+def test_odd_differential_entry_rejected():
+    # on k^{2|1} one entry of the degree-1 map joining an even basis vector
+    # to the odd one, in either direction, makes the differential odd
+    sp = k_super(2, 1)
+    even = FpMatrix.from_coords(3, 3, 3, [((0, 0), 1), ((1, 1), 2), ((2, 2), 1)])
+    PComplex(3, 1, {0: sp, 1: sp, 2: sp}, {0: even, 1: even})
+    for bad in ((1, 2), (2, 0)):
+        odd = FpMatrix.from_coords(3, 3, 3, [((0, 0), 1), (bad, 1)])
+        with pytest.raises(ValueError, match="differential at 1 is not even"):
+            PComplex(3, 1, {0: sp, 1: sp, 2: sp}, {0: even, 1: odd})
+
+
 def test_decompose_matches_ground_truth_and_oracle():
     rng = random.Random(101)
     for case in range(200):

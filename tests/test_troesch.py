@@ -10,6 +10,7 @@ from supertroesch.powers import PowerKind, PowerMonomial, power_basis
 from supertroesch.superspace import ZERO_SPACE, k_super, tensor, build_Sh
 from supertroesch.troesch import (
     build_B,
+    build_B_bar,
     build_T,
     convolution_apply,
     convolution_apply_oracle,
@@ -55,6 +56,8 @@ def test_convolution_vs_coproduct_oracle():
     u = k_super(1, 1)
     w = tensor(sh, u)
     images = phi_images_on_tensor(rho(p, 1, 0), u.dim)
+    # the shift maps have unit entries; a scaled copy reaches the scal^l factor
+    scaled = {g: (g2, 2) for g, (g2, _) in images.items()}
     par = w.parities()
     cases = 0
     while cases < 200:
@@ -62,10 +65,47 @@ def test_convolution_vs_coproduct_oracle():
         basis = power_basis(PowerKind.SYM, n, w)
         m = rng.choice(basis)
         d = rng.randrange(0, n + 1)
-        fast = convolution_apply(images, d, m, par, p)
-        slow = convolution_apply_oracle(images, d, m, p)
-        assert fast == slow, (m, d)
+        for imgs in (images, scaled):
+            fast = convolution_apply(imgs, d, m, par, p)
+            slow = convolution_apply_oracle(imgs, d, m, p)
+            assert fast == slow, (m, d)
         cases += 1
+
+
+def _diffs_from_oracle(data, param_maps, u):
+    """Every differential of a built complex, entry by entry from the
+    coproduct-route oracle."""
+    p, r, alpha = data.p, data.r, data.complex.alpha
+    images_list = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
+    diffs = {}
+    for z, monos in data.monomials.items():
+        tpos = data.index.get(z + alpha)
+        if tpos is None:
+            continue
+        entries = [
+            ((tpos[exps], col), c)
+            for col, m in enumerate(monos)
+            for images, d in images_list
+            for exps, c in convolution_apply_oracle(images, d, m, p).items()
+        ]
+        mat = FpMatrix.from_coords(p, len(tpos), len(monos), entries)
+        if not mat.is_zero():
+            diffs[z] = mat
+    return diffs
+
+
+@pytest.mark.parametrize(
+    "n, r, u, p, barred",
+    [(3, 2, k_super(1, 1), 3, False), (5, 1, k_super(1, 2), 5, False), (6, 1, k_super(2, 1), 3, True)],
+)
+def test_built_differentials_match_oracle(n, r, u, p, barred):
+    data = (build_B_bar if barred else build_B)(n, r, u, p)
+    want = _diffs_from_oracle(data, [rho(p, r, s) for s in range(r)], u)
+    assert sorted(want) == sorted(data.complex.diffs)
+    for z, mat in want.items():
+        assert data.complex.diffs[z] == mat, z
+    # the Koszul signs show up as entries p - 1
+    assert any((mat.data == p - 1).any() for mat in want.values())
 
 
 def test_convolution_vs_formal_route():
