@@ -43,7 +43,7 @@ from .superspace import (
     tensor,
 )
 
-hom_space = lru_cache(maxsize=None)(hom_space)
+hom_space = lru_cache(maxsize=128)(hom_space)
 
 
 class GammaElement:
@@ -497,7 +497,7 @@ def apply_sym(el):
     return LinearMapSS(src, tgt, mat, parity, zshift)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _sym_power_space(space, n):
     elems = []
     for m in power_basis(PowerKind.SYM, n, space):

@@ -5,6 +5,10 @@ A matrix is a numpy int64 array of residues in [0, p), so it takes
 All eliminations use first-nonzero pivoting so that ranks, kernel bases and
 particular solutions are reproducible bit for bit.
 
+Elimination stays in int64 with lazy residues: row updates are not reduced
+mod p, and the array is reduced once at the end, under a bound on how far
+entries can grow that ``FpMatrix._eliminate`` checks against 2**63 first.
+
 Products are the one place floating point appears.  ``_mod_p_product``
 multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
 int64 ``@`` never does.  This is exact because it first checks that the
@@ -147,8 +151,21 @@ class FpMatrix:
         ``reduce_above`` is set, which gives the unique reduced row echelon
         form.  Returns (reduced array, pivot columns); an augmented column is
         the last column of the array.
+
+        Residues are reduced lazily: only the scanned column and the pivot
+        row are reduced when a column is reached, the row updates are not,
+        and the whole array is reduced once at the end.  A pivot moves an
+        entry by at most (p-1)**2, so every entry stays within
+        (p-1) + (p-1)**2 * min(rows, cols) of zero; that bound is checked
+        against int64 before anything is copied.
         """
         p = self.p
+        bound = (p - 1) + (p - 1) ** 2 * min(self.rows, self.cols)
+        if bound >= 2**63:
+            raise ValueError(
+                f"eliminate: {self.rows}x{self.cols} at p = {p} breaks the int64 bound "
+                f"(p-1) + (p-1)**2 * min(rows, cols) < 2**63"
+            )
         if aug is None:
             a = self.data.copy()
         else:
@@ -158,27 +175,39 @@ class FpMatrix:
             r = len(pivots)
             if r == self.rows:
                 break
-            nz = np.flatnonzero(a[r:, c])
+            col = a[r:, c]
+            np.remainder(col, p, out=col)
+            nz = np.flatnonzero(col)
             if not nz.size:
                 continue
-            piv = r + int(nz[0])
-            if piv != r:
-                a[[r, piv]] = a[[piv, r]]
-            inv = inv_mod(int(a[r, c]), p)
-            if inv != 1:
-                a[r, c:] = (a[r, c:] * inv) % p
+            if nz[0]:
+                a[[r, r + nz[0]]] = a[[r + nz[0], r]]
             # left of column c the pivot row is zero, so only c: changes
-            start = 0 if reduce_above else r + 1
-            clear = start + np.flatnonzero(a[start:, c])
-            clear = clear[clear != r]
+            row = a[r, c:]
+            np.remainder(row, p, out=row)
+            inv = inv_mod(int(row[0]), p)
+            if inv != 1:
+                row *= inv
+                np.remainder(row, p, out=row)
+            # the old row r, swapped to r + nz[0], is zero in column c
+            clear = nz[1:] + r
+            if reduce_above and r:
+                above = a[:r, c]
+                np.remainder(above, p, out=above)
+                clear = np.concatenate((np.flatnonzero(above), clear))
             if clear.size:
-                a[clear, c:] = (a[clear, c:] - np.outer(a[clear, c], a[r, c:])) % p
+                a[clear, c:] -= a[clear, c, None] * row
             pivots.append(c)
+        np.remainder(a, p, out=a)
         return a, pivots
+
+    def pivot_columns(self):
+        """The pivot columns: each column not in the span of those before it."""
+        return self._eliminate(reduce_above=False)[1]
 
     def rank(self):
         """Rank over GF(p)."""
-        return len(self._eliminate(reduce_above=False)[1])
+        return len(self.pivot_columns())
 
     def kernel_basis(self):
         """Matrix whose columns span ker(self), in free-column order."""
@@ -192,8 +221,7 @@ class FpMatrix:
 
     def image_basis(self):
         """Columns of self at its pivot columns; they span the column space."""
-        _, pivots = self._eliminate(reduce_above=False)
-        return self.submatrix(range(self.rows), pivots)
+        return self.submatrix(range(self.rows), self.pivot_columns())
 
     def solve(self, b):
         """A particular solution x of self @ x = b, or None if inconsistent.

@@ -87,12 +87,25 @@ class PComplex:
             return self.dim(i, parity)
         if m >= self.p:
             return 0
+        return len(self._pivot_columns(i, m, parity))
+
+    def _pivot_columns(self, i, m, parity):
+        """Basis indices of the degree-i term whose images under d^m are a
+        basis of the image of its parity part.
+
+        The image of d^m is d applied to the image of d^(m-1), so for m >= 2
+        only the columns at the pivots of d^(m-1) are eliminated.
+        """
         key = (i, m, parity)
         got = self._rank_cache.get(key)
         if got is None:
+            if m == 1:
+                cols = self.term(i).indices_of_parity(parity)
+            else:
+                cols = self._pivot_columns(i, m - 1, parity)
             rows = self.term(i + m * self.alpha).indices_of_parity(parity)
-            cols = self.term(i).indices_of_parity(parity)
-            got = self.iterated_diff(i, m).submatrix(rows, cols).rank()
+            pivots = self.iterated_diff(i, m).submatrix(rows, cols).pivot_columns()
+            got = [cols[k] for k in pivots]
             self._rank_cache[key] = got
         return got
 
@@ -431,17 +444,10 @@ def _class_representatives(cx, deg):
     ker = cx.diff(deg).kernel_basis()
     src = deg - (cx.p - 1) * cx.alpha
     img = cx.iterated_diff(src, cx.p - 1).image_basis()
-    chosen = []
-    base = img
-    r = base.rank()
-    for c in range(ker.cols):
-        cand = ker.submatrix(range(ker.rows), [c])
-        stacked = hstack([base, cand])
-        if stacked.rank() > r:
-            chosen.append([ker.get(i, c) for i in range(ker.rows)])
-            base = stacked
-            r += 1
-    return chosen
+    # first-nonzero pivoting picks each kernel column not in the span of the
+    # image and the kernel columns before it
+    pivots = hstack([img, ker]).pivot_columns()
+    return [ker.data[:, c - img.cols].tolist() for c in pivots if c >= img.cols]
 
 
 def kunneth_check(c1, c2):

@@ -120,7 +120,7 @@ def monomial_from_sequence(kind, space, seq):
     return monomial_from_counts(kind, space, counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def power_basis(kind, n, space):
     """All admissible degree-n monomials, in descending lexicographic exponent order."""
     out = []

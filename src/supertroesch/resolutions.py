@@ -44,7 +44,7 @@ from .troesch import DEFAULT_BUDGET, build_B, build_B_bar
 # the splice map for r = 1, and the general linear solver
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _sh_pair(p, r):
     sh = build_Sh(p, r)
     return sh, parity_shift(sh)
@@ -71,7 +71,7 @@ def phi_j_element(p, j):
 ELEMENT_TERM_CAP = 1_000_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def d_element(p, r, barred=False):
     """The formal differential of polynomial degree p^r, over Sh or its shift."""
     sh, shbar = _sh_pair(p, r)
@@ -88,12 +88,12 @@ def d_element(p, r, barred=False):
     return differential_element(p, r, q, maps, ELEMENT_TERM_CAP)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def d_power_element(p, r, k, barred=False):
     return compose_power(d_element(p, r, barred), k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def epsilon_prime_full(p):
     """The r = 1 splice morphism as a single element: the ordered product of
     the weighted lowering maps phi_0 ... phi_{p-1}."""

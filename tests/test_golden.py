@@ -18,7 +18,7 @@ import pytest
 from supertroesch import cli
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, d_power_element, e_class, solve_epsilon
-from supertroesch.superspace import k_super
+from supertroesch.superspace import EVEN, ODD, k_super
 from supertroesch.troesch import build_B, build_B_bar, eta_images
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,6 +78,25 @@ def _matrices_digest(diffs):
     return h.hexdigest()
 
 
+def _elimination_digest(cx):
+    """sha256 over the kernel basis, image basis and one particular solution
+    of every nonempty parity block of d and d^(p-1)."""
+    h = hashlib.sha256()
+    for i in cx.degrees():
+        for m in (1, cx.p - 1):
+            for parity in (EVEN, ODD):
+                rows = cx.term(i + m * cx.alpha).indices_of_parity(parity)
+                cols = cx.term(i).indices_of_parity(parity)
+                if not (rows and cols):
+                    continue
+                block = cx.iterated_diff(i, m).submatrix(rows, cols)
+                h.update(repr((i, m, parity, block.shape)).encode())
+                h.update(block.kernel_basis().data.tobytes())
+                h.update(block.image_basis().data.tobytes())
+                h.update(repr(block.solve(block.apply([1] * len(cols)))).encode())
+    return h.hexdigest()
+
+
 def _terms_digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -121,6 +140,16 @@ MATRIX_DIGESTS = {
     "B_5(2) k^{0|2}": (
         lambda: _matrices_digest(build_B(5, 2, k_super(0, 2), 3).complex.diffs),
         "e3a4f4d8defe31c3319c33011be5e495e8675dfe074884bde30f200d812aa87e",
+    ),
+    # pivots, kernels and particular solutions on real pieces, mixed parity
+    # and p = 5 included: 105 and 74 parity blocks
+    "eliminate B_7(2) k^{1|0}": (
+        lambda: _elimination_digest(build_B(7, 2, k_super(1, 0), 3).complex),
+        "d1a88725289baa055ce7e292942b5d5ccd49367204923e988c76cf1da5f987ac",
+    ),
+    "eliminate B_5(1) k^{1|2} p=5": (
+        lambda: _elimination_digest(build_B(5, 1, k_super(1, 2), 5).complex),
+        "4e037fac73aa24a4dc8037cf7824274f2363b94b340a882bc39cf11f5cda6920",
     ),
     "J(1) k^{1|1}": (
         lambda: _matrices_digest(build_J(1, k_super(1, 1), 1, 3).complex.diffs),

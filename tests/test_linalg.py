@@ -195,13 +195,31 @@ def oracle_solve(m, b):
     return x
 
 
-def test_elimination_matches_rref_oracle():
-    rng = random.Random(13)
+def _elimination_cases(rng):
+    """Random matrices, small and up to 40x60 from sparse to dense, then
+    all-(p-1) blocks, alone and behind a unit lower triangle, where the
+    unreduced residues of the elimination grow fastest."""
     for _ in range(1200):
         p = rng.choice((3, 5, 7))
-        rows = rng.randrange(0, 9)
-        cols = rng.randrange(0, 9)
-        m = random_matrix(rng, p, rows, cols, density=rng.uniform(0.1, 0.9))
+        yield random_matrix(rng, p, rng.randrange(0, 9), rng.randrange(0, 9), density=rng.uniform(0.1, 0.9))
+    for _ in range(150):
+        p = rng.choice((3, 5, 7))
+        yield random_matrix(rng, p, rng.randrange(1, 41), rng.randrange(1, 61), density=rng.uniform(0.02, 0.9))
+    for p in (3, 5, 7):
+        for rows, cols in ((1, 1), (5, 7), (40, 60), (60, 40)):
+            m = FpMatrix(p, np.full((rows, cols), p - 1, dtype=np.int64))
+            yield m
+            # in front of it a unit lower triangle with p-1 below the
+            # diagonal: every pivot is 1 and every row below is cleared
+            core = np.tril(np.full((rows, min(rows, cols)), p - 1, dtype=np.int64), -1)
+            np.fill_diagonal(core, 1)
+            yield hstack([FpMatrix(p, core), m])
+
+
+def test_elimination_matches_rref_oracle():
+    rng = random.Random(13)
+    for m in _elimination_cases(rng):
+        p, rows, cols = m.p, m.rows, m.cols
         assert m.rank() == len(rref_oracle(m, reduce_above=False)[1])
         assert m.kernel_basis() == oracle_kernel_basis(m)
         assert m.image_basis() == oracle_image_basis(m)

@@ -239,3 +239,20 @@ def test_contraction_degree_layout():
     assert contraction_degree(cx, 1, 0, 1) == 2
     assert contraction_degree(cx, 1, 0, 2) == 6
     assert contraction_degree(cx, 2, 1, 1) == 5
+
+
+@pytest.mark.parametrize("n, u, p", [(5, (1, 2), 5), (6, (2, 1), 3)])
+def test_rank_of_power_matches_full_parity_block(n, u, p):
+    # rank_of_power eliminates d^m only on the pivot columns of d^(m-1);
+    # the rank of the whole parity block must be the same
+    cx = build_B(n, 1, k_super(*u), p).complex
+    checked = 0
+    for i in cx.degrees():
+        for m in range(1, p):
+            for parity in (EVEN, ODD):
+                rows = cx.term(i + m * cx.alpha).indices_of_parity(parity)
+                cols = cx.term(i).indices_of_parity(parity)
+                full = cx.iterated_diff(i, m).submatrix(rows, cols).rank()
+                assert cx.rank_of_power(i, m, parity) == full
+                checked += full > 0 and m > 1
+    assert checked > 10
