@@ -285,15 +285,24 @@ def recognize_invariant_tensor(t, source, target, n):
 
 
 def group_by_target_profile(f):
-    """Index the monomials of f by the multiset of their unit target indices."""
+    """Index the monomials of f by the multiset of their unit target indices.
+
+    A monomial is kept as (rows, coeff, odd): for each target index v of the
+    profile, in ascending order, its row ((u, B[v, u]), ...) in ascending u,
+    with equal rows stored once; odd tells whether it has an odd unit.
+    """
     dim_u = f.source.dim
+    par = f.hom.parities()
     out = {}
+    shared = {}
     for f_exps, cf in f.terms.items():
-        profile = {}
+        by_v = {}
         for idx, e in f_exps:
-            i, _ = divmod(idx, dim_u)
-            profile[i] = profile.get(i, 0) + e
-        out.setdefault(tuple(sorted(profile.items())), []).append((f_exps, cf))
+            v, u = divmod(idx, dim_u)
+            by_v.setdefault(v, []).append((u, e))
+        profile = tuple((v, sum(e for _, e in row)) for v, row in sorted(by_v.items()))
+        rows = tuple(shared.setdefault(row, row) for row in (tuple(by_v[v]) for v, _ in profile))
+        out.setdefault(profile, []).append((rows, cf, any(par[idx] for idx, _ in f_exps)))
     return out
 
 
@@ -307,8 +316,10 @@ def compose(g, f, f_grouped=None):
     Koszul sign of one arrangement: C's units sorted, v ascending inside each
     unit's block.  A C with an odd unit of exponent >= 2 is skipped, as its
     arrangements cancel.  The targets of f must match the sources of g as
-    multisets for a monomial pair to meet, so f is indexed by that profile;
-    pass f_grouped (from group_by_target_profile) to reuse the index.
+    multisets for a monomial pair to meet, so f is indexed by that profile
+    with its rows split per v; pass f_grouped (from group_by_target_profile)
+    to reuse the index.  The tables for one v depend only on the column of A
+    and the row of B, and _tables caches them by that pair.
     """
     if g.n != f.n:
         raise ValueError(f"degree mismatch: {g.n} vs {f.n}")
@@ -328,41 +339,47 @@ def compose(g, f, f_grouped=None):
             w, v = divmod(idx, dim_v)
             g_by_v.setdefault(v, []).append((w, e))
         profile = tuple((v, sum(e for _, e in col)) for v, col in sorted(g_by_v.items()))
-        for f_exps, cf in f_grouped.get(profile, ()):
-            f_by_v = {}  # v -> [(u, B[v, u])]
-            for idx, e in f_exps:
-                v, u = divmod(idx, dim_u)
-                f_by_v.setdefault(v, []).append((u, e))
-            per_v = [[(v, t) for t in _tables(g_by_v[v], f_by_v[v])] for v, _ in profile]
-            for choice in itertools.product(*per_v):
-                cells = sorted((w * dim_u + u, v, t) for v, table in choice for w, u, t in table)
+        cols = [tuple(g_by_v[v]) for v, _ in profile]
+        g_odd = any(g_par[idx] for idx, _ in g_exps)
+        for rows, cf, f_odd in f_grouped.get(profile, ()):
+            # with no odd unit on either side every unit of C is even and
+            # every sign is +1
+            signed = g_odd or f_odd
+            for choice in itertools.product(*map(_tables, cols, rows)):
+                cells = sorted((w * dim_u + u, v, t) for (v, _), table in zip(profile, choice) for w, u, t in table)
                 exps = {}
                 for c, _, t in cells:
                     exps[c] = exps.get(c, 0) + t
-                if any(e > 1 and out_par[c] == ODD for c, e in exps.items()):
+                if signed and any(e > 1 and out_par[c] == ODD for c, e in exps.items()):
                     continue
-                coeff = cg * cf * _multinomial(exps.values(), [t for *_, t in cells])
+                coeff = cg * cf * _multinomial(exps.values(), [cell[2] for cell in cells])
                 if coeff % g.p:
-                    t_seq = [c // dim_u * dim_v + v for c, v, t in cells for _ in range(t)]
-                    s_seq = [v * dim_u + c % dim_u for c, v, t in cells for _ in range(t)]
-                    out.add_term(tuple(exps.items()), coeff * (-1) ** _koszul_exponent(t_seq, g_par, s_seq, f_par))
+                    if signed:
+                        # odd units have exponent 1, so a cell with t > 1 holds
+                        # only even factors and each cell counts once
+                        t_seq = [c // dim_u * dim_v + v for c, v, _ in cells]
+                        s_seq = [v * dim_u + c % dim_u for c, v, _ in cells]
+                        coeff *= (-1) ** _koszul_exponent(t_seq, g_par, s_seq, f_par)
+                    out.add_term(tuple(exps.items()), coeff)
     return out
 
 
+@lru_cache(maxsize=8192)
 def _tables(col, row):
     """The tables t[w, u] >= 0 with row sums a_w and column sums b_u.
 
-    col lists (w, a_w) and row lists (u, b_u), with equal totals.  A table is
-    ((w, u, t[w, u]), ...) over its nonzero cells.
+    col is a tuple of (w, a_w) and row a tuple of (u, b_u), with equal
+    totals.  A table is ((w, u, t[w, u]), ...) over its nonzero cells; the
+    tables come back as a tuple, so the cached value cannot be changed.
     """
     if not col:
-        return [()]
+        return ((),)
     (w, a), rest = col[0], col[1:]
     out = []
     for parts in _bounded_compositions(a, [b for _, b in row]):
         head = tuple((w, u, x) for (u, _), x in zip(row, parts) if x)
-        out += [head + t for t in _tables(rest, [(u, b - x) for (u, b), x in zip(row, parts)])]
-    return out
+        out += [head + t for t in _tables(rest, tuple((u, b - x) for (u, b), x in zip(row, parts)))]
+    return tuple(out)
 
 
 def _bounded_compositions(a, caps):
@@ -381,7 +398,8 @@ def _koszul_exponent(t_seq, t_par, s_seq, s_par):
     """(-1)-exponent of composing the tensors t_seq and s_seq factorwise.
 
     Each sequence counts as one arrangement of its monomial, and every odd
-    factor of t_seq passes the odd factors of s_seq to its left.
+    factor of t_seq passes the odd factors of s_seq to its left.  Even
+    factors add nothing, so they may be listed once whatever their exponent.
     """
     e = koszul_sign_of_arrangement(t_seq, t_par) + koszul_sign_of_arrangement(s_seq, s_par)
     odd_t = 0

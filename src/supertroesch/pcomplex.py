@@ -67,6 +67,8 @@ class PComplex:
         """Matrix of d^m restricted to the degree-i term."""
         if m == 0:
             return FpMatrix.identity(self.p, self.dim(i))
+        if m == 1:
+            return self.diff(i)
         key = (i, m)
         got = self._iter_cache.get(key)
         if got is None:

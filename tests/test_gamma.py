@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from oracles import apply_sym_slow
 from supertroesch.gamma import (
+    _tables,
     apply_frobenius,
     apply_sym_matrix,
     compose,
@@ -114,6 +116,41 @@ def test_compose_matches_slow_reference():
         assert comp == compose_slow(g, f)
         nonzero += not comp.is_zero()
     assert nonzero >= 0.75 * len(pairs)
+
+
+def _compositions(total, parts):
+    """All tuples of parts nonnegative integers that sum to total."""
+    if parts == 1:
+        return [(total,)]
+    return [(x,) + c for x in range(total + 1) for c in _compositions(total - x, parts - 1)]
+
+
+def test_tables_match_brute_force():
+    # every nonnegative table with the given margins, up to 3 x 3 and total 5;
+    # labels are spaced out so a table cannot pass with the wrong w or u
+    w_labels, u_labels = (0, 2, 5), (1, 3, 4)
+    checked = 0
+    for rows, cols in itertools.product(range(1, 4), repeat=2):
+        for total in range(6):
+            by_margins = {}
+            for flat in _compositions(total, rows * cols):
+                grid = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+                margins = (tuple(map(sum, grid)), tuple(map(sum, zip(*grid))))
+                cells = tuple(
+                    (w_labels[i], u_labels[j], grid[i][j]) for i in range(rows) for j in range(cols) if grid[i][j]
+                )
+                by_margins.setdefault(margins, set()).add(cells)
+            for a in _compositions(total, rows):
+                for b in _compositions(total, cols):
+                    col = tuple(zip(w_labels, a))
+                    row = tuple(zip(u_labels, b))
+                    got = _tables(col, row)
+                    assert isinstance(got, tuple) and all(isinstance(t, tuple) for t in got)
+                    assert len(set(got)) == len(got)
+                    assert set(got) == by_margins.get((a, b), set())
+                    assert _tables(col, row) == got
+                    checked += len(got) > 1
+    assert checked > 500
 
 
 def test_compose_associative():

@@ -197,6 +197,15 @@ MATRIX_DIGESTS = {
         lambda: _lift_digest(e_class(1, source_parity=1), 3),
         "a96fbc2026154c1b0d5f5f279917368b28a57b0e5319f4bd7e6e4eea1e27a3e7",
     ),
+    # p = 5 chain-map blocks: multinomials and odd composites mod 5
+    "lift(e(1), 2) p=5": (
+        lambda: _lift_digest(e_class(1), 2, p=5),
+        "2b15e73d818765ed81f0208c3b30e141cfa193bb2bb41e74e1113e22e8c80fed",
+    ),
+    "lift(c, 2) p=5": (
+        lambda: _lift_digest(c_class(5, 1), 2, p=5),
+        "a0179a420c834ed326b2e0f74de690366b72e94f5a8122cad87dcaecdfd03a40",
+    ),
 }
 
 

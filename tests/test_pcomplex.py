@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import invert
+from supertroesch import pcomplex as pcomplex_module
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import (
     PComplex,
@@ -256,3 +257,21 @@ def test_rank_of_power_matches_full_parity_block(n, u, p):
                 assert cx.rank_of_power(i, m, parity) == full
                 checked += full > 0 and m > 1
     assert checked > 10
+
+
+def test_iterated_diff_first_power_makes_no_product(monkeypatch):
+    products = []
+
+    def counting_matmul(a, b):
+        products.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    cx = build_B(4, 1, k_super(1, 1), 3).complex
+    cx._iter_cache.clear()  # the build's validation filled it
+    monkeypatch.setattr(pcomplex_module, "matmul", counting_matmul)
+    for i in cx.degrees():
+        assert cx.iterated_diff(i, 1).data.tobytes() == cx.diff(i).data.tobytes()
+    assert products == []
+    # d^2 still multiplies: the wrapper sees real products
+    cx.iterated_diff(cx.degrees()[0], 2)
+    assert len(products) == 1
