@@ -66,7 +66,7 @@ def _emit(payload, fmt, text_lines):
 
 def cmd_cohomology(args):
     p = args.p
-    u = parse_space(args.space, p)
+    u = parse_space(args.space, p, args.budget)
     n_poly = args.n * p ** args.r
     data = build_B(n_poly, args.r, u, p, args.budget)
     table = cohomology_table(data.complex)
@@ -95,7 +95,7 @@ def cmd_cohomology(args):
 
 def cmd_decompose(args):
     p = args.p
-    u = parse_space(args.space, p)
+    u = parse_space(args.space, p, args.budget)
     n_poly = args.n * p ** args.r
     data = build_B(n_poly, args.r, u, p, args.budget)
     dec = decompose_cyclic(data.complex)
@@ -159,7 +159,7 @@ def cmd_ring(args):
 def _suite_kunneth(args):
     p = args.p
     specs = [(1, "k^{1|0}"), (1, "k^{0|1}"), (3, "k^{0|1}")]
-    built = [build_B(n, 1, parse_space(s, p), p, args.budget).complex for n, s in specs]
+    built = [build_B(n, 1, parse_space(s, p, args.budget), p, args.budget).complex for n, s in specs]
     results = []
     for i, c1 in enumerate(built):
         for j, c2 in enumerate(built):
@@ -173,7 +173,7 @@ def _suite_theorem_b(args):
     results = []
     for n in (1, 2, 3):
         for s in ("k^{1|0}", "k^{0|1}", "k^{1|1}"):
-            rep = verify_theorem_B(n * p, 1, parse_space(s, p), p, args.budget)
+            rep = verify_theorem_B(n * p, 1, parse_space(s, p, args.budget), p, args.budget)
             results.append((f"theoremB n={n} U={s}", rep.ok, rep.first_failure or ""))
     return results
 
@@ -185,7 +185,7 @@ def _suite_vanishing(args):
         if n % p == 0:
             continue
         for s in ("k^{1|0}", "k^{0|1}", "k^{1|1}"):
-            data = build_B(n, 1, parse_space(s, p), p, args.budget)
+            data = build_B(n, 1, parse_space(s, p, args.budget), p, args.budget)
             table = cohomology_table(data.complex)
             results.append((f"vanishing n={n} U={s}", table.is_zero(), ""))
     return results

@@ -6,9 +6,7 @@ superalgebra in its divided-power basis, and composition and the action on
 symmetric powers follow its closed product rule (Green, LNM 830, 2.3;
 Brundan-Kujawa 2003 for the signs): a sum over tables of exponents, each
 with a product of multinomials and the Koszul sign of one representative
-arrangement.  The identification with symmetric-group-equivariant maps
-between tensor powers (expand_to_invariant_tensor) gives the reference
-composition compose_slow.
+arrangement.
 """
 
 from __future__ import annotations
@@ -19,29 +17,8 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .linalg import FpMatrix
-from .powers import (
-    PowerKind,
-    PowerMonomial,
-    SignedTensor,
-    act_sigma,
-    add_mod_p,
-    koszul_sign_of_arrangement,
-    lift_from_power,
-    multiply_out,
-    power_basis,
-    power_product,
-    project_checked,
-    sort_with_sign,
-)
-from .superspace import (
-    EVEN,
-    ODD,
-    BasisElement,
-    LinearMapSS,
-    SuperSpace,
-    hom_space,
-    tensor,
-)
+from .powers import PowerKind, add_mod_p, koszul_sign_of_arrangement, multiply_out, sort_with_sign
+from .superspace import EVEN, ODD, hom_space, tensor
 
 hom_space = lru_cache(maxsize=128)(hom_space)
 
@@ -109,10 +86,6 @@ class GammaElement:
     def items(self):
         return sorted(self.terms.items())
 
-    def monomial_parity(self, exps):
-        par = self.hom.parities()
-        return sum(e * par[i] for i, e in exps) % 2
-
     def monomial_bigrade(self, exps):
         """(sum of target z-degrees, sum of source z-degrees) of a monomial."""
         tz = self.target.zdegs()
@@ -123,15 +96,6 @@ class GammaElement:
             t += e * tz[i]
             s += e * sz[j]
         return (t, s)
-
-    def parity(self):
-        pars = {self.monomial_parity(k) for k in self.terms}
-        if len(pars) > 1:
-            raise ValueError("element is not parity homogeneous")
-        return pars.pop() if pars else EVEN
-
-    def bigrades(self):
-        return sorted({self.monomial_bigrade(k) for k in self.terms})
 
     def split_by_source_degree(self):
         """Components keyed by total source z-degree."""
@@ -223,17 +187,8 @@ def element_product(a, b, budget=None):
     """Divided-power product of two elements of the same Hom space."""
     if (a.source, a.target, a.p) != (b.source, b.target, b.p):
         raise ValueError("product requires the same Hom space")
-    hom = a.hom
-    out = GammaElement(a.source, a.target, a.n + b.n, a.p)
-    for ea, ca in a.terms.items():
-        ma = PowerMonomial(PowerKind.DIV, hom, ea)
-        for eb, cb in b.terms.items():
-            mb = PowerMonomial(PowerKind.DIV, hom, eb)
-            for m, c in power_product(ma, mb, a.p).items():
-                out.add_term(m.exps, ca * cb * c)
-                if budget is not None and len(out.terms) > budget:
-                    raise BudgetExceededError("gamma product", len(out.terms), budget)
-    return out
+    terms = multiply_out(PowerKind.DIV, a.hom, [a.terms, b.terms], a.p, budget, "gamma product")
+    return GammaElement(a.source, a.target, a.n + b.n, a.p, terms)
 
 
 def phi_d(f, d, n, p, budget=None):
@@ -256,32 +211,6 @@ def differential_element(p, r, n, rho_maps, budget=None):
         term = phi_d(rho_maps[r - 1 - s], p ** s, n, p, budget)
         out = term if out is None else out + term
     return out
-
-
-# ---------------------------------------------------------------------------
-# expansion and recognition
-
-
-def expand_to_invariant_tensor(el, check=False):
-    t = SignedTensor(el.hom, el.n, el.p)
-    for exps, c in el.terms.items():
-        m = PowerMonomial(PowerKind.DIV, el.hom, exps)
-        t = t + lift_from_power(m, el.p).scaled(c)
-    if check:
-        n = el.n
-        for k in range(n - 1):
-            sigma = list(range(n))
-            sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
-            if act_sigma(t, tuple(sigma)) != t:
-                raise ValueError("expansion is not invariant")
-    return t
-
-
-def recognize_invariant_tensor(t, source, target, n):
-    el = GammaElement(source, target, n, t.p)
-    for m, c in project_checked(PowerKind.DIV, t).items():
-        el.add_term(m.exps, c)
-    return el
 
 
 def group_by_target_profile(f):
@@ -427,47 +356,8 @@ def compose_power(el, k):
     return out
 
 
-def compose_slow(g, f):
-    """Reference composition through full double expansion; for tests."""
-    p = g.p
-    n = g.n
-    tg = expand_to_invariant_tensor(g)
-    tf = expand_to_invariant_tensor(f)
-    dim_u = f.source.dim
-    dim_v = f.target.dim
-    g_par = g.hom.parities()
-    f_par = f.hom.parities()
-    out_t = SignedTensor(hom_space(f.source, g.target), n, p)
-    for tkey, tc in tg.terms.items():
-        for skey, sc in tf.terms.items():
-            comp = []
-            ok = True
-            for a in range(n):
-                ci, cj = divmod(tkey[a], dim_v)
-                ai, aj = divmod(skey[a], dim_u)
-                if cj != ai:
-                    ok = False
-                    break
-                comp.append(ci * dim_u + aj)
-            if not ok:
-                continue
-            kz = 0
-            for a in range(n):
-                for b in range(a + 1, n):
-                    kz += g_par[tkey[b]] * f_par[skey[a]]
-            out_t.add_term(tuple(comp), tc * sc * (-1) ** kz)
-    return recognize_invariant_tensor(out_t, f.source, g.target, n)
-
-
 # ---------------------------------------------------------------------------
 # functorial actions
-
-
-def apply_sym_matrix(el):
-    """Matrix of the induced map on symmetric powers, in power-basis order."""
-    tgt_basis = power_basis(PowerKind.SYM, el.n, el.target)
-    tgt_index = {m.exps: k for k, m in enumerate(tgt_basis)}
-    return apply_sym_block(el, power_basis(PowerKind.SYM, el.n, el.source), tgt_index, len(tgt_basis))
 
 
 def apply_sym_block(el, src_monos, tgt_pos, rows):
@@ -502,27 +392,6 @@ def apply_sym_block(el, src_monos, tgt_pos, rows):
     return FpMatrix.from_coords(el.p, rows, len(src_monos), entries)
 
 
-def apply_sym(el):
-    """The induced map on symmetric powers as a graded linear map."""
-    mat = apply_sym_matrix(el)
-    src = _sym_power_space(el.source, el.n)
-    tgt = _sym_power_space(el.target, el.n)
-    parity = el.parity()
-    zshifts = {t - s for (t, s) in el.bigrades()}
-    if len(zshifts) > 1:
-        raise ValueError("element is not z-homogeneous")
-    zshift = zshifts.pop() if zshifts else 0
-    return LinearMapSS(src, tgt, mat, parity, zshift)
-
-
-@lru_cache(maxsize=8)
-def _sym_power_space(space, n):
-    elems = []
-    for m in power_basis(PowerKind.SYM, n, space):
-        elems.append(BasisElement(m.label(), m.zdeg, m.parity))
-    return SuperSpace(tuple(elems))
-
-
 def apply_frobenius(el, r):
     """Induced map on r-th Frobenius twists; kills all but gamma_{p^r}(even unit).
 
@@ -540,54 +409,27 @@ def apply_frobenius(el, r):
 
 
 def tensor_with_identity(el, u, budget=None):
-    """Extend each matrix unit by the identity of u: the parameterized morphism."""
-    new_src = tensor(el.source, u)
-    du = u.dim
+    """Extend each matrix unit by the identity of u: the parameterized morphism.
 
-    def unit_images(i, j, unit_parity):
-        return [((i * du + k) * new_src.dim + (j * du + k), 1) for k in range(du)]
-
-    return _tensor_identity(el, new_src, tensor(el.target, u), unit_images, "tensor_with_identity", budget)
-
-
-def tensor_identity_left(el, w, budget=None):
-    """Extend each matrix unit by the identity of w on the left.
-
-    A unit f picks up the sign (-1)^{parity(f) * parity(w_k)} on the k-th
-    summand, from f passing the left tensor factor.
+    A unit (i, j) becomes the sum over k of the units (i*du + k, j*du + k),
+    and each monomial is multiplied out; budget errors name this function.
     """
-    new_src = tensor(w, el.source)
-    dsrc = el.source.dim
-    dtgt = el.target.dim
-    w_par = w.parities()
-
-    def unit_images(i, j, unit_parity):
-        return [
-            ((k * dtgt + i) * new_src.dim + (k * dsrc + j), (-1) ** (unit_parity * w_par[k]) % el.p)
-            for k in range(w.dim)
-        ]
-
-    return _tensor_identity(el, new_src, tensor(w, el.target), unit_images, "tensor_identity_left", budget)
-
-
-def _tensor_identity(el, new_src, new_tgt, unit_images, stage, budget):
-    """el with each matrix unit (i, j) replaced by the sum of the new units
-    that unit_images(i, j, parity) lists as (new unit index, coeff) pairs,
-    each monomial multiplied out; budget errors name the stage."""
     p = el.p
     hom = el.hom
-    out = GammaElement(new_src, new_tgt, el.n, p)
+    du = u.dim
+    out = GammaElement(tensor(el.source, u), tensor(el.target, u), el.n, p)
+    new_dim = out.source.dim
     for exps, c in el.terms.items():
         factors = []  # one {exps: coeff} per gamma factor
         for idx, e in exps:
-            unit_parity = hom.basis[idx].parity
-            images = unit_images(*el.unit_pair(idx), unit_parity)
-            if unit_parity == EVEN:
+            i, j = el.unit_pair(idx)
+            images = [((i * du + k) * new_dim + (j * du + k), 1) for k in range(du)]
+            if hom.basis[idx].parity == EVEN:
                 factors.append(_even_multiset_expansion(e, images, p, budget))
             else:
                 # odd units occur with exponent one; gamma_1 is linear
-                factors.append({((new_idx, 1),): coeff for new_idx, coeff in images})
-        for e2, c2 in multiply_out(PowerKind.DIV, out.hom, factors, p, budget, stage).items():
+                factors.append({((new_idx, 1),): 1 for new_idx, _ in images})
+        for e2, c2 in multiply_out(PowerKind.DIV, out.hom, factors, p, budget, "tensor_with_identity").items():
             out.add_term(e2, c * c2)
     return out
 

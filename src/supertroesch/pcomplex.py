@@ -233,64 +233,6 @@ def is_normal(cx):
     return decompose_cyclic(cx).is_normal()
 
 
-def _column_parity(mat, space):
-    """Parity of the support of each column (columns must be parity pure)."""
-    out = []
-    for j in range(mat.cols):
-        par = None
-        for i in range(mat.rows):
-            if mat.get(i, j):
-                q = space.basis[i].parity
-                if par is None:
-                    par = q
-                elif par != q:
-                    raise ValueError("column mixes parities")
-        out.append(par)
-    return out
-
-
-def decompose_cyclic_oracle(cx):
-    """Independent block count via intersections im(d^{j-1}) meet ker(d).
-
-    Counts blocks of length >= j by the dimension of that intersection in the
-    block's top degree; used to cross-check decompose_cyclic.
-    """
-    blocks = {}
-    for d_top in cx.degrees():
-        ker = cx.diff(d_top).kernel_basis()
-        ker_par = _column_parity(ker, cx.term(d_top))
-        for parity in (EVEN, ODD):
-            ker_cols = [j for j, q in enumerate(ker_par) if q == parity or q is None]
-            kmat = ker.submatrix(range(ker.rows), ker_cols)
-            for j in range(1, cx.p + 1):
-                src = d_top - (j - 1) * cx.alpha
-                if j == 1:
-                    inter = kmat.rank()
-                else:
-                    if cx.dim(src) == 0:
-                        inter = 0
-                    else:
-                        img = cx.iterated_diff(src, j - 1).image_basis()
-                        img_par = _column_parity(img, cx.term(d_top))
-                        icols = [c for c, q in enumerate(img_par) if q == parity or q is None]
-                        imat = img.submatrix(range(img.rows), icols)
-                        if imat.cols == 0 or kmat.cols == 0:
-                            inter = 0
-                        else:
-                            inter = imat.rank() + kmat.rank() - hstack([imat, kmat]).rank()
-                key = (j, parity)
-                blocks.setdefault(d_top, {})[key] = inter
-    out = {}
-    for d_top, table in blocks.items():
-        for parity in (EVEN, ODD):
-            for j in range(1, cx.p + 1):
-                n = table[(j, parity)] - table.get((j + 1, parity), 0)
-                if n:
-                    shift = d_top - (j - 1) * cx.alpha
-                    out[(shift, j, parity)] = out.get((shift, j, parity), 0) + n
-    return CyclicDecomposition(cx.p, cx.alpha, out)
-
-
 # ---------------------------------------------------------------------------
 # ordinary complexes and contraction
 

@@ -7,7 +7,6 @@ dictionary equality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,18 +37,6 @@ class PowerKind(Enum):
         """Kinds whose commutation law carries the extra length sign."""
         return self in (PowerKind.EXT, PowerKind.ALT)
 
-    @property
-    def dual(self):
-        return _DUALS[self]
-
-
-_DUALS = {
-    PowerKind.SYM: PowerKind.DIV,
-    PowerKind.DIV: PowerKind.SYM,
-    PowerKind.EXT: PowerKind.ALT,
-    PowerKind.ALT: PowerKind.EXT,
-}
-
 
 def binom_mod(n, k, p):
     if k < 0 or k > n:
@@ -75,27 +62,12 @@ class PowerMonomial:
     exps: tuple
 
     @property
-    def degree(self):
-        return sum(e for _, e in self.exps)
-
-    @property
     def zdeg(self):
         return sum(e * self.space.basis[i].zdeg for i, e in self.exps)
 
     @property
     def parity(self):
         return sum(e * self.space.basis[i].parity for i, e in self.exps) % 2
-
-    def is_admissible(self):
-        bounded = self.kind.bounded_parity
-        return all(e == 1 for i, e in self.exps if self.space.basis[i].parity == bounded)
-
-    def factor_sequence(self):
-        """Basis indices with multiplicity, ascending."""
-        seq = []
-        for i, e in self.exps:
-            seq.extend([i] * e)
-        return seq
 
     def label(self):
         parts = []
@@ -111,13 +83,6 @@ class PowerMonomial:
 def monomial_from_counts(kind, space, counts):
     exps = tuple(sorted((i, e) for i, e in counts.items() if e))
     return PowerMonomial(kind, space, exps)
-
-
-def monomial_from_sequence(kind, space, seq):
-    counts = {}
-    for i in seq:
-        counts[i] = counts.get(i, 0) + 1
-    return monomial_from_counts(kind, space, counts)
 
 
 @lru_cache(maxsize=1024)
@@ -147,52 +112,7 @@ def power_basis(kind, n, space):
 
 
 # ---------------------------------------------------------------------------
-# signed tensors and the symmetric group action
-
-
-class SignedTensor:
-    """A GF(p) combination of pure tensors over a fixed space, fixed length."""
-
-    __slots__ = ("space", "n", "p", "terms")
-
-    def __init__(self, space, n, p, terms=None):
-        self.space = space
-        self.n = n
-        self.p = p
-        self.terms = terms if terms is not None else {}
-
-    def add_term(self, key, coeff):
-        add_mod_p(self.terms, key, coeff, self.p)
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def is_zero(self):
-        return not self.terms
-
-    def scaled(self, c):
-        c %= self.p
-        out = SignedTensor(self.space, self.n, self.p)
-        for k, v in self.terms.items():
-            out.add_term(k, v * c)
-        return out
-
-    def __add__(self, other):
-        out = SignedTensor(self.space, self.n, self.p, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add_term(k, v)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedTensor)
-            and self.space == other.space
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"SignedTensor({len(self.terms)} terms, n={self.n})"
+# signs of arrangements
 
 
 def koszul_sign_of_arrangement(indices, parities):
@@ -206,83 +126,6 @@ def koszul_sign_of_arrangement(indices, parities):
             if parities[indices[b]] == ODD and indices[a] > indices[b]:
                 s += 1
     return s
-
-
-def inversion_count(indices):
-    s = 0
-    n = len(indices)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if indices[a] > indices[b]:
-                s += 1
-    return s
-
-
-def act_sigma(t, sigma):
-    """Right action of sigma: position i of the result carries factor sigma(i)."""
-    n = t.n
-    if len(sigma) != n:
-        raise ValueError("permutation length mismatch")
-    par = t.space.parities()
-    out = SignedTensor(t.space, n, t.p)
-    for key, coeff in t.terms.items():
-        new = tuple(key[sigma[i]] for i in range(n))
-        s = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if sigma[a] > sigma[b]:
-                    s += par[new[a]] * par[new[b]]
-        out.add_term(new, coeff * (-1) ** s)
-    return out
-
-
-def _distinct_arrangements(seq):
-    """All distinct arrangements of a multiset, lexicographic order."""
-    out = []
-    counts = {}
-    for x in seq:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    n = len(seq)
-    acc = []
-
-    def rec():
-        if len(acc) == n:
-            out.append(tuple(acc))
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                acc.append(k)
-                rec()
-                acc.pop()
-                counts[k] += 1
-
-    rec()
-    return out
-
-
-def arrangement_sign(kind, arrangement, parities):
-    """Sign of one arrangement inside the orbit expansion of a DIV or ALT monomial."""
-    s = koszul_sign_of_arrangement(arrangement, parities)
-    if kind is PowerKind.ALT:
-        s += inversion_count(arrangement)
-    return (-1) ** s
-
-
-def lift_from_power(m, p):
-    """Canonical tensor representative (SYM, EXT) or full orbit sum (DIV, ALT)."""
-    if not m.is_admissible():
-        raise ValueError(f"inadmissible monomial {m!r}")
-    seq = tuple(m.factor_sequence())
-    t = SignedTensor(m.space, m.degree, p)
-    if m.kind.is_quotient:
-        t.add_term(seq, 1)
-        return t
-    par = m.space.parities()
-    for arr in _distinct_arrangements(seq):
-        t.add_term(arr, arrangement_sign(m.kind, arr, par))
-    return t
 
 
 def sort_with_sign(kind, seq, parities):
@@ -311,41 +154,8 @@ def sort_with_sign(kind, seq, parities):
     return tuple(seq), sign
 
 
-def project_to_power(kind, t):
-    """Express a tensor in the monomial basis of the kind.
-
-    For SYM and EXT this is the quotient map applied termwise.  For DIV and
-    ALT the input must lie in the corresponding invariant subspace; the
-    coefficient of each monomial is then read off its sorted representative.
-    """
-    par = t.space.parities()
-    out = {}
-    for key, coeff in t.terms.items():
-        if kind.is_quotient:
-            srt, sign = sort_with_sign(kind, key, par)
-            if srt is None:
-                continue
-            add_mod_p(out, monomial_from_sequence(kind, t.space, srt), sign * coeff, t.p)
-        elif all(key[a] <= key[a + 1] for a in range(len(key) - 1)):
-            # each sorted key is its own monomial, met once
-            add_mod_p(out, monomial_from_sequence(kind, t.space, key), coeff, t.p)
-    return out
-
-
-def project_checked(kind, t):
-    """project_to_power plus verification that lifting back reproduces t."""
-    combo = project_to_power(kind, t)
-    if not kind.is_quotient:
-        back = SignedTensor(t.space, t.n, t.p)
-        for m, c in combo.items():
-            back = back + lift_from_power(m, t.p).scaled(c)
-        if back != t:
-            raise ValueError("tensor is not in the invariant subspace of the kind")
-    return combo
-
-
 # ---------------------------------------------------------------------------
-# products and coproducts
+# products
 
 
 def power_product(m1, m2, p):
@@ -401,111 +211,6 @@ def multiply_out(kind, space, factors, p, budget=None, stage=None):
         if budget is not None and len(combo) > budget:
             raise BudgetExceededError(stage, len(combo), budget)
     return combo
-
-
-def shuffle_product_via_reps(m1, m2, p, reverse_reps=False):
-    """DIV/ALT product as an explicit sum over coset representatives.
-
-    Representatives are enumerated as the interleavings of positions; with
-    reverse_reps a second, different enumeration of the same cosets is used.
-    The result must not depend on that choice.
-    """
-    kind = m1.kind
-    if kind.is_quotient:
-        raise ValueError("shuffle product is for DIV/ALT")
-    a = m1.degree
-    b = m2.degree
-    n = a + b
-    t1 = lift_from_power(m1, p)
-    t2 = lift_from_power(m2, p)
-    base = SignedTensor(m1.space, n, p)
-    for k1, c1 in t1.terms.items():
-        for k2, c2 in t2.terms.items():
-            base.add_term(k1 + k2, c1 * c2)
-    positions = list(itertools.combinations(range(n), a))
-    if reverse_reps:
-        positions = positions[::-1]
-    total = SignedTensor(m1.space, n, p)
-    for pos in positions:
-        pos_set = set(pos)
-        rest = [i for i in range(n) if i not in pos_set]
-        # sigma sends result position i to source position sigma[i]
-        sigma = [0] * n
-        for src, dst in enumerate(pos):
-            sigma[dst] = src
-        for src, dst in enumerate(rest):
-            sigma[dst] = a + src
-        acted = act_sigma(base, tuple(sigma))
-        if kind is PowerKind.ALT:
-            acted = acted.scaled((-1) ** inversion_count(sigma))
-        total = total + acted
-    return project_to_power(kind, total)
-
-
-def coproduct_component(m, a, b, p):
-    """Component Delta_{a,b} of the coproduct: list of ((left, right), coeff).
-
-    Quotient kinds split each exponent with a binomial coefficient; invariant
-    kinds split with coefficient one.  The sign counts right-going copies of
-    earlier generators crossing left-going copies of later ones.
-    """
-    if a + b != m.degree:
-        raise ValueError("split does not match degree")
-    kind = m.kind
-    par = m.space.parities()
-    gens = list(m.exps)
-    out = {}
-
-    def rec(idx, rem_left, left_counts, right_gone, coeff, sign_exp):
-        if idx == len(gens):
-            if rem_left:
-                return
-            left = monomial_from_counts(kind, m.space, left_counts)
-            right_counts = {i: e - left_counts.get(i, 0) for i, e in gens}
-            right = monomial_from_counts(kind, m.space, right_counts)
-            add_mod_p(out, (left, right), coeff * (-1) ** sign_exp, p)
-            return
-        i, e = gens[idx]
-        for x in range(min(e, rem_left), -1, -1):
-            c = coeff
-            if kind.is_quotient:
-                c = (c * binom_mod(e, x, p)) % p
-            if c == 0:
-                continue
-            y = e - x
-            s = sign_exp
-            for j, yj in right_gone:
-                cross = par[j] * par[i]
-                if kind.is_signed:
-                    cross += 1
-                s += yj * x * cross
-            if x:
-                left_counts[i] = x
-            right_gone.append((i, y))
-            rec(idx + 1, rem_left - x, left_counts, right_gone, c, s)
-            right_gone.pop()
-            if x:
-                del left_counts[i]
-
-    rec(0, a, {}, [], 1, 0)
-    return sorted(out.items(), key=lambda kv: (kv[0][0].exps, kv[0][1].exps))
-
-
-def yoneda_hom_dim(kind, n, space):
-    """(even, odd) dimension of the natural maps from the kind's n-th power
-    into the parameterized symmetric power on the given space.
-
-    Computed as the dimension of the dual power functor evaluated on the
-    space: the dual pairs SYM with DIV and EXT with ALT.
-    """
-    dual = kind.dual
-    ev = od = 0
-    for m in power_basis(dual, n, space):
-        if m.parity == EVEN:
-            ev += 1
-        else:
-            od += 1
-    return (ev, od)
 
 
 def multiset_coeff(m, a):

@@ -659,6 +659,8 @@ class YonedaCalculator:
         self.budget = budget
         self.res = {f: SplicedResolution(p, r, f, budget) for f in ("J", "Jbar")}
         self._lifts = {}  # class -> {source degree: blocks}
+        self._src_blocks = {}  # (flavor, degree) -> {block key: (block, its index)}
+        self._indexes = {}  # id(block) -> index; _src_blocks keeps the blocks alive
 
     def _unknown(self, key, src, tgt):
         """The (key, source, target, piece) unknown of a block from term src to
@@ -703,20 +705,32 @@ class YonedaCalculator:
             blocks[m + 1] = self._lift_step(cls, src_res, tgt_res, blocks[m], m)
         return blocks
 
+    def _indexed_blocks(self, res, m):
+        """The blocks of res out of degree m, each with its target-profile
+        index, kept for later steps and classes.  A block object that recurs
+        in several degrees is indexed once."""
+        key = (res.flavor, m)
+        if key not in self._src_blocks:
+            out = self._src_blocks[key] = {}
+            for k, el in res.blocks(m).items():
+                if id(el) not in self._indexes:
+                    self._indexes[id(el)] = group_by_target_profile(el)
+                out[k] = (el, self._indexes[id(el)])
+        return self._src_blocks[key]
+
     def _lift_step(self, cls, src_res, tgt_res, prev_blocks, m):
         s_b = cls.degree
-        d_src = src_res.blocks(m)
+        d_src = self._indexed_blocks(src_res, m)
         d_tgt = tgt_res.blocks(m + s_b)
         unknowns = [self._unknown((a, b), a, b) for a in src_res.terms(m + 1) for b in tgt_res.terms(m + 1 + s_b)]
         unknowns = [u for u in unknowns if u[3]]
-        d_src_grouped = {key: group_by_target_profile(el) for key, el in d_src.items()}
 
         def image(key, el):
             a, b = key
             out = {}
-            for (tau, a2), dblock in d_src.items():
+            for (tau, a2), (dblock, grouped) in d_src.items():
                 if a2 == a:
-                    comp = compose(el, dblock, f_grouped=d_src_grouped[(tau, a2)])
+                    comp = compose(el, dblock, f_grouped=grouped)
                     out.update({(tau, b, e2): c for e2, c in comp.terms.items()})
             return out
 

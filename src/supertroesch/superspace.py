@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import BudgetExceededError
 from .linalg import FpMatrix, check_prime
 
 EVEN = 0
@@ -208,16 +209,26 @@ _SH_RE = re.compile(r"^Sh\((\d+)\)$")
 _PISH_RE = re.compile(r"^PiSh\((\d+)\)$")
 
 
-def parse_space(text, p):
-    """Parse the CLI space grammar: k^{m|n}, Sh(r), PiSh(r)."""
+def parse_space(text, p, budget):
+    """Parse the CLI space grammar: k^{m|n}, Sh(r), PiSh(r).
+
+    The dimension, m + n or p^r, is read off the literal and checked against
+    the budget before any basis is built.
+    """
     text = text.strip()
     m = _SPACE_RE.match(text)
     if m:
-        return k_super(int(m.group(1)), int(m.group(2)))
-    m = _SH_RE.match(text)
+        even, odd = int(m.group(1)), int(m.group(2))
+        if even + odd > budget:
+            raise BudgetExceededError("test space", even + odd, budget)
+        return k_super(even, odd)
+    m = _SH_RE.match(text) or _PISH_RE.match(text)
     if m:
-        return build_Sh(p, int(m.group(1)))
-    m = _PISH_RE.match(text)
-    if m:
-        return parity_shift(build_Sh(p, int(m.group(1))))
+        r = int(m.group(1))
+        # p^r >= 2^r > budget once r reaches the budget's bit length, so p^r
+        # is only computed below it; the error names it as p^r
+        if r >= budget.bit_length() or p ** r > budget:
+            raise BudgetExceededError("test space", f"{p}^{r}", budget)
+        sh = build_Sh(p, r)
+        return sh if m.re is _SH_RE else parity_shift(sh)
     raise ValueError(f"cannot parse space spec {text!r}")

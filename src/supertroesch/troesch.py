@@ -12,7 +12,6 @@ source degree into one fill per differential.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +29,7 @@ from .powers import (
     PowerKind,
     add_mod_p,
     binom_mod,
-    coproduct_component,
     dim_formula_sym,
-    inversion_count,
     multiply_out,
     multiset_coeff,
     power_basis,
@@ -43,7 +40,6 @@ from .superspace import (
     BasisElement,
     SuperSpace,
     build_Sh,
-    k_super,
     parity_shift,
     relabel_map,
     rho,
@@ -170,29 +166,6 @@ def convolution_apply(images, d, mono, par, p):
     return out
 
 
-def convolution_apply_oracle(images, d, mono, p):
-    """Coproduct-route evaluation of the same component, for cross-checks.
-
-    Splits the monomial, applies the full algebra action of the map to the
-    degree-d part, and multiplies back.
-    """
-    n = mono.degree
-    if d > n:
-        return {}
-    out = {}
-    for (left, right), c0 in coproduct_component(mono, n - d, d, p):
-        # S^d(f) on the right factor: every factor mapped
-        if any(g not in images for g, _ in right.exps):
-            continue
-        factors = [{left.exps: c0}]
-        for g, e in right.exps:
-            g2, scal = images[g]
-            factors.append({((g2, e),): pow(scal, e, p)})
-        for exps, c in multiply_out(PowerKind.SYM, mono.space, factors, p).items():
-            add_mod_p(out, exps, c, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # building the complexes
 
@@ -246,6 +219,8 @@ def _differential_terms(exps, zdeg, alpha, components, par, p):
 
 def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     """S^n(param tensor U) with differential sum of (param_maps[r-1-s])_{p^s}."""
+    if n < 0:
+        raise ValueError("polynomial degree must be >= 0")
     w = tensor(param, u)
     # cheap pigeonhole bound before enumerating anything: some graded piece
     # must exceed the budget once the total dimension is large enough
@@ -294,8 +269,6 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
 def build_B(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
     """The p-complex of the degree-n symmetric power of Sh_r tensor U."""
     _check_build_args(p, r)
-    if n < 0:
-        raise ValueError("polynomial degree must be >= 0")
     sh = build_Sh(p, r)
     maps = [rho(p, r, s) for s in range(r)]
     data = build_power_pcomplex(p, r, n, sh, maps, u, budget)
@@ -468,80 +441,3 @@ def verify_corollary_T(n, r, u, p=3, budget=DEFAULT_BUDGET):
     tail_ok = all(t.dim(ell) == 0 for ell in t.degrees() if ell > bound)
     report.add("vanishing bound", tail_ok, f"T^ell = 0 for ell > {bound}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# the one-dimensional purely odd oracle (auxiliary complex on nilpotent
-# truncated polynomial generators)
-
-
-def build_D_complex(n, p):
-    """Tensor power of k[x]/(x^p) with the sum-of-raises differential."""
-    terms = {}
-    index = {}
-    for b in itertools.product(range(p), repeat=n):
-        z = sum(b)
-        lst = terms.setdefault(z, [])
-        index[b] = (z, len(lst))
-        lst.append(b)
-    spaces = {
-        z: SuperSpace(tuple(BasisElement("x" + "".join(map(str, b)), z, EVEN) for b in lst))
-        for z, lst in terms.items()
-    }
-    diffs = {}
-    for z, lst in sorted(terms.items()):
-        tgt = terms.get(z + 1)
-        if tgt is None:
-            continue
-        entries = [
-            ((index[b[:i] + (b[i] + 1,) + b[i + 1:]][1], col), 1)
-            for col, b in enumerate(lst)
-            for i in range(n)
-            if b[i] < p - 1
-        ]
-        diffs[z] = FpMatrix.from_coords(p, len(tgt), len(lst), entries)
-    return PComplex(p, 1, spaces, diffs), index
-
-
-def d_oracle_maps(n, p):
-    """The comparison maps between the auxiliary complex and B_n(1)(k^{0|1}).
-
-    Returns (D complex, C data, varphi, psi, s) where varphi and psi are
-    {degree: FpMatrix} and s is the signed symmetrizer on D.
-    """
-    if not (1 <= n < p):
-        raise ValueError("the averaging map needs 1 <= n < p")
-    dcx, dindex = build_D_complex(n, p)
-    cdata = build_B(n, 1, k_super(0, 1), p)
-    inv_nfact = pow(math.factorial(n) % p, p - 2, p)
-    perms = list(itertools.permutations(range(n)))
-    varphi = {}
-    psi = {}
-    s_maps = {}
-    for z in dcx.degrees():
-        dlist = sorted((b for b in dindex if sum(b) == z), key=lambda b: dindex[b][1])
-        dn = len(dlist)
-        cn = cdata.complex.dim(z)
-        cpos = cdata.index.get(z, {})
-        vp = []
-        for col, b in enumerate(dlist):
-            # product w_{b_1} ... w_{b_n} in the exterior part
-            if len(set(b)) < n:
-                continue
-            row = cpos.get(tuple(sorted((i, 1) for i in b)))
-            if row is not None:
-                vp.append(((row, col), (-1) ** inversion_count(b)))
-        ps = []
-        for ccol, m in enumerate(cdata.monomials.get(z, [])):
-            key = tuple(m.factor_sequence())
-            if key in dindex:
-                ps.append(((dindex[key][1], ccol), 1))
-        sym = [
-            ((dindex[tuple(b[i] for i in sigma)][1], col), (-1) ** inversion_count(sigma) * inv_nfact)
-            for col, b in enumerate(dlist)
-            for sigma in perms
-        ]
-        varphi[z] = FpMatrix.from_coords(p, cn, dn, vp)
-        psi[z] = FpMatrix.from_coords(p, dn, cn, ps)
-        s_maps[z] = FpMatrix.from_coords(p, dn, dn, sym)
-    return dcx, cdata, varphi, psi, s_maps

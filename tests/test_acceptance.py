@@ -7,7 +7,7 @@ runtime bounds are asserted with a monotonic clock.
 import random
 import time
 
-from oracles import invert
+from oracles import SignedTensor, act_sigma, decompose_cyclic_oracle, invert, shuffle_product_via_reps, yoneda_hom_dim
 from supertroesch.gamma import element_product, gamma_monomial
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import (
@@ -16,19 +16,14 @@ from supertroesch.pcomplex import (
     contract,
     contraction_prediction,
     decompose_cyclic,
-    decompose_cyclic_oracle,
     kunneth_check,
 )
 from supertroesch.powers import (
     PowerKind,
     PowerMonomial,
-    SignedTensor,
-    act_sigma,
     monomial_from_counts,
     power_basis,
     power_product,
-    shuffle_product_via_reps,
-    yoneda_hom_dim,
 )
 from supertroesch.resolutions import (
     ExtClassRef,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -10,8 +11,6 @@ RUN = [sys.executable, "-m", "supertroesch.cli"]
 
 
 def run_cli(*args, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -95,6 +94,27 @@ def test_exit_codes():
     )
     assert res.returncode == 2
     assert "budget" in res.stderr
+
+
+def test_space_literal_checked_against_budget():
+    # each space would take minutes and gigabytes to build; the timeout makes
+    # a missing check fail the test instead of hanging it
+    cases = [
+        (("cohomology", "--p", "3", "--n", "1", "--space", "Sh(25)"), "test space: size 3^25 exceeds budget 20000"),
+        (("decompose", "--p", "5", "--space", "PiSh(20)"), "test space: size 5^20 exceeds budget 20000"),
+        (("cohomology", "--p", "3", "--space", "k^{1000000000000|0}"), "test space: size 1000000000000 exceeds"),
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "SUPERTROESCH_BUDGET"}
+    for argv, message in cases:
+        res = subprocess.run(RUN + list(argv), capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 2, argv
+        assert message in res.stderr
+    # Sh(9) at p = 3 fits the budget (19,683 <= 20,000); its complex does not
+    res = subprocess.run(
+        RUN + ["cohomology", "--p", "3", "--n", "1", "--space", "Sh(9)"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.returncode == 2
+    assert res.stderr == "budget exceeded: total symmetric power dimension: size 34316932094325 exceeds budget 1181060000\n"
 
 
 def test_budget_env_var():

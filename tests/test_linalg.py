@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import invert, matpow
+from oracles import invert, matpow, oracle_image_basis, oracle_kernel_basis, oracle_solve, rref_oracle
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.superspace import rho
 
@@ -113,86 +113,6 @@ def test_product_bound_checked_before_conversion():
     b = FpMatrix(7, np.broadcast_to(np.int64(6), (n, 1)))
     with pytest.raises(ValueError, match=r"2\*\*53"):
         matmul(a, b)
-
-
-def rref_oracle(m, reduce_above, augment=None):
-    """Reference elimination on a list of dict rows, independent of the
-    library's numpy routine, with the same first-nonzero pivoting.  Returns
-    (reduced rows, pivot columns, reduced augmented column or None)."""
-    p = m.p
-    rows = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.nonzero_items():
-        rows[i][j] = v
-    aug = list(augment) if augment is not None else None
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if rows[i].get(c, 0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if aug is not None:
-            aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(rows[r][c], p - 2, p)
-        if inv != 1:
-            rows[r] = {k: (v * inv) % p for k, v in rows[r].items()}
-            if aug is not None:
-                aug[r] = (aug[r] * inv) % p
-        span = range(0, m.rows) if reduce_above else range(r + 1, m.rows)
-        for i in span:
-            if i == r:
-                continue
-            f = rows[i].get(c, 0)
-            if not f:
-                continue
-            ri, rr = rows[i], rows[r]
-            for k, v in rr.items():
-                nv = (ri.get(k, 0) - f * v) % p
-                if nv:
-                    ri[k] = nv
-                else:
-                    ri.pop(k, None)
-            if aug is not None:
-                aug[i] = (aug[i] - f * aug[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return rows, pivots, aug
-
-
-def oracle_kernel_basis(m):
-    rows, pivots, _ = rref_oracle(m, reduce_above=True)
-    free = [c for c in range(m.cols) if c not in pivots]
-    out = FpMatrix.zeros(m.p, m.cols, len(free))
-    for k, c in enumerate(free):
-        out.set(c, k, 1)
-        for r, pc in enumerate(pivots):
-            out.set(pc, k, -rows[r].get(c, 0))
-    return out
-
-
-def oracle_image_basis(m):
-    _, pivots, _ = rref_oracle(m, reduce_above=False)
-    out = FpMatrix.zeros(m.p, m.rows, len(pivots))
-    for k, c in enumerate(pivots):
-        for i in range(m.rows):
-            out.set(i, k, m.get(i, c))
-    return out
-
-
-def oracle_solve(m, b):
-    _, pivots, aug = rref_oracle(m, reduce_above=True, augment=[v % m.p for v in b])
-    if any(aug[len(pivots):]):
-        return None
-    x = [0] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r]
-    return x
 
 
 def _elimination_cases(rng):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import invert
+from oracles import decompose_cyclic_oracle, invert
 from supertroesch import pcomplex as pcomplex_module
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import (
@@ -15,7 +15,6 @@ from supertroesch.pcomplex import (
     contraction_degree,
     contraction_prediction,
     decompose_cyclic,
-    decompose_cyclic_oracle,
     is_normal,
     kunneth_check,
     tensor_pcomplex,

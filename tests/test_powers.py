@@ -1,21 +1,24 @@
 import math
 import random
 
-from supertroesch.powers import (
-    PowerKind,
+from oracles import (
     SignedTensor,
     act_sigma,
-    add_mod_p,
     coproduct_component,
+    degree,
     lift_from_power,
-    monomial_from_counts,
-    multiset_coeff,
-    power_basis,
-    power_product,
     project_checked,
     project_to_power,
     shuffle_product_via_reps,
     yoneda_hom_dim,
+)
+from supertroesch.powers import (
+    PowerKind,
+    add_mod_p,
+    monomial_from_counts,
+    multiset_coeff,
+    power_basis,
+    power_product,
 )
 from supertroesch.superspace import k_super
 
@@ -236,7 +239,7 @@ def _pair_product(kind, c1, c2, space, p):
         for (c, d), y in c2.items():
             s = b.parity * c.parity
             if kind.is_signed:
-                s += b.degree * c.degree
+                s += degree(b) * degree(c)
             for m1, z1 in power_product(a, c, p).items():
                 for m2, z2 in power_product(b, d, p).items():
                     key = (m1, m2)

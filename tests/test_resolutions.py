@@ -4,6 +4,7 @@ import pytest
 
 from types import SimpleNamespace
 
+from oracles import element_bigrades
 from supertroesch import resolutions
 from supertroesch.gamma import (
     compose,
@@ -248,7 +249,7 @@ def test_formal_differential_wrapper():
     el = d_element(3, 1)
     assert el == differential_element(3, 1, 3, [rho(3, 1, 0)])
     # zdeg shift is uniformly p^{r-1}
-    assert {t - s for (t, s) in el.bigrades()} == {1}
+    assert {t - s for (t, s) in element_bigrades(el)} == {1}
 
 
 def test_lift_resumes_from_cached_blocks(monkeypatch):
@@ -268,6 +269,24 @@ def test_lift_resumes_from_cached_blocks(monkeypatch):
     assert calc.lift(e_class(1), 3) is blocks and steps == [0, 1, 2, 3]
     fresh = YonedaCalculator(3, 1).lift(e_class(1), 4)
     assert all(blocks[m] == fresh[m] for m in range(5))
+
+
+def test_lifting_indexes_each_source_block_once(monkeypatch):
+    indexed = []
+    index = resolutions.group_by_target_profile
+
+    def counted(el):
+        indexed.append(id(el))
+        return index(el)
+
+    monkeypatch.setattr(resolutions, "group_by_target_profile", counted)
+    calc = YonedaCalculator(3, 1)
+    calc.lift(e_class(1), 3)
+    first = len(indexed)
+    # a second class through the same degrees reuses every index
+    calc.lift(e_class(2), 3)
+    assert first > 0 and len(indexed) == first
+    assert len(set(indexed)) == len(indexed)
 
 
 @pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])

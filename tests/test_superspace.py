@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import matpow
+from supertroesch.errors import BudgetExceededError
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.superspace import (
     EVEN,
@@ -115,8 +116,15 @@ def test_tensor_associative_up_to_reindexing():
 
 
 def test_parse_space():
-    assert parse_space("k^{2|1}", 3).dims_by_parity() == (2, 1)
-    assert parse_space("Sh(1)", 3).dim == 3
-    assert parse_space("PiSh(1)", 3).dims_by_parity() == (0, 3)
+    assert parse_space("k^{2|1}", 3, 3).dims_by_parity() == (2, 1)
+    assert parse_space("Sh(1)", 3, 3).dim == 3
+    assert parse_space("PiSh(1)", 3, 3).dims_by_parity() == (0, 3)
     with pytest.raises(ValueError):
-        parse_space("bogus", 3)
+        parse_space("bogus", 3, 3)
+    # the dimension is checked against the budget before a basis is built
+    huge = 10**12
+    cases = [("k^{2|2}", 4), ("Sh(2)", "3^2"), ("PiSh(2)", "3^2"), (f"Sh({huge})", f"3^{huge}")]
+    for text, size in cases:
+        with pytest.raises(BudgetExceededError) as exc:
+            parse_space(text, 3, 3)
+        assert (exc.value.what, exc.value.size) == ("test space", size)

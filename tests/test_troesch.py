@@ -3,7 +3,8 @@ import random
 import pytest
 
 from supertroesch.errors import BudgetExceededError
-from supertroesch.gamma import apply_sym_matrix, tensor_with_identity
+from oracles import apply_sym_matrix, convolution_apply_oracle, d_oracle_maps, tensor_identity_left
+from supertroesch.gamma import tensor_with_identity
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import cohomology, cohomology_table
 from supertroesch.powers import PowerKind, PowerMonomial, power_basis
@@ -13,8 +14,6 @@ from supertroesch.troesch import (
     build_B_bar,
     build_T,
     convolution_apply,
-    convolution_apply_oracle,
-    d_oracle_maps,
     eta_images,
     expected_theorem_dims,
     phi_images_on_tensor,
@@ -42,6 +41,12 @@ def test_build_B_budget():
     with pytest.raises(BudgetExceededError) as exc:
         build_B(6, 1, k_super(1, 1), 3, budget=3)
     assert exc.value.size > 3
+
+
+def test_negative_degree_rejected_by_both_builders():
+    for build in (build_B, build_B_bar):
+        with pytest.raises(ValueError, match="polynomial degree must be >= 0"):
+            build(-3, 1, k_super(1, 0), 3)
 
 
 def test_build_B_rejects_unsupported():
@@ -289,8 +294,6 @@ def test_exponential_property():
 
 def test_differential_commutes_with_test_space_morphisms():
     # the differential commutes with the functorial action on the test side
-    from supertroesch.gamma import tensor_identity_left
-
     rng = random.Random(211)
     p = 3
     sh = build_Sh(p, 1)
