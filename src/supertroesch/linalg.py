@@ -87,12 +87,6 @@ class FpMatrix:
         np.add.at(data, (i, j), np.asarray(values, dtype=np.int64))
         return FpMatrix(p, data % p)
 
-    @staticmethod
-    def from_rows(p, rows_data):
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        return FpMatrix(p, np.array(rows_data, dtype=np.int64).reshape(rows, cols) % p)
-
     # ------------------------------------------------------------------
     # basic access
 
@@ -102,9 +96,6 @@ class FpMatrix:
 
     def get(self, i, j):
         return int(self.data[i, j])
-
-    def set(self, i, j, v):
-        self.data[i, j] = v % self.p
 
     def submatrix(self, rows, cols):
         """The rows and columns at the given indices, in the order given."""

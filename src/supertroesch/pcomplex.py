@@ -1,6 +1,13 @@
-"""Graded modules over k[d]/(d^p): p-complexes, slice cohomology, normality
+"""Graded modules over k[d]/(d^N): p-complexes, slice cohomology, normality
 via cyclic decompositions, contraction to ordinary complexes, and tensor
-products with the Kunneth comparison."""
+products with the Kunneth comparison.
+
+An ordinary cochain complex is the order-2 case: ``ChainComplex`` is a
+``PComplex`` with N = 2 and step one, so it shares the storage, the evenness
+check and the cached parity-block ranks, and its H^i is the slice H_[1].
+Whether given cocycles span H_[1] is decided in one place,
+``cocycles_span``.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +25,8 @@ class PDifferentialError(ValueError):
 
 @dataclass
 class PComplex:
-    """Non-negatively graded superspaces with an even differential of step alpha."""
+    """Non-negatively graded superspaces with an even differential of step
+    alpha and d^N = 0, where the nilpotency order N is the modulus p."""
 
     p: int
     alpha: int
@@ -41,6 +49,11 @@ class PComplex:
             odd_cols = np.array(src.parities()) == ODD
             if m.data[np.ix_(odd_rows, ~odd_cols)].any() or m.data[np.ix_(~odd_rows, odd_cols)].any():
                 raise ValueError(f"differential at {i} is not even")
+
+    @property
+    def order(self):
+        """The nilpotency order N of d."""
+        return self.p
 
     def term(self, i):
         return self.terms.get(i, ZERO_SPACE)
@@ -78,8 +91,8 @@ class PComplex:
 
     def validate_p_differential(self):
         for i in self.degrees():
-            if not self.iterated_diff(i, self.p).is_zero():
-                raise PDifferentialError(f"d^{self.p} is nonzero starting at degree {i}")
+            if not self.iterated_diff(i, self.order).is_zero():
+                raise PDifferentialError(f"d^{self.order} is nonzero starting at degree {i}")
 
     # -- parity-aware ranks -------------------------------------------
 
@@ -87,7 +100,7 @@ class PComplex:
         """rank of d^m restricted to the parity part of the degree-i term."""
         if m == 0:
             return self.dim(i, parity)
-        if m >= self.p:
+        if m >= self.order:
             return 0
         return len(self._pivot_columns(i, m, parity))
 
@@ -112,6 +125,19 @@ class PComplex:
         return got
 
 
+class ChainComplex(PComplex):
+    """Ordinary cochain complex: the order-2 case, with a step-one differential."""
+
+    order = 2
+
+    def __init__(self, p, terms, diffs):
+        super().__init__(p, 1, terms, diffs)
+
+    def cohomology_dims(self, i):
+        """(even, odd) dimension of H^i."""
+        return _slice_dims(self, 1, i)
+
+
 @dataclass
 class CohomologyTable:
     """Per-slice, per-degree (even, odd) dimensions of the cohomology."""
@@ -120,16 +146,9 @@ class CohomologyTable:
     alpha: int
     rows: dict  # s -> {degree: (even, odd)}
 
-    def row(self, s):
-        return self.rows[s]
-
     def is_zero(self, s=None):
         slices = [s] if s is not None else list(self.rows)
         return all(not any(e or o for e, o in self.rows[t].values()) for t in slices)
-
-    def rows_equal(self):
-        vals = list(self.rows.values())
-        return all(v == vals[0] for v in vals[1:])
 
     def to_jsonable(self):
         return {
@@ -147,26 +166,28 @@ class CohomologyTable:
         }
 
 
+def _slice_dims(cx, s, i):
+    """(even, odd) dimension of H_[s] in degree i: ker d^s modulo im d^(N-s)."""
+    dims = tuple(
+        cx.dim(i, parity)
+        - cx.rank_of_power(i, s, parity)
+        - cx.rank_of_power(i - (cx.order - s) * cx.alpha, cx.order - s, parity)
+        for parity in (EVEN, ODD)
+    )
+    if min(dims) < 0:
+        raise PDifferentialError(f"negative cohomology dimension at degree {i}")
+    return dims
+
+
 def cohomology(cx, s):
     """H_[s] of a p-complex: kernel of d^s modulo image of d^{p-s}."""
-    if not (1 <= s < cx.p):
-        raise ValueError(f"slice index s={s} out of range 1..{cx.p - 1}")
-    degrees = set(cx.degrees())
-    row = {}
-    for i in sorted(degrees):
-        ev_od = []
-        for parity in (EVEN, ODD):
-            k = cx.dim(i, parity) - cx.rank_of_power(i, s, parity)
-            im = cx.rank_of_power(i - (cx.p - s) * cx.alpha, cx.p - s, parity)
-            ev_od.append(k - im)
-        if ev_od[0] < 0 or ev_od[1] < 0:
-            raise PDifferentialError(f"negative cohomology dimension at degree {i}")
-        row[i] = (ev_od[0], ev_od[1])
-    return row
+    if not (1 <= s < cx.order):
+        raise ValueError(f"slice index s={s} out of range 1..{cx.order - 1}")
+    return {i: _slice_dims(cx, s, i) for i in cx.degrees()}
 
 
 def cohomology_table(cx, slices=None):
-    slices = list(range(1, cx.p)) if slices is None else list(slices)
+    slices = list(range(1, cx.order)) if slices is None else list(slices)
     return CohomologyTable(cx.p, cx.alpha, {s: cohomology(cx, s) for s in slices})
 
 
@@ -177,17 +198,6 @@ class CyclicDecomposition:
     p: int
     alpha: int
     blocks: dict
-
-    def multiplicity(self, shift, length, parity):
-        return self.blocks.get((shift, length, parity), 0)
-
-    def reconstructed_dims(self):
-        dims = {}
-        for (shift, length, parity), mult in self.blocks.items():
-            for t in range(length):
-                key = (shift + t * self.alpha, parity)
-                dims[key] = dims.get(key, 0) + mult
-        return dims
 
     def is_normal(self):
         return all(length in (1, self.p) for (_, length, _) in self.blocks)
@@ -215,7 +225,7 @@ def decompose_cyclic(cx, validate=True):
     blocks = {}
     for i in cx.degrees():
         for parity in (EVEN, ODD):
-            for j in range(1, cx.p + 1):
+            for j in range(1, cx.order + 1):
                 n = (
                     cx.rank_of_power(i, j - 1, parity)
                     - cx.rank_of_power(i, j, parity)
@@ -234,61 +244,14 @@ def is_normal(cx):
 
 
 # ---------------------------------------------------------------------------
-# ordinary complexes and contraction
-
-
-@dataclass
-class ChainComplex:
-    """Ordinary cochain complex: differential of step one, d^2 = 0."""
-
-    p: int
-    terms: dict
-    diffs: dict
-
-    def term(self, i):
-        return self.terms.get(i, ZERO_SPACE)
-
-    def dim(self, i, parity=None):
-        t = self.term(i)
-        if parity is None:
-            return t.dim
-        return sum(1 for b in t.basis if b.parity == parity)
-
-    def degrees(self):
-        return sorted(self.terms)
-
-    def diff(self, i):
-        m = self.diffs.get(i)
-        if m is None:
-            return FpMatrix.zeros(self.p, self.dim(i + 1), self.dim(i))
-        return m
-
-    def validate(self):
-        for i in self.degrees():
-            comp = matmul(self.diff(i + 1), self.diff(i))
-            if not comp.is_zero():
-                raise PDifferentialError(f"d^2 is nonzero at degree {i}")
-
-    def cohomology_dims(self, i):
-        """(even, odd) dimension of H^i."""
-        out = []
-        for parity in (EVEN, ODD):
-            src = self.term(i)
-            d_out = self.diff(i)
-            d_in = self.diff(i - 1)
-            sidx = src.indices_of_parity(parity)
-            block_out = d_out.submatrix(self.term(i + 1).indices_of_parity(parity), sidx)
-            block_in = d_in.submatrix(sidx, self.term(i - 1).indices_of_parity(parity))
-            k = len(sidx) - block_out.rank()
-            out.append(k - block_in.rank())
-        return tuple(out)
+# contraction
 
 
 def contract(cx, s, t):
     """The contracted ordinary complex alternating d^s and d^{p-s}."""
-    if not (1 <= s < cx.p):
+    if not (1 <= s < cx.order):
         raise ValueError(f"contraction slice s={s} out of range")
-    if not (0 <= t < (cx.p - s) * cx.alpha):
+    if not (0 <= t < (cx.order - s) * cx.alpha):
         raise ValueError(f"contraction offset t={t} out of range")
     maxdeg = cx.max_degree()
     terms = {}
@@ -298,13 +261,8 @@ def contract(cx, s, t):
         src_deg = contraction_degree(cx, s, t, ell)
         if src_deg > maxdeg:
             break
-        sp = cx.term(src_deg)
-        if sp.dim:
-            terms[ell] = sp
-        step = s if ell % 2 == 0 else cx.p - s
-        mat = cx.iterated_diff(src_deg, step)
-        if not mat.is_zero():
-            diffs[ell] = mat
+        terms[ell] = cx.term(src_deg)
+        diffs[ell] = cx.iterated_diff(src_deg, s if ell % 2 == 0 else cx.order - s)
         ell += 1
     return ChainComplex(cx.p, terms, diffs)
 
@@ -312,91 +270,74 @@ def contract(cx, s, t):
 def contraction_degree(cx, s, t, ell):
     """Degree in the p-complex of the contraction's degree-ell term."""
     i, odd = divmod(ell, 2)
-    return t + (cx.p * i + (s if odd else 0)) * cx.alpha
-
-
-def contraction_prediction(cx, s, t, ell):
-    """Expected H^ell of the contraction from the slice cohomology of cx."""
-    deg = contraction_degree(cx, s, t, ell)
-    slice_ = s if ell % 2 == 0 else cx.p - s
-    row = cohomology(cx, slice_)
-    return row.get(deg, (0, 0))
+    return t + (cx.order * i + (s if odd else 0)) * cx.alpha
 
 
 # ---------------------------------------------------------------------------
-# tensor products
+# tensor products and spanning cocycles
 
 
-def _tensor_with_offsets(c1, c2):
+def tensor_pcomplex(c1, c2):
+    """Tensor product complex with the Leibniz differential (d is even: no
+    sign), and the offset of the (i, j) block of basis products in degree
+    i + j, its basis in c1-major order."""
     if c1.p != c2.p:
         raise ValueError("modulus mismatch")
     if c1.alpha != c2.alpha:
         raise ValueError(f"alpha mismatch: {c1.alpha} vs {c2.alpha}")
-    p = c1.p
+    p, alpha = c1.p, c1.alpha
     raw = {}
     offsets = {}
     for i in c1.degrees():
         for j in c2.degrees():
-            z = i + j
-            elems = raw.setdefault(z, [])
+            elems = raw.setdefault(i + j, [])
             offsets[(i, j)] = len(elems)
-            for a in c1.term(i).basis:
-                for b in c2.term(j).basis:
-                    elems.append(
-                        BasisElement(
-                            f"{a.name}(*){b.name}@{i},{j}",
-                            a.zdeg + b.zdeg,
-                            (a.parity + b.parity) % 2,
-                        )
-                    )
-    spaces = {z: SuperSpace(tuple(elems)) for z, elems in raw.items() if elems}
+            elems.extend(
+                BasisElement(f"{a.name}(*){b.name}@{i},{j}", a.zdeg + b.zdeg, (a.parity + b.parity) % 2)
+                for a in c1.term(i).basis
+                for b in c2.term(j).basis
+            )
+    spaces = {z: SuperSpace(tuple(elems)) for z, elems in raw.items()}
     diffs = {}
-    alpha = c1.alpha
-    for z, sp in spaces.items():
-        tgt = spaces.get(z + alpha)
-        if tgt is None:
-            continue
-        entries = []
-        for i in c1.degrees():
-            j = z - i
-            if (i, j) not in offsets or not c1.term(i).dim or not c2.term(j).dim:
-                continue
-            off = offsets[(i, j)]
-            d2 = c2.term(j).dim
-            if (i + alpha, j) in offsets:
-                toff = offsets[(i + alpha, j)]
-                for (r, c), v in c1.diff(i).nonzero_items():
-                    entries += [((toff + r * d2 + b, off + c * d2 + b), v) for b in range(d2)]
-            if (i, j + alpha) in offsets:
-                toff = offsets[(i, j + alpha)]
-                d2t = c2.term(j + alpha).dim
-                for (r, c), v in c2.diff(j).nonzero_items():
-                    entries += [((toff + a * d2t + r, off + a * d2 + c), v) for a in range(c1.term(i).dim)]
-        mat = FpMatrix.from_coords(p, tgt.dim, sp.dim, entries)
-        if not mat.is_zero():
-            diffs[z] = mat
-    return PComplex(p, alpha, spaces, diffs), offsets
+    for (i, j), off in offsets.items():
+        z, d1, d2 = i + j, c1.dim(i), c2.dim(j)
+        # d(a (*) b) = da (*) b + a (*) db
+        leibniz = (
+            ((i + alpha, j), np.kron(c1.diff(i).data, np.eye(d2, dtype=np.int64))),
+            ((i, j + alpha), np.kron(np.eye(d1, dtype=np.int64), c2.diff(j).data)),
+        )
+        for target, block in leibniz:
+            if target in offsets:
+                mat = diffs.setdefault(z, np.zeros((spaces[z + alpha].dim, spaces[z].dim), dtype=np.int64))
+                toff = offsets[target]
+                mat[toff : toff + block.shape[0], off : off + d1 * d2] = block
+    return PComplex(p, alpha, spaces, {z: FpMatrix(p, m) for z, m in diffs.items()}), offsets
 
 
-def tensor_pcomplex(c1, c2):
-    """Tensor product complex with the Leibniz differential (d is even: no sign)."""
-    return _tensor_with_offsets(c1, c2)[0]
+def cocycles_span(cx, deg, vmat):
+    """(is_cocycle, spans) for the columns of vmat in degree deg: whether d
+    kills them, and whether they span ker d together with the image of
+    d^(N-1), so that their classes span H_[1] when they are cocycles."""
+    is_cocycle = matmul(cx.diff(deg), vmat).is_zero()
+    ker_rank = cx.dim(deg) - sum(cx.rank_of_power(deg, 1, parity) for parity in (EVEN, ODD))
+    img = cx.iterated_diff(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
+    return is_cocycle, hstack([img, vmat]).rank() == ker_rank
 
 
 def _class_representatives(cx, deg):
-    """Cocycle vectors whose classes form a basis of H_[1] in this degree."""
+    """Cocycles, as the columns of an array, whose classes form a basis of
+    H_[1] in this degree."""
     ker = cx.diff(deg).kernel_basis()
-    src = deg - (cx.p - 1) * cx.alpha
-    img = cx.iterated_diff(src, cx.p - 1).image_basis()
+    img = cx.iterated_diff(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
     # first-nonzero pivoting picks each kernel column not in the span of the
     # image and the kernel columns before it
     pivots = hstack([img, ker]).pivot_columns()
-    return [ker.data[:, c - img.cols].tolist() for c in pivots if c >= img.cols]
+    return ker.data[:, [c - img.cols for c in pivots if c >= img.cols]]
 
 
 def kunneth_check(c1, c2):
     """Dimension count and cocycle-product spanning for a tensor of normal complexes."""
-    t, offsets = _tensor_with_offsets(c1, c2)
+    t, offsets = tensor_pcomplex(c1, c2)
     h1 = cohomology(c1, 1)
     h2 = cohomology(c2, 1)
     ht = cohomology(t, 1)
@@ -419,63 +360,18 @@ def kunneth_check(c1, c2):
     for n in sorted(ht):
         if ht[n] == (0, 0):
             continue
-        prods = []
+        cols = [np.zeros((t.dim(n), 0), dtype=np.int64)]
         for i, r1 in reps1.items():
             r2 = reps2.get(n - i)
-            if not r2 or (i, n - i) not in offsets:
+            if r2 is None:
                 continue
+            # column a * k2 + b of the Kronecker product, for the k2 columns
+            # of r2, is the product of cocycles a and b, laid out c1-major
+            # like the basis
+            block = np.zeros((t.dim(n), r1.shape[1] * r2.shape[1]), dtype=np.int64)
             off = offsets[(i, n - i)]
-            d2 = c2.dim(n - i)
-            for v1 in r1:
-                for v2 in r2:
-                    vec = [0] * t.dim(n)
-                    for a, x in enumerate(v1):
-                        if not x:
-                            continue
-                        for b, y in enumerate(v2):
-                            if y:
-                                vec[off + a * d2 + b] = (x * y) % t.p
-                    prods.append(vec)
-        ok = _spans_cohomology(t, n, prods)
-        if not ok:
+            block[off : off + r1.shape[0] * r2.shape[0]] = np.kron(r1, r2) % t.p
+            cols.append(block)
+        if not all(cocycles_span(t, n, FpMatrix(t.p, np.hstack(cols)))):
             return False, f"cocycle products do not span H^{n}"
     return True, "ok"
-
-
-def _spans_cohomology(cx, deg, vectors):
-    src = deg - (cx.p - 1) * cx.alpha
-    img = cx.iterated_diff(src, cx.p - 1).image_basis()
-    ker_rank = cx.dim(deg) - cx.diff(deg).rank()
-    if not vectors:
-        return img.rank() == ker_rank
-    vmat = FpMatrix.from_coords(
-        cx.p, cx.dim(deg), len(vectors), [((i, k), x) for k, v in enumerate(vectors) for i, x in enumerate(v) if x]
-    )
-    if not matmul(cx.diff(deg), vmat).is_zero():
-        return False
-    return hstack([img, vmat]).rank() == ker_rank
-
-
-def build_from_blocks(p, alpha, blocks):
-    """A p-complex that is a direct sum of cyclic blocks (shift, length, parity)."""
-    elems = {}
-    arrows = []
-    for k, (shift, length, parity) in enumerate(blocks):
-        prev = None
-        for t in range(length):
-            deg = shift + t * alpha
-            lst = elems.setdefault(deg, [])
-            pos = len(lst)
-            lst.append(BasisElement(f"b{k}_{t}", deg, parity))
-            if prev is not None:
-                arrows.append((deg - alpha, prev, deg, pos))
-            prev = pos
-    spaces = {d: SuperSpace(tuple(lst)) for d, lst in elems.items()}
-    by_src = {}
-    for (sdeg, scol, tdeg, trow) in arrows:
-        by_src.setdefault(sdeg, []).append(((trow, scol), 1))
-    diffs = {
-        sdeg: FpMatrix.from_coords(p, spaces[sdeg + alpha].dim, spaces[sdeg].dim, entries)
-        for sdeg, entries in by_src.items()
-    }
-    return PComplex(p, alpha, spaces, diffs)

@@ -34,6 +34,7 @@ from .superspace import (
     BasisElement,
     SuperSpace,
     build_Sh,
+    check_sh_budget,
     parity_shift,
     relabel_map,
     rho,
@@ -333,7 +334,10 @@ class SplicedResolution:
 
 
 def check_delta_squared_formal(p, r=1, flavor="J", max_degree=None, budget=DEFAULT_BUDGET):
-    """delta^2 = 0 as formal elements, block by block."""
+    """delta^2 = 0 as formal elements, block by block.
+
+    Public API: nothing in the package calls it; it checks the spliced
+    resolution's formal differential without evaluating it at a space."""
     res = SplicedResolution(p, r, flavor, budget)
     q = p ** r
     max_degree = 4 * q if max_degree is None else max_degree
@@ -400,15 +404,12 @@ def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=Fals
     layout = {}
     for m in range(max_degree + 2):
         row = []
-        off = 0
+        elems = []
         for t in res.terms(m, max_q):
             sp = term_space(t)
-            row.append((t, off, sp.dim))
-            off += sp.dim
+            row.append((t, len(elems), sp.dim))
+            elems.extend(sp.basis)
         layout[m] = row
-        elems = []
-        for (t, off0, dim) in row:
-            elems.extend(term_space(t).basis)
         if elems:
             terms[m] = SuperSpace(tuple(elems))
     diffs = {}
@@ -456,7 +457,9 @@ def _evaluate_block(res, el, src_t, tgt_t, data_for, u, p, r, budget):
 
 
 def build_Q(r, u, p=3, budget=DEFAULT_BUDGET, flavor="J"):
-    """The two-story splice: one copy of each contraction, glued by eps."""
+    """The two-story splice Q: one copy of each contraction, glued by eps.
+
+    Public API, named in the README; the package itself evaluates J."""
     return build_J(r, u, 1, p, budget, flavor, closed=True)
 
 
@@ -475,7 +478,7 @@ class ExactnessReport:
 def verify_J_exactness(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J"):
     built = build_J(r, u, n_splices, p, budget, flavor)
     cx = built.complex
-    cx.validate()
+    cx.validate_p_differential()
     failures = []
     dim0, dim1 = u.dims_by_parity()
     # the resolved functor is the even twist for J, the odd twist for Jbar
@@ -538,6 +541,8 @@ def ext_table(r, max_degree, p=3, source_parity=0, target_parity=0, budget=DEFAU
     """Dimensions of the derived Hom between twist functors, from the formal
     resolution: the Hom complex has vanishing differentials, so dimensions
     are term counts."""
+    # the premise check below builds dense p^r x p^r maps on Sh_r
+    check_sh_budget(p, r, budget, "shift space Sh_r")
     flavor = "J" if target_parity == 0 else "Jbar"
     res = SplicedResolution(p, r, flavor, budget)
     _assert_frobenius_kills_differential(p, r)

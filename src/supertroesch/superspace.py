@@ -95,7 +95,10 @@ def parity_shift(v):
 
 
 def frobenius_twist_space(v, r, p):
-    """Scale all Z-degrees by p^r; parities are unchanged."""
+    """Scale all Z-degrees by p^r; parities are unchanged.
+
+    Public API, one of the README's standard constructions; the package
+    twists functors, not spaces."""
     if r < 0:
         raise ValueError("twist order must be >= 0")
     if r == 0:
@@ -105,6 +108,9 @@ def frobenius_twist_space(v, r, p):
 
 
 def dual_space(v):
+    """The graded dual: Z-degrees negated, parities kept.
+
+    Public API, one of the README's standard constructions."""
     return SuperSpace(tuple(BasisElement(f"{b.name}^*", -b.zdeg, b.parity) for b in v.basis))
 
 
@@ -117,6 +123,17 @@ def hom_space(v, w):
                 BasisElement(f"E({i},{j})", bw.zdeg - bv.zdeg, (bw.parity + bv.parity) % 2)
             )
     return SuperSpace(tuple(elems))
+
+
+def check_sh_budget(p, r, budget, stage):
+    """Raise BudgetExceededError for the given stage when Sh_r, of dimension
+    p^r, is over the budget, before anything of that size is built.
+
+    p^r >= 2^r > budget once r reaches the budget's bit length, so p^r is
+    only computed below it; the error names the size as the string p^r.
+    """
+    if r >= budget.bit_length() or p ** r > budget:
+        raise BudgetExceededError(stage, f"{p}^{r}", budget)
 
 
 def build_Sh(p, r):
@@ -157,22 +174,6 @@ class LinearMapSS:
                 raise ValueError(f"entry ({i},{j}) violates parity {self.parity}")
             if bt.zdeg - bs.zdeg != self.zshift:
                 raise ValueError(f"entry ({i},{j}) violates zshift {self.zshift}")
-
-    def compose(self, other):
-        """self after other."""
-        if other.target != self.source:
-            raise ValueError("composition spaces do not match")
-        return LinearMapSS(
-            other.source,
-            self.target,
-            self.matrix @ other.matrix,
-            (self.parity + other.parity) % 2,
-            self.zshift + other.zshift,
-        )
-
-    def apply_index(self, j):
-        """Image of the j-th basis vector as {target index: coeff}."""
-        return {i: self.matrix.get(i, j) for i in range(self.target.dim) if self.matrix.get(i, j)}
 
 
 def rho(p, r, s):
@@ -225,10 +226,7 @@ def parse_space(text, p, budget):
     m = _SH_RE.match(text) or _PISH_RE.match(text)
     if m:
         r = int(m.group(1))
-        # p^r >= 2^r > budget once r reaches the budget's bit length, so p^r
-        # is only computed below it; the error names it as p^r
-        if r >= budget.bit_length() or p ** r > budget:
-            raise BudgetExceededError("test space", f"{p}^{r}", budget)
+        check_sh_budget(p, r, budget, "test space")
         sh = build_Sh(p, r)
         return sh if m.re is _SH_RE else parity_shift(sh)
     raise ValueError(f"cannot parse space spec {text!r}")

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, hom_space
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
-from supertroesch.pcomplex import CyclicDecomposition, PComplex
+from supertroesch.pcomplex import CyclicDecomposition, PComplex, cohomology, contraction_degree
 from supertroesch.powers import (
     PowerKind,
     PowerMonomial,
@@ -117,9 +117,9 @@ def oracle_kernel_basis(m):
     free = [c for c in range(m.cols) if c not in pivots]
     out = FpMatrix.zeros(m.p, m.cols, len(free))
     for k, c in enumerate(free):
-        out.set(c, k, 1)
+        out.data[c, k] = 1
         for r, pc in enumerate(pivots):
-            out.set(pc, k, -rows[r].get(c, 0))
+            out.data[pc, k] = -rows[r].get(c, 0) % m.p
     return out
 
 
@@ -128,7 +128,7 @@ def oracle_image_basis(m):
     out = FpMatrix.zeros(m.p, m.rows, len(pivots))
     for k, c in enumerate(pivots):
         for i in range(m.rows):
-            out.set(i, k, m.get(i, c))
+            out.data[i, k] = m.data[i, c]
     return out
 
 
@@ -748,3 +748,78 @@ def decompose_cyclic_oracle(cx):
                     shift = d_top - (j - 1) * cx.alpha
                     out[(shift, j, parity)] = out.get((shift, j, parity), 0) + n
     return CyclicDecomposition(cx.p, cx.alpha, out)
+
+
+def reconstructed_dims(dec):
+    """{(degree, parity): dimension} of the direct sum of dec's cyclic blocks."""
+    dims = {}
+    for (shift, length, parity), mult in dec.blocks.items():
+        for t in range(length):
+            key = (shift + t * dec.alpha, parity)
+            dims[key] = dims.get(key, 0) + mult
+    return dims
+
+
+def rows_equal(table):
+    """Whether every slice of a CohomologyTable has the same row, as for a normal complex."""
+    vals = list(table.rows.values())
+    return all(v == vals[0] for v in vals[1:])
+
+
+def build_from_blocks(p, alpha, blocks):
+    """A p-complex that is a direct sum of cyclic blocks (shift, length, parity)."""
+    elems = {}
+    arrows = []
+    for k, (shift, length, parity) in enumerate(blocks):
+        prev = None
+        for t in range(length):
+            deg = shift + t * alpha
+            lst = elems.setdefault(deg, [])
+            pos = len(lst)
+            lst.append(BasisElement(f"b{k}_{t}", deg, parity))
+            if prev is not None:
+                arrows.append((deg - alpha, prev, deg, pos))
+            prev = pos
+    spaces = {d: SuperSpace(tuple(lst)) for d, lst in elems.items()}
+    by_src = {}
+    for (sdeg, scol, tdeg, trow) in arrows:
+        by_src.setdefault(sdeg, []).append(((trow, scol), 1))
+    diffs = {
+        sdeg: FpMatrix.from_coords(p, spaces[sdeg + alpha].dim, spaces[sdeg].dim, entries)
+        for sdeg, entries in by_src.items()
+    }
+    return PComplex(p, alpha, spaces, diffs)
+
+
+def contraction_prediction(cx, s, t, ell):
+    """Expected H^ell of the contraction from the slice cohomology of cx."""
+    deg = contraction_degree(cx, s, t, ell)
+    slice_ = s if ell % 2 == 0 else cx.p - s
+    row = cohomology(cx, slice_)
+    return row.get(deg, (0, 0))
+
+
+def class_representatives_oracle(cx, deg):
+    """Cocycle vectors whose classes form a basis of H_[1] in this degree,
+    found against a basis of the image of d^(p-1), as lists."""
+    ker = cx.diff(deg).kernel_basis()
+    src = deg - (cx.p - 1) * cx.alpha
+    img = cx.iterated_diff(src, cx.p - 1).image_basis()
+    pivots = hstack([img, ker]).pivot_columns()
+    return [ker.data[:, c - img.cols].tolist() for c in pivots if c >= img.cols]
+
+
+def spans_cohomology_oracle(cx, deg, vectors):
+    """Whether the vectors are d-cocycles whose classes span H_[1] in this
+    degree, from a basis of the image of d^(p-1) and the full rank of d."""
+    src = deg - (cx.p - 1) * cx.alpha
+    img = cx.iterated_diff(src, cx.p - 1).image_basis()
+    ker_rank = cx.dim(deg) - cx.diff(deg).rank()
+    if not vectors:
+        return img.rank() == ker_rank
+    vmat = FpMatrix.from_coords(
+        cx.p, cx.dim(deg), len(vectors), [((i, k), x) for k, v in enumerate(vectors) for i, x in enumerate(v) if x]
+    )
+    if not matmul(cx.diff(deg), vmat).is_zero():
+        return False
+    return hstack([img, vmat]).rank() == ker_rank

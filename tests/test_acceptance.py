@@ -7,14 +7,21 @@ runtime bounds are asserted with a monotonic clock.
 import random
 import time
 
-from oracles import SignedTensor, act_sigma, decompose_cyclic_oracle, invert, shuffle_product_via_reps, yoneda_hom_dim
+from oracles import (
+    SignedTensor,
+    act_sigma,
+    build_from_blocks,
+    contraction_prediction,
+    decompose_cyclic_oracle,
+    invert,
+    shuffle_product_via_reps,
+    yoneda_hom_dim,
+)
 from supertroesch.gamma import element_product, gamma_monomial
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import (
-    build_from_blocks,
     cohomology_table,
     contract,
-    contraction_prediction,
     decompose_cyclic,
     kunneth_check,
 )
@@ -205,7 +212,7 @@ def _scramble(rng, cx):
             for a in range(n):
                 for b in range(n):
                     if sp.basis[a].parity == sp.basis[b].parity:
-                        m.set(a, b, rng.randrange(p))
+                        m.data[a, b] = rng.randrange(p)
             if invert(m) is not None:
                 mats[i] = m
                 break

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -155,3 +156,25 @@ def test_main_inprocess_exit():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", "3", "--suite", "epsilon"])
     assert exc.value.code == 0
+
+
+def _limit_address_space():
+    limit = 2 * 1024**3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_ext_table_checks_shift_space_against_budget():
+    # the Frobenius premise check builds dense p^r x p^r maps on Sh_r: 26 GiB
+    # for r = 10 at p = 3, which the address-space cap turns into a fast failure
+    cases = [
+        (("--r", "10"), "shift space Sh_r: size 3^10 exceeds budget 20000"),
+        (("--r", "7", "--budget", "100"), "shift space Sh_r: size 3^7 exceeds budget 100"),
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "SUPERTROESCH_BUDGET"}
+    for extra, message in cases:
+        argv = RUN + ["ext-table", "--p", "3", "--max-deg", "4", *extra]
+        res = subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space
+        )
+        assert res.returncode == 2, (extra, res.stderr)
+        assert res.stderr == f"budget exceeded: {message}\n"

@@ -13,7 +13,7 @@ def random_matrix(rng, p, rows, cols, density=0.5):
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                m.set(i, j, rng.randrange(1, p))
+                m.data[i, j] = rng.randrange(1, p)
     return m
 
 
@@ -24,7 +24,7 @@ def test_rank_empty_and_identity():
 
 def test_rank_one_by_one():
     # the differential of the one-dimensional purely odd degree-0 piece
-    m = FpMatrix.from_rows(3, [[1]])
+    m = FpMatrix(3, np.array([[1]], dtype=np.int64) % 3)
     assert m.rank() == 1
 
 
@@ -163,11 +163,11 @@ def test_elimination_matches_rref_oracle():
 
 
 def test_submatrix_with_empty_index_lists():
-    m = FpMatrix.from_rows(5, [[1, 2, 3], [4, 0, 1]])
+    m = FpMatrix(5, np.array([[1, 2, 3], [4, 0, 1]], dtype=np.int64) % 5)
     # coordinates: repeated positions add up, negative values wrap into [0, p)
     entries = [((0, 0), 1), ((0, 1), -3), ((0, 2), 1), ((1, 0), 9), ((0, 2), 2), ((1, 2), -4), ((1, 1), 0)]
     assert FpMatrix.from_coords(5, 2, 3, entries) == m
-    assert m.submatrix([1, 0], [2, 0]) == FpMatrix.from_rows(5, [[1, 4], [3, 1]])
+    assert m.submatrix([1, 0], [2, 0]) == FpMatrix(5, np.array([[1, 4], [3, 1]], dtype=np.int64) % 5)
     for rows, cols in (([], []), ([], [0, 2]), ([0, 1], [])):
         sub = m.submatrix(rows, cols)
         assert sub.shape == (len(rows), len(cols))
@@ -181,7 +181,7 @@ def test_submatrix_with_empty_index_lists():
 
 
 def test_solve_inconsistent_returns_none():
-    m = FpMatrix.from_rows(3, [[1, 1], [1, 1]])
+    m = FpMatrix(3, np.array([[1, 1], [1, 1]], dtype=np.int64) % 3)
     assert m.solve([1, 2]) is None
     assert m.solve([1, 1]) is not None
 
@@ -201,6 +201,6 @@ def test_invert_round_trip():
 
 
 def test_hstack_ranks():
-    a = FpMatrix.from_rows(3, [[1], [0]])
-    b = FpMatrix.from_rows(3, [[0], [1]])
+    a = FpMatrix(3, np.array([[1], [0]], dtype=np.int64) % 3)
+    b = FpMatrix(3, np.array([[0], [1]], dtype=np.int64) % 3)
     assert hstack([a, b]).rank() == 2

@@ -1,19 +1,30 @@
 import random
 
+import numpy as np
 import pytest
 
-from oracles import decompose_cyclic_oracle, invert
+from oracles import (
+    build_from_blocks,
+    class_representatives_oracle,
+    contraction_prediction,
+    decompose_cyclic_oracle,
+    invert,
+    reconstructed_dims,
+    rows_equal,
+    spans_cohomology_oracle,
+)
 from supertroesch import pcomplex as pcomplex_module
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import (
+    ChainComplex,
     PComplex,
     PDifferentialError,
-    build_from_blocks,
+    _class_representatives,
+    cocycles_span,
     cohomology,
     cohomology_table,
     contract,
     contraction_degree,
-    contraction_prediction,
     decompose_cyclic,
     is_normal,
     kunneth_check,
@@ -48,7 +59,7 @@ def scramble_basis(rng, cx):
             for a in range(n):
                 for b in range(n):
                     if sp.basis[a].parity == sp.basis[b].parity:
-                        m.set(a, b, rng.randrange(p))
+                        m.data[a, b] = rng.randrange(p)
             if invert(m) is not None:
                 mats[i] = m
                 break
@@ -100,7 +111,7 @@ def test_decompose_examples():
 def test_decompose_rejects_bad_differential():
     sp = k_super(1, 0)
     terms = {i: sp for i in range(4)}
-    diffs = {i: FpMatrix.from_rows(3, [[1]]) for i in range(3)}
+    diffs = {i: FpMatrix(3, np.array([[1]], dtype=np.int64) % 3) for i in range(3)}
     cx = PComplex(3, 1, terms, diffs)
     with pytest.raises(PDifferentialError):
         decompose_cyclic(cx)
@@ -133,7 +144,7 @@ def test_decompose_matches_ground_truth_and_oracle():
         oracle = decompose_cyclic_oracle(scrambled)
         assert oracle.blocks == want, f"case {case} (oracle)"
         # dimension reconstruction
-        dims = got.reconstructed_dims()
+        dims = reconstructed_dims(got)
         for (deg, parity), d in dims.items():
             assert d == scrambled.dim(deg, parity)
 
@@ -147,7 +158,7 @@ def test_normal_slices_agree():
             blocks.append((rng.randrange(3), rng.choice((1, p)), rng.randrange(2)))
         cx = scramble_basis(rng, build_from_blocks(p, 1, blocks))
         table = cohomology_table(cx)
-        assert table.rows_equal()
+        assert rows_equal(table)
         assert is_normal(cx)
 
 
@@ -155,7 +166,7 @@ def test_contract_examples():
     # contraction of a p-acyclic complex with t=0 is exact
     cx = build_from_blocks(3, 1, [(0, 3, EVEN), (1, 3, ODD)])
     con = contract(cx, 1, 0)
-    con.validate()
+    con.validate_p_differential()
     for i in con.degrees():
         assert con.cohomology_dims(i) == (0, 0)
     # contraction of the zero complex
@@ -177,7 +188,7 @@ def test_contract_matches_prediction():
         s = rng.randrange(1, p)
         t = rng.randrange(0, (p - s) * cx.alpha)
         con = contract(cx, s, t)
-        con.validate()
+        con.validate_p_differential()
         top = max(con.degrees(), default=0) + 2
         for ell in range(top):
             assert con.cohomology_dims(ell) == contraction_prediction(cx, s, t, ell)
@@ -188,11 +199,11 @@ def test_tensor_examples():
     # free tensor anything is acyclic
     free = build_from_blocks(3, 1, [(0, 3, EVEN)])
     triv = build_from_blocks(3, 1, [(2, 1, ODD)])
-    t = tensor_pcomplex(free, triv)
+    t = tensor_pcomplex(free, triv)[0]
     for s in range(1, 3):
         assert all(v == (0, 0) for v in cohomology(t, s).values())
     # trivial k<i> tensor trivial k<j> = trivial k<i+j>
-    t2 = tensor_pcomplex(build_from_blocks(3, 1, [(1, 1, EVEN)]), triv)
+    t2 = tensor_pcomplex(build_from_blocks(3, 1, [(1, 1, EVEN)]), triv)[0]
     assert decompose_cyclic(t2).blocks == {(3, 1, ODD): 1}
     # alpha mismatch
     with pytest.raises(ValueError):
@@ -201,7 +212,7 @@ def test_tensor_examples():
 
 def test_tensor_b1_with_itself_is_acyclic():
     data = build_B(1, 1, k_super(0, 1), 3)
-    t = tensor_pcomplex(data.complex, data.complex)
+    t = tensor_pcomplex(data.complex, data.complex)[0]
     t.validate_p_differential()
     for s in range(1, 3):
         assert all(v == (0, 0) for v in cohomology(t, s).values())
@@ -274,3 +285,33 @@ def test_iterated_diff_first_power_makes_no_product(monkeypatch):
     # d^2 still multiplies: the wrapper sees real products
     cx.iterated_diff(cx.degrees()[0], 2)
     assert len(products) == 1
+
+
+def test_chain_complex_with_odd_differential_rejected():
+    # d^2 = 0 holds, but d joins the even basis vector of k^{1|1} to the odd one
+    sp = k_super(1, 1)
+    odd = FpMatrix.from_coords(3, 2, 2, [((1, 0), 1)])
+    with pytest.raises(ValueError, match="differential at 0 is not even"):
+        ChainComplex(3, {0: sp, 1: sp}, {0: odd})
+    even = FpMatrix.from_coords(3, 2, 2, [((0, 0), 1)])
+    cx = ChainComplex(3, {0: sp, 1: sp}, {0: even})
+    assert (cx.order, cx.alpha) == (2, 1)
+    assert [cx.cohomology_dims(i) for i in range(2)] == [(0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (6, 3), (5, 5)])
+def test_span_helpers_match_image_basis_route(n, p):
+    # the whole d^(p-1) block spans what its image basis spans, so the
+    # representatives and every spanning verdict match the reference route
+    cx = build_B(n, 1, k_super(1, 1), p).complex
+    classes = 0
+    for deg in range(cx.max_degree() + 1):
+        reps = class_representatives_oracle(cx, deg)
+        assert _class_representatives(cx, deg).T.tolist() == reps
+        classes += len(reps)
+        ker = cx.diff(deg).kernel_basis().data.T.tolist()
+        units = [[int(k == j) for k in range(cx.dim(deg))] for j in range(cx.dim(deg))]
+        for vectors in ([], reps, reps[:-1], ker, ker[1:], units[:1], reps + units[-1:]):
+            vmat = FpMatrix(p, np.array(vectors, dtype=np.int64).reshape(len(vectors), cx.dim(deg)).T)
+            assert all(cocycles_span(cx, deg, vmat)) == spans_cohomology_oracle(cx, deg, vectors), (deg, vectors)
+    assert classes > 0

@@ -163,7 +163,7 @@ def test_terms_layout():
 def test_Q_cohomology():
     p = 3
     q = build_Q(1, k_super(1, 0), p)
-    q.complex.validate()
+    q.complex.validate_p_differential()
     dims = {i: q.complex.cohomology_dims(i) for i in range(0, 2 * p)}
     assert dims[0] == (1, 0)
     assert dims[2 * p - 1] == (1, 0)
@@ -335,3 +335,26 @@ def test_zdeg_of_local():
     assert zdeg_of_local(3, 1, 4) == 6
     assert zdeg_of_local(3, 2, 2) == 9
     assert zdeg_of_local(3, 2, 3) == 12
+
+
+def test_J_exactness_eliminates_each_parity_block_once(monkeypatch):
+    # H^i and H^(i+1) both need the rank of d^i; the cached parity-block
+    # pivots give it once, and nothing else in the check eliminates
+    build_J = resolutions.build_J
+    built = []
+
+    def keeping_build_J(*args, **kwargs):
+        built.append(build_J(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(resolutions, "build_J", keeping_build_J)
+    eliminate = FpMatrix._eliminate
+    calls = []
+
+    def counting_eliminate(self, *args, **kwargs):
+        calls.append(self.shape)
+        return eliminate(self, *args, **kwargs)
+
+    monkeypatch.setattr(FpMatrix, "_eliminate", counting_eliminate)
+    assert verify_J_exactness(1, k_super(1, 1), 2, 3).ok
+    assert len(calls) <= 2 * len(built[0].complex.diffs)

@@ -65,12 +65,13 @@ def test_build_sh_and_rho():
     assert all(b.parity == EVEN for b in sh.basis)
     assert [b.zdeg for b in sh.basis] == list(range(9))
     r0 = rho(3, 1, 0)
-    assert r0.apply_index(0) == {1: 1}
-    assert r0.apply_index(1) == {2: 1}
-    assert r0.apply_index(2) == {}
+    # column j holds the image of sh_j
+    assert r0.matrix.data[:, 0].tolist() == [0, 1, 0]
+    assert r0.matrix.data[:, 1].tolist() == [0, 0, 1]
+    assert r0.matrix.data[:, 2].tolist() == [0, 0, 0]
     # digit arithmetic: rho_1(sh_2) = sh_5 at p=3, r=2
     r1 = rho(3, 2, 1)
-    assert r1.apply_index(2) == {5: 1}
+    assert r1.matrix.data[:, 2].tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0]
     with pytest.raises(ValueError):
         rho(3, 1, 1)
 
@@ -98,7 +99,7 @@ def test_dual_and_hom_spaces():
 def test_linear_map_validation():
     sh = build_Sh(3, 1)
     bad = FpMatrix.zeros(3, 3, 3)
-    bad.set(0, 0, 1)  # zdeg shift 0, but declared shift 1
+    bad.data[0, 0] = 1  # zdeg shift 0, but declared shift 1
     with pytest.raises(ValueError):
         LinearMapSS(sh, sh, bad, EVEN, 1)
 

@@ -132,7 +132,7 @@ def test_convolution_vs_formal_route():
         want = FpMatrix.zeros(p, len(basis), len(basis))
         for col, m in enumerate(basis):
             for exps, c in convolution_apply(images, 1, m, par, p).items():
-                want.set(idx[exps], col, c)
+                want.data[idx[exps], col] = c % p
         assert mat == want
 
 
@@ -335,7 +335,7 @@ def _full_diff(data):
         src = data.monomials.get(z, [])
         tgt = data.monomials.get(z + data.complex.alpha, [])
         for (i, j), v in d.nonzero_items():
-            mat.set(idx[tgt[i].exps], idx[src[j].exps], v)
+            mat.data[idx[tgt[i].exps], idx[src[j].exps]] = v
     return mat
 
 
