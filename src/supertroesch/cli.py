@@ -98,7 +98,7 @@ def cmd_decompose(args):
     u = parse_space(args.space, p, args.budget)
     n_poly = args.n * p ** args.r
     data = build_B(n_poly, args.r, u, p, args.budget)
-    dec = decompose_cyclic(data.complex)
+    dec = decompose_cyclic(data.complex, validate=False)
     payload = dec.to_jsonable()
     payload["normal"] = dec.is_normal()
     payload["csv"] = [["shift", "length", "parity", "multiplicity"]] + [

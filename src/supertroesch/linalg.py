@@ -5,9 +5,13 @@ A matrix is a numpy int64 array of residues in [0, p), so it takes
 All eliminations use first-nonzero pivoting so that ranks, kernel bases and
 particular solutions are reproducible bit for bit.
 
-Elimination stays in int64 with lazy residues: row updates are not reduced
-mod p, and the array is reduced once at the end, under a bound on how far
-entries can grow that ``FpMatrix._eliminate`` checks against 2**63 first.
+One kernel, ``FpMatrix.eliminate``, does every elimination.  It takes a
+list of arrays and steps batches of them through their columns in
+lockstep, so the fixed cost of a numpy call is paid once per column of a
+batch; a single matrix is a list of one.  Residues are lazy: row updates
+are not reduced mod p.  Each batch is held in the narrowest of int16, int32
+and int64 that holds the checked bound on how far entries can grow, and
+the reduced arrays come back as int64 residues.
 
 Products are the one place floating point appears.  ``_mod_p_product``
 multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
@@ -24,6 +28,15 @@ import numpy as np
 
 SUPPORTED_PRIMES = (3, 5, 7)
 
+# inverses mod p, indexed by residue (0 has none and maps to 0)
+_INVERSES = {p: np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16) for p in SUPPORTED_PRIMES}
+
+# the working dtypes of elimination, narrowest first, with their maxima
+_WORK_DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
+
+# Cells of one padded batch in ``FpMatrix.eliminate``: 2 MB as int16.
+BATCH_CELLS = 1 << 20
+
 
 class ShapeMismatchError(ValueError):
     """Raised when two matrices have incompatible shapes."""
@@ -38,10 +51,6 @@ class ShapeMismatchError(ValueError):
 def check_prime(p):
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported modulus {p}; expected one of {SUPPORTED_PRIMES}")
-
-
-def inv_mod(a, p):
-    return pow(a % p, p - 2, p)
 
 
 class FpMatrix:
@@ -94,9 +103,6 @@ class FpMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def get(self, i, j):
-        return int(self.data[i, j])
-
     def submatrix(self, rows, cols):
         """The rows and columns at the given indices, in the order given."""
         return FpMatrix(self.p, self.data[np.ix_(rows, cols)])
@@ -133,68 +139,66 @@ class FpMatrix:
     # ------------------------------------------------------------------
     # elimination
 
-    def _eliminate(self, reduce_above, aug=None):
-        """Row-reduce a copy of self, optionally with an augmented column.
+    @staticmethod
+    def eliminate(p, arrays, reduce_above, augs=None, out=None):
+        """Row-reduce a list of arrays of residues in [0, p), all in lockstep,
+        and return the pivot columns of each.
 
-        Columns are scanned left to right; the pivot of a column is the first
-        row at or below the current one with a nonzero entry.  Each pivot row
-        is scaled to 1 and its column cleared below it, and above it too when
-        ``reduce_above`` is set, which gives the unique reduced row echelon
-        form.  Returns (reduced array, pivot columns); an augmented column is
-        the last column of the array.
+        Columns are scanned left to right; in each array the pivot of a
+        column is the first row at or below that array's current row with a
+        nonzero entry.  Each pivot row is scaled to 1 and its column cleared
+        below it, and above it too when ``reduce_above`` is set, which gives
+        the unique reduced row echelon form.  ``augs``, when given, holds one
+        augmented column per array (any integers), carried along as its last
+        column and never scanned.  When ``out`` is a list, the reduced arrays
+        are appended to it in the order of ``arrays``, as int64 residues with
+        the augmented column last.
+
+        The arrays are sorted by shape and padded with zeros into batches of
+        at most ``BATCH_CELLS`` cells (an array larger than that is a batch
+        alone), eliminated one batch at a time.  A step over one column makes
+        the same numpy calls for a whole batch, so their fixed cost is paid
+        once per column of the batch, not once per column of every array.
+        The padding never holds a pivot and stays zero.
 
         Residues are reduced lazily: only the scanned column and the pivot
-        row are reduced when a column is reached, the row updates are not,
-        and the whole array is reduced once at the end.  A pivot moves an
-        entry by at most (p-1)**2, so every entry stays within
-        (p-1) + (p-1)**2 * min(rows, cols) of zero; that bound is checked
-        against int64 before anything is copied.
+        rows are reduced when a column is reached, the row updates are not.
+        A pivot moves an entry by at most (p-1)**2, so every entry stays
+        within (p-1) + (p-1)**2 * min(rows, cols) of zero.  A batch is held in
+        the narrowest of int16, int32 and int64 that holds this bound for
+        every array in it.  int64 always does: an array has fewer than 2**63
+        cells, so min(rows, cols) < 2**32.
         """
-        p = self.p
-        bound = (p - 1) + (p - 1) ** 2 * min(self.rows, self.cols)
-        if bound >= 2**63:
-            raise ValueError(
-                f"eliminate: {self.rows}x{self.cols} at p = {p} breaks the int64 bound "
-                f"(p-1) + (p-1)**2 * min(rows, cols) < 2**63"
-            )
-        if aug is None:
-            a = self.data.copy()
-        else:
-            a = np.hstack([self.data, np.array(aug, dtype=np.int64).reshape(self.rows, 1) % p])
-        pivots = []
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == self.rows:
-                break
-            col = a[r:, c]
-            np.remainder(col, p, out=col)
-            nz = np.flatnonzero(col)
-            if not nz.size:
-                continue
-            if nz[0]:
-                a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-            # left of column c the pivot row is zero, so only c: changes
-            row = a[r, c:]
-            np.remainder(row, p, out=row)
-            inv = inv_mod(int(row[0]), p)
-            if inv != 1:
-                row *= inv
-                np.remainder(row, p, out=row)
-            # the old row r, swapped to r + nz[0], is zero in column c
-            clear = nz[1:] + r
-            if reduce_above and r:
-                above = a[:r, c]
-                np.remainder(above, p, out=above)
-                clear = np.concatenate((np.flatnonzero(above), clear))
-            if clear.size:
-                a[clear, c:] -= a[clear, c, None] * row
-            pivots.append(c)
-        np.remainder(a, p, out=a)
-        return a, pivots
+        check_prime(p)
+        shapes = [x.shape for x in arrays]
+        extra = int(augs is not None)
+        pivots = [None] * len(arrays)
+        reduced = [None] * len(arrays)
+        for members, rows, cols in _batches(shapes, extra):
+            worst = (p - 1) + (p - 1) ** 2 * max(min(shapes[b]) for b in members)
+            dtype = next(t for t, top in _WORK_DTYPES if worst <= top)
+            a = np.zeros((len(members), rows, cols + extra), dtype=dtype)
+            for k, b in enumerate(members):
+                r, c = shapes[b]
+                a[k, :r, :c] = arrays[b]
+                if extra:
+                    a[k, :r, cols] = np.asarray(augs[b], dtype=np.int64) % p
+            found = _lockstep(p, a, [shapes[b] for b in members], reduce_above)
+            for k, b in enumerate(members):
+                pivots[b] = found[k]
+                if out is not None:
+                    r, c = shapes[b]
+                    red = np.empty((r, c + extra), dtype=np.int64)
+                    red[:, :c] = a[k, :r, :c]
+                    red[:, c:] = a[k, :r, cols:]
+                    reduced[b] = np.remainder(red, p, out=red)
+        if out is not None:
+            out.extend(reduced)
+        return pivots
 
     def pivot_columns(self):
         """The pivot columns: each column not in the span of those before it."""
-        return self._eliminate(reduce_above=False)[1]
+        return FpMatrix.eliminate(self.p, [self.data], reduce_above=False)[0]
 
     def rank(self):
         """Rank over GF(p)."""
@@ -202,7 +206,9 @@ class FpMatrix:
 
     def kernel_basis(self):
         """Matrix whose columns span ker(self), in free-column order."""
-        a, pivots = self._eliminate(reduce_above=True)
+        reduced = []
+        (pivots,) = FpMatrix.eliminate(self.p, [self.data], reduce_above=True, out=reduced)
+        a = reduced[0]
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         out = np.zeros((self.cols, len(free)), dtype=np.int64)
@@ -222,12 +228,84 @@ class FpMatrix:
         """
         if len(b) != self.rows:
             raise ShapeMismatchError("solve", self.shape, (len(b), 1))
-        a, pivots = self._eliminate(reduce_above=True, aug=b)
+        reduced = []
+        (pivots,) = FpMatrix.eliminate(self.p, [self.data], reduce_above=True, augs=[b], out=reduced)
+        a = reduced[0]
         if a[len(pivots):, -1].any():
             return None
         x = np.zeros(self.cols, dtype=np.int64)
         x[pivots] = a[: len(pivots), -1]
         return x.tolist()
+
+
+def _batches(shapes, extra):
+    """(indices, rows, columns) of each batch: the arrays sorted by column
+    count, then row count, and cut where padding every array of a batch to
+    its largest rows and columns, plus ``extra`` columns, would pass
+    ``BATCH_CELLS`` cells."""
+    batch, rows, cols = [], 0, 0
+    for b in sorted(range(len(shapes)), key=lambda b: shapes[b][::-1]):
+        r, c = shapes[b]
+        if batch and (len(batch) + 1) * max(rows, r) * (max(cols, c) + extra) > BATCH_CELLS:
+            yield batch, rows, cols
+            batch, rows, cols = [], 0, 0
+        batch.append(b)
+        rows, cols = max(rows, r), max(cols, c)
+    if batch:
+        yield batch, rows, cols
+
+
+def _lockstep(p, a, shapes, reduce_above):
+    """Eliminate the stacked arrays a[k], of the given unpadded shapes, in
+    place and in lockstep; returns the pivot columns of each."""
+    count, height, width = a.shape
+    flat = a.reshape(count * height, width)  # row k * height + i is a[k, i]
+    every = np.arange(count)
+    top = every * height  # the first row of each array, in flat
+    nxt = top.copy()  # the current row of each array
+    # p on pivot rows and 0 on the others, so that a residue above it is a
+    # nonzero entry of a row that can still take a pivot
+    lock = np.zeros(count * height, dtype=a.dtype)
+    slot = np.zeros(count, dtype=np.intp)  # which of a step's pivot rows is array k's
+    inverse = _INVERSES[p]
+    pivots = [[] for _ in range(count)]
+    left = sum(r for r, c in shapes if c)  # rows that can still take a pivot
+    for c in range(max((c for r, c in shapes if r), default=0)):
+        if not left:
+            break
+        col = flat[:, c] % p
+        live = col > lock
+        if not np.count_nonzero(live):
+            continue
+        first = live.reshape(count, height).argmax(1) + top
+        has = live[first]
+        got = has.nonzero()[0]
+        src, dst = first[got], nxt[got]
+        # swap the pivot row into the current row; left of column c both
+        # rows are zero mod p, so only c: moves
+        row = flat[src, c:]
+        flat[src, c:] = flat[dst, c:]
+        np.remainder(row, p, out=row)
+        row *= inverse[row[:, :1]]
+        np.remainder(row, p, out=row)
+        flat[dst, c:] = row
+        # clear column c with the reduced entries from before the swap, in
+        # the arrays that have a pivot here: the pivot's own entry is
+        # dropped, and the old current row, now at src, was zero there
+        if not reduce_above:
+            col *= live
+        elif got.size < count:
+            col.reshape(count, height)[~has] = 0
+        col[src] = 0
+        rows = col.nonzero()[0]
+        slot[got] = every[: got.size]
+        flat[rows, c:] -= col[rows][:, None] * row[slot[rows // height]]
+        lock[dst] = p
+        nxt[got] = dst + 1
+        for b in got.tolist():
+            pivots[b].append(c)
+        left -= got.size
+    return pivots
 
 
 def _mod_p_product(a, b, p):

@@ -7,6 +7,9 @@ An ordinary cochain complex is the order-2 case: ``ChainComplex`` is a
 check and the cached parity-block ranks, and its H^i is the slice H_[1].
 Whether given cocycles span H_[1] is decided in one place,
 ``cocycles_span``.
+
+The first rank asked of a power d^m eliminates all (degree, parity) blocks
+of d^m in one call to the batched kernel ``FpMatrix.eliminate``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class PComplex:
     alpha: int
     terms: dict
     diffs: dict
-    _rank_cache: dict = field(default_factory=dict, repr=False)
+    _rank_cache: dict = field(default_factory=dict, repr=False)  # m -> {(degree, parity): pivots}
     _iter_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -91,7 +94,8 @@ class PComplex:
 
     def validate_p_differential(self):
         for i in self.degrees():
-            if not self.iterated_diff(i, self.order).is_zero():
+            # d^N is not cached: nothing reads it, and here it is zero
+            if not matmul(self.iterated_diff(i + self.alpha, self.order - 1), self.diff(i)).is_zero():
                 raise PDifferentialError(f"d^{self.order} is nonzero starting at degree {i}")
 
     # -- parity-aware ranks -------------------------------------------
@@ -106,23 +110,36 @@ class PComplex:
 
     def _pivot_columns(self, i, m, parity):
         """Basis indices of the degree-i term whose images under d^m are a
-        basis of the image of its parity part.
+        basis of the image of its parity part."""
+        got = self._rank_cache.get(m)
+        if got is None:
+            got = self._rank_cache[m] = self._eliminate_power(m)
+        return got.get((i, parity), [])
+
+    def _eliminate_power(self, m):
+        """Pivot columns of every (degree, parity) block of d^m, from one
+        call to the elimination kernel.
 
         The image of d^m is d applied to the image of d^(m-1), so for m >= 2
-        only the columns at the pivots of d^(m-1) are eliminated.
+        only the columns at the pivots of d^(m-1) are eliminated.  A block
+        with no rows or no columns, or of a zero d, has no pivots.
         """
-        key = (i, m, parity)
-        got = self._rank_cache.get(key)
-        if got is None:
-            if m == 1:
-                cols = self.term(i).indices_of_parity(parity)
-            else:
-                cols = self._pivot_columns(i, m - 1, parity)
-            rows = self.term(i + m * self.alpha).indices_of_parity(parity)
-            pivots = self.iterated_diff(i, m).submatrix(rows, cols).pivot_columns()
-            got = [cols[k] for k in pivots]
-            self._rank_cache[key] = got
-        return got
+        keys, columns, blocks = [], [], []
+        for i in self.degrees():
+            for parity in (EVEN, ODD):
+                if m == 1:
+                    cols = self.term(i).indices_of_parity(parity) if i in self.diffs else []
+                else:
+                    cols = self._pivot_columns(i, m - 1, parity)
+                rows = self.term(i + m * self.alpha).indices_of_parity(parity)
+                if rows and cols:
+                    keys.append((i, parity))
+                    columns.append(cols)
+                    # residues below p <= 7: int8 holds every block of d^m
+                    # at an eighth of int64 until the kernel packs them
+                    blocks.append(self.iterated_diff(i, m).data[np.ix_(rows, cols)].astype(np.int8))
+        pivots = FpMatrix.eliminate(self.p, blocks, reduce_above=False)
+        return {key: [cols[k] for k in piv] for key, cols, piv in zip(keys, columns, pivots)}
 
 
 class ChainComplex(PComplex):

@@ -701,7 +701,7 @@ class YonedaCalculator:
 
             def image(key, el):
                 fr = apply_frobenius(el, self.r)
-                return {(key[1], i): fr.get(i, 0) for i in range(self.q)}
+                return {(key[1], i): int(fr.data[i, 0]) for i in range(self.q)}
 
             unknowns = [self._unknown((tau0, tgt), tau0, tgt) for tgt in tgt_res.terms(cls.degree)]
             rhs = {(rep_term, rep_idx): 1}

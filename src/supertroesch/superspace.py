@@ -51,12 +51,6 @@ class SuperSpace:
         ev = sum(1 for b in self.basis if b.parity == EVEN)
         return (ev, self.dim - ev)
 
-    def index(self, name):
-        for i, b in enumerate(self.basis):
-            if b.name == name:
-                return i
-        raise KeyError(name)
-
     def parities(self):
         return [b.parity for b in self.basis]
 

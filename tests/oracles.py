@@ -12,6 +12,8 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, hom_space
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.pcomplex import CyclicDecomposition, PComplex, cohomology, contraction_degree
@@ -110,6 +112,32 @@ def rref_oracle(m, reduce_above, augment=None):
         if r == m.rows:
             break
     return rows, pivots, aug
+
+
+def eager_rref(m, reduce_above):
+    """First-nonzero row reduction of an int64 copy of m, with every row
+    update reduced mod p at once, so no entry ever leaves [0, p).  Returns
+    (reduced array, pivot columns): the reference for elimination that
+    reduces lazily, near its growth bound, where the dict rows of
+    ``rref_oracle`` are too slow."""
+    p = m.p
+    a = m.data.astype(np.int64) % p
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        rows = np.flatnonzero(a[:, c]) if reduce_above else r + 1 + np.flatnonzero(a[r + 1 :, c])
+        rows = rows[rows != r]
+        # left of column c the pivot row is zero
+        a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
+        pivots.append(c)
+    return a, pivots
 
 
 def oracle_kernel_basis(m):
@@ -698,7 +726,7 @@ def _column_parity(mat, space):
     for j in range(mat.cols):
         par = None
         for i in range(mat.rows):
-            if mat.get(i, j):
+            if mat.data[i, j]:
                 q = space.basis[i].parity
                 if par is None:
                     par = q

@@ -3,7 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from oracles import invert, matpow, oracle_image_basis, oracle_kernel_basis, oracle_solve, rref_oracle
+from oracles import (
+    eager_rref,
+    invert,
+    matpow,
+    oracle_image_basis,
+    oracle_kernel_basis,
+    oracle_solve,
+    rref_oracle,
+)
+from supertroesch import linalg
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.superspace import rho
 
@@ -160,6 +169,78 @@ def test_elimination_matches_rref_oracle():
         assert sub.image_basis() == oracle_image_basis(sub)
         c = [rng.randrange(p) for _ in range(sub.rows)]
         assert sub.solve(c) == oracle_solve(sub, c)
+
+
+def _oracle_array(m, reduce_above, aug):
+    """rref_oracle's rows as a dense array, the augmented column last."""
+    rows, pivots, col = rref_oracle(m, reduce_above, aug)
+    out = np.zeros((m.rows, m.cols + (aug is not None)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i, j] = v
+    if aug is not None:
+        out[:, -1] = col
+    return out, pivots
+
+
+@pytest.mark.parametrize("cells", [linalg.BATCH_CELLS, 150])
+def test_batched_elimination_matches_single_and_oracle(monkeypatch, cells):
+    # a small cap splits each call into several batches
+    monkeypatch.setattr(linalg, "BATCH_CELLS", cells)
+    rng = random.Random(19)
+    for _ in range(40):
+        p = rng.choice((3, 5, 7))
+        shapes = [(0, rng.randrange(6)), (rng.randrange(6), 0), (0, 0), (3, 14), (14, 3), (1, 1)]
+        shapes += [(rng.randrange(1, 12), rng.randrange(1, 12)) for _ in range(rng.randrange(8))]
+        rng.shuffle(shapes)
+        mats = [random_matrix(rng, p, r, c, density=rng.uniform(0.1, 0.9)) for r, c in shapes]
+        # residues in any integer dtype; augmented columns in any integers
+        arrays = [m.data.astype(rng.choice((np.int8, np.int64))) for m in mats]
+        augs = [[rng.randrange(-p, 2 * p) for _ in range(m.rows)] for m in mats]
+        for reduce_above in (False, True):
+            for given in (None, augs):
+                out = []
+                pivots = FpMatrix.eliminate(p, arrays, reduce_above, given, out)
+                assert len(pivots) == len(out) == len(mats)
+                for b, m in enumerate(mats):
+                    aug = None if given is None else given[b]
+                    one = []
+                    one_pivots = FpMatrix.eliminate(p, [arrays[b]], reduce_above, None if aug is None else [aug], one)
+                    want, want_pivots = _oracle_array(m, reduce_above, None if aug is None else [x % p for x in aug])
+                    assert out[b].dtype == np.int64 and out[b].shape == want.shape
+                    assert pivots[b] == one_pivots[0] == want_pivots
+                    assert out[b].tobytes() == one[0].tobytes() == want.tobytes()
+                # without out, the same pivots
+                assert FpMatrix.eliminate(p, arrays, reduce_above, given) == pivots
+
+
+@pytest.mark.parametrize("n, dtype", [(910, np.int16), (911, np.int32)])
+def test_elimination_at_the_int16_bound(monkeypatch, n, dtype):
+    # p = 7: the bound (p-1) + (p-1)**2 * min(rows, cols) is 32766 at 910,
+    # the last size int16 holds.  In a unit lower triangle whose last row is
+    # p-1 below the diagonal, each of the first n-1 pivots clears the last
+    # row with factor p-1, so the last entry of the all-(p-1) column behind
+    # it falls to (p-1) - (p-1)**2 * (n-1) = -32718 at n = 910 before it is
+    # reduced: the most an entry can grow, short of the bound by 48.
+    p = 7
+    core = np.eye(n, dtype=np.int64)
+    core[-1, :-1] = p - 1
+    m = FpMatrix(p, np.hstack([core, np.full((n, 1), p - 1, dtype=np.int64)]))
+    lockstep = linalg._lockstep
+    used = []
+
+    def recording_lockstep(p, a, *args):
+        used.append(a.dtype)
+        return lockstep(p, a, *args)
+
+    monkeypatch.setattr(linalg, "_lockstep", recording_lockstep)
+    for reduce_above in (False, True):
+        out = []
+        pivots = FpMatrix.eliminate(p, [m.data], reduce_above, out=out)
+        want, want_pivots = eager_rref(m, reduce_above)
+        assert pivots[0] == want_pivots == list(range(n))
+        assert out[0].tobytes() == want.tobytes()
+    assert used == [dtype, dtype]
 
 
 def test_submatrix_with_empty_index_lists():

@@ -115,6 +115,18 @@ def test_decompose_rejects_bad_differential():
     cx = PComplex(3, 1, terms, diffs)
     with pytest.raises(PDifferentialError):
         decompose_cyclic(cx)
+    with pytest.raises(PDifferentialError, match="d\\^3 is nonzero starting at degree 0"):
+        cx.validate_p_differential()
+
+
+@pytest.mark.parametrize("n, r, u, p", [(4, 1, (1, 1), 3), (7, 2, (1, 0), 3), (5, 1, (1, 2), 5)])
+def test_validation_caches_no_power_at_or_past_the_order(n, r, u, p):
+    # rank_of_power is 0 from d^N on, and contract and cocycles_span use
+    # lower powers, so validation keeps only the powers it multiplied through
+    cx = build_B(n, r, k_super(*u), p).complex
+    cx._iter_cache.clear()
+    cx.validate_p_differential()
+    assert cx._iter_cache and max(m for _, m in cx._iter_cache) == cx.order - 1
 
 
 def test_odd_differential_entry_rejected():

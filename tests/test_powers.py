@@ -107,7 +107,7 @@ def test_project_lift_round_trip():
 
 def test_project_examples():
     v = k_super(2, 1)
-    theta = v.index("o0")
+    theta = [b.name for b in v.basis].index("o0")
     t = SignedTensor(v, 2, 3, {(theta, theta): 1})
     assert project_to_power(SYM, t) == {}
     x, y = 0, 1

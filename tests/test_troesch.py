@@ -20,7 +20,8 @@ from supertroesch.troesch import (
     verify_corollary_T,
     verify_theorem_B,
 )
-from supertroesch.superspace import rho
+from supertroesch.superspace import EVEN, ODD, rho
+from supertroesch import troesch
 
 
 def test_build_B_examples():
@@ -384,3 +385,35 @@ def test_d_oracle_properties():
 def test_d_oracle_needs_small_n():
     with pytest.raises(ValueError):
         d_oracle_maps(3, 3)
+
+
+def test_theorem_B_eliminates_each_block_once_per_power_call(monkeypatch):
+    # the first rank asked of d^m eliminates every (degree, parity) block of
+    # d^m in one kernel call; a call per block would make 105 calls here
+    built = []
+    build = troesch.build_B
+
+    def keeping_build_B(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(troesch, "build_B", keeping_build_B)
+    eliminate = FpMatrix.eliminate
+    calls = []
+
+    def counting_eliminate(p, arrays, *args, **kwargs):
+        calls.append([a.shape for a in arrays])
+        return eliminate(p, arrays, *args, **kwargs)
+
+    monkeypatch.setattr(FpMatrix, "eliminate", staticmethod(counting_eliminate))
+    assert verify_theorem_B(7, 2, k_super(1, 0), p=3).ok
+    cx = built[0].complex
+    assert len(calls) == cx.order - 1
+    # d^m is eliminated on the pivot columns of d^(m-1)
+    blocks = [
+        (cx.dim(i + m * cx.alpha, parity), cx.rank_of_power(i, m - 1, parity))
+        for m in range(1, cx.order)
+        for i in cx.degrees()
+        for parity in (EVEN, ODD)
+    ]
+    assert sorted(shape for call in calls for shape in call) == sorted(b for b in blocks if min(b))
