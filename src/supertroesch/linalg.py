@@ -13,6 +13,10 @@ are not reduced mod p.  Each batch is held in the narrowest of int16, int32
 and int64 that holds the checked bound on how far entries can grow, and
 the reduced arrays come back as int64 residues.
 
+Every matrix filled entry by entry goes through ``FpMatrix.from_arrays``:
+it sorts the entries by position once, sums the repeats with
+``np.add.reduceat`` and writes only those sums, reduced mod p.
+
 Products are the one place floating point appears.  ``_mod_p_product``
 multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
 int64 ``@`` never does.  This is exact because it first checks that the
@@ -91,10 +95,27 @@ class FpMatrix:
 
     @staticmethod
     def from_arrays(p, rows, cols, i, j, values):
-        """``from_coords`` with the rows, columns and values as three arrays."""
+        """``from_coords`` with the rows, columns and values as three arrays.
+
+        The entries are sorted by position, the values at each position are
+        summed with one ``np.add.reduceat``, and only those sums are reduced
+        and written.
+        """
+        i = np.asarray(i, dtype=np.int64).ravel()
+        j = np.asarray(j, dtype=np.int64).ravel()
+        values = np.asarray(values, dtype=np.int64).ravel()
+        if not i.size == j.size == values.size:
+            raise ValueError(f"from_arrays: {i.size} rows, {j.size} columns and {values.size} values")
         data = np.zeros((rows, cols), dtype=np.int64)
-        np.add.at(data, (i, j), np.asarray(values, dtype=np.int64))
-        return FpMatrix(p, data % p)
+        if values.size:
+            if min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols:
+                raise IndexError(f"from_arrays: an entry lies outside the {rows} x {cols} matrix")
+            at = i * cols + j
+            order = np.argsort(at, kind="stable")
+            at = at[order]
+            starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+            data.reshape(-1)[at[starts]] = np.add.reduceat(values[order], starts) % p
+        return FpMatrix(p, data)
 
     # ------------------------------------------------------------------
     # basic access

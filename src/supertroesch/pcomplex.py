@@ -65,7 +65,7 @@ class PComplex:
         t = self.term(i)
         if parity is None:
             return t.dim
-        return sum(1 for b in t.basis if b.parity == parity)
+        return len(t.indices_of_parity(parity))
 
     def degrees(self):
         return sorted(self.terms)

@@ -2,7 +2,9 @@
 
 Monomials are sorted exponent vectors; signs are normalized by sorting odd
 generators with Koszul sign accumulation, so equality of elements is exact
-dictionary equality.
+dictionary equality.  A basis is enumerated once, as a numpy array of
+exponent rows (``power_exponents``); ``power_basis`` wraps the rows as
+``PowerMonomial``s for the callers that want objects.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .superspace import EVEN, ODD, SuperSpace
@@ -85,30 +89,59 @@ def monomial_from_counts(kind, space, counts):
     return PowerMonomial(kind, space, exps)
 
 
+def power_exponents(kind, n, space):
+    """Exponent rows of all admissible degree-n monomials, one row per
+    monomial, in descending lexicographic order.
+
+    The rows are built one generator at a time: every partial row takes each
+    exponent its generator allows, from the largest down, and an exponent is
+    allowed when the generators after it can still take the rest of the
+    degree.  Generators of the kind's bounded parity take at most 1.
+    """
+    caps = [1 if q == kind.bounded_parity else n for q in space.parities()]
+    dtype = np.min_scalar_type(n)
+    # after[j]: the most degree the generators from j on can take
+    after = np.cumsum([0] + caps[::-1])[::-1].tolist()
+    if n > after[0]:
+        return np.zeros((0, space.dim), dtype=dtype)
+    rows = np.zeros((1, 0), dtype=dtype)
+    rem = np.array([n], dtype=np.int64)
+    for j, cap in enumerate(caps):
+        hi = np.minimum(rem, cap)
+        counts = hi - np.maximum(rem - after[j + 1], 0) + 1
+        parent = np.repeat(np.arange(rem.size), counts)
+        first = np.cumsum(counts) - counts
+        e = hi[parent] - (np.arange(parent.size) - first[parent])
+        rows = np.concatenate([rows[parent], e[:, None].astype(dtype)], axis=1)
+        rem = rem[parent] - e
+    return rows
+
+
+def nonzero_entries(rows, table):
+    """For each exponent row, the list of table[g, e] over its nonzero
+    exponents e, in index order g."""
+    at, gens = np.nonzero(rows)
+    parts = table[gens, rows[at, gens]].tolist()
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    return [parts[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def exponent_tuples(rows):
+    """The ``PowerMonomial.exps`` of each exponent row: its (index, exponent)
+    pairs with a nonzero exponent, in index order."""
+    dim, top = rows.shape[1], int(rows.max(initial=0))
+    # one tuple per (index, exponent), shared by every row that has it
+    pairs = np.empty((dim, top + 1), dtype=object)
+    for g in range(dim):
+        for e in range(top + 1):
+            pairs[g, e] = (g, e)
+    return [tuple(part) for part in nonzero_entries(rows, pairs)]
+
+
 @lru_cache(maxsize=1024)
 def power_basis(kind, n, space):
-    """All admissible degree-n monomials, in descending lexicographic exponent order."""
-    out = []
-    dim = space.dim
-    bounded = kind.bounded_parity
-
-    def rec(idx, remaining, acc):
-        if remaining == 0:
-            out.append(PowerMonomial(kind, space, tuple(acc)))
-            return
-        if idx == dim:
-            return
-        cap = 1 if space.basis[idx].parity == bounded else remaining
-        for e in range(min(cap, remaining), -1, -1):
-            if e:
-                acc.append((idx, e))
-                rec(idx + 1, remaining - e, acc)
-                acc.pop()
-            else:
-                rec(idx + 1, remaining, acc)
-
-    rec(0, n, [])
-    return tuple(out)
+    """All admissible degree-n monomials, in the order of ``power_exponents``."""
+    return tuple(PowerMonomial(kind, space, exps) for exps in exponent_tuples(power_exponents(kind, n, space)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceededError
 from .linalg import FpMatrix, check_prime
@@ -36,9 +37,13 @@ class SuperSpace:
         names = [b.name for b in self.basis]
         if len(set(names)) != len(names):
             raise ValueError("basis names must be unique")
-        # the value the generated __hash__ would give, computed once: power
-        # monomials key dicts and hash their space on every lookup
-        object.__setattr__(self, "_hash", hash((self.basis,)))
+
+    @cached_property
+    def _hash(self):
+        # the value the generated __hash__ would give, computed on first use
+        # and kept: power monomials key dicts and hash their space on every
+        # lookup
+        return hash((self.basis,))
 
     def __hash__(self):
         return self._hash
@@ -47,9 +52,15 @@ class SuperSpace:
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def _by_parity(self):
+        even = tuple(i for i, b in enumerate(self.basis) if b.parity == EVEN)
+        odd = tuple(i for i, b in enumerate(self.basis) if b.parity == ODD)
+        return even, odd
+
     def dims_by_parity(self):
-        ev = sum(1 for b in self.basis if b.parity == EVEN)
-        return (ev, self.dim - ev)
+        even, odd = self._by_parity
+        return (len(even), len(odd))
 
     def parities(self):
         return [b.parity for b in self.basis]
@@ -58,7 +69,8 @@ class SuperSpace:
         return [b.zdeg for b in self.basis]
 
     def indices_of_parity(self, parity):
-        return [i for i, b in enumerate(self.basis) if b.parity == parity]
+        """The basis indices of the given parity, as a tuple computed once."""
+        return self._by_parity[parity]
 
     def is_zero(self):
         return self.dim == 0

@@ -3,17 +3,22 @@ convolution components of the shift maps, their evaluation at test spaces,
 the algebra-generator cocycles, and computational verification of the
 concentration theorem for their cohomology and its contraction corollary.
 
-A complex is built in one array pass: every degree-n monomial of
-W = Sh_r tensor U is a row of one exponent array, ``convolution_terms``
-expands all rows at once into the terms of each component, an exact
-byte-string lookup finds each target's row, and the terms are split by
-source degree into one fill per differential.
+A complex is built in one array pass with no object per monomial: every
+degree-n monomial of W = Sh_r tensor U is a row of one exponent array from
+``power_exponents``, one stable sort by Z-degree cuts the rows into graded
+pieces and names their basis elements, ``convolution_terms`` expands all
+rows at once into the terms of each component, an exact byte-string lookup
+finds each target's row, and the terms are split by source degree into one
+fill per differential.  The position of each exponent tuple in its piece
+(``index``) and the ``PowerMonomial``s of a piece (``monomials``) are made
+only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +34,16 @@ from .pcomplex import (
 )
 from .powers import (
     PowerKind,
+    PowerMonomial,
     add_mod_p,
     binom_mod,
     dim_formula_sym,
+    exponent_tuples,
     multiply_out,
     multiset_coeff,
+    nonzero_entries,
     power_basis,
+    power_exponents,
 )
 from .superspace import (
     EVEN,
@@ -172,9 +181,13 @@ def convolution_apply(images, d, mono, par, p):
 # building the complexes
 
 
-@dataclass
+@dataclass(eq=False)
 class PowerComplexData:
-    """A built p-complex of symmetric powers plus its monomial bookkeeping."""
+    """A built p-complex of symmetric powers plus its monomial bookkeeping.
+
+    ``rows`` holds the exponent rows of each graded piece in basis order;
+    ``monomials`` and ``index`` are made from them on first access.
+    """
 
     p: int
     r: int
@@ -182,18 +195,29 @@ class PowerComplexData:
     param: SuperSpace
     space: SuperSpace  # param tensor U
     complex: PComplex
-    index: dict  # zdeg -> {exps: position}
-    monomials: dict  # zdeg -> [PowerMonomial]
+    rows: dict  # zdeg -> exponent array, one row per basis element
+
+    @cached_property
+    def monomials(self):
+        """zdeg -> [PowerMonomial], in basis order."""
+        return {
+            z: [PowerMonomial(PowerKind.SYM, self.space, exps) for exps in exponent_tuples(rows)]
+            for z, rows in self.rows.items()
+        }
+
+    @cached_property
+    def index(self):
+        """zdeg -> {exps: position in the piece}."""
+        return {z: {exps: k for k, exps in enumerate(exponent_tuples(rows))} for z, rows in self.rows.items()}
 
 
-def _exponent_array(monos, dim, n):
-    """One exponent row per monomial, in the order given."""
-    exps = np.zeros((len(monos), dim), dtype=np.min_scalar_type(n))
-    flat = [(k, g, e) for k, m in enumerate(monos) for g, e in m.exps]
-    if flat:
-        rows, gens, vals = np.array(flat, dtype=np.int64).T
-        exps[rows, gens] = vals
-    return exps
+def _labels(rows, names):
+    """The ``PowerMonomial.label()`` of each exponent row."""
+    top = int(rows.max(initial=1))
+    tokens = np.empty((len(names), top + 1), dtype=object)  # [g, e]: how x_g^e is written
+    for g, nm in enumerate(names):
+        tokens[g] = ["", nm] + [f"{nm}^{e}" for e in range(2, top + 1)]
+    return [".".join(part) or "1" for part in nonzero_entries(rows, tokens)]
 
 
 def _differential_terms(exps, zdeg, alpha, components, par, p):
@@ -231,41 +255,46 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     n_degrees = n * max((b.zdeg for b in w.basis), default=0) + 1
     if total > budget * n_degrees:
         raise BudgetExceededError("total symmetric power dimension", total, budget * n_degrees)
-    monos = power_basis(PowerKind.SYM, n, w)
-    exps = _exponent_array(monos, w.dim, n)
+    exps = power_exponents(PowerKind.SYM, n, w)
     zdeg = exps.astype(np.int64) @ np.array(w.zdegs(), dtype=np.int64)
-    parity = (exps.astype(np.int64) @ np.array(w.parities(), dtype=np.int64) % 2).tolist()
-    members = {}
-    for k, z in enumerate(zdeg.tolist()):
-        members.setdefault(z, []).append(k)
-    for z, ks in members.items():
-        if len(ks) > budget:
-            raise BudgetExceededError(f"graded piece at degree {z}", len(ks), budget)
-    local = np.zeros(len(monos), dtype=np.int64)  # position within its piece
-    by_z = {}
-    spaces = {}
-    index = {}
-    for z, ks in members.items():
-        local[ks] = np.arange(len(ks))
-        by_z[z] = [monos[k] for k in ks]
-        spaces[z] = SuperSpace(tuple(BasisElement(monos[k].label(), z, parity[k]) for k in ks))
-        index[z] = {m.exps: k for k, m in enumerate(by_z[z])}
+    parity = exps.astype(np.int64) @ np.array(w.parities(), dtype=np.int64) % 2
+    # one stable sort by degree: each piece is a run of the sorted rows, in
+    # enumeration order, and the first row of a run is its first appearance
+    order = np.argsort(zdeg, kind="stable")
+    by_z = zdeg[order]
+    begin = np.flatnonzero(np.diff(by_z, prepend=by_z[:1] - 1))
+    sizes = np.diff(begin, append=by_z.size)
+    pieces = by_z[begin]
+    seen = np.argsort(order[begin])
+    for z, size in zip(pieces[seen].tolist(), sizes[seen].tolist()):
+        if size > budget:
+            raise BudgetExceededError(f"graded piece at degree {z}", size, budget)
+    local = np.empty(len(exps), dtype=np.int64)  # each row's position in its piece
+    local[order] = np.arange(len(exps)) - np.repeat(begin, sizes)
+    ordered = exps[order]
+    labels = _labels(ordered, [b.name for b in w.basis])
+    parity = parity[order].tolist()
+    rows, spaces = {}, {}
+    for k in seen.tolist():
+        z, at = int(pieces[k]), slice(int(begin[k]), int(begin[k] + sizes[k]))
+        rows[z] = ordered[at]
+        spaces[z] = SuperSpace(tuple(map(BasisElement, labels[at], [z] * len(rows[z]), parity[at])))
     alpha = p ** (r - 1)
     components = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
     src, row, coef = _differential_terms(exps, zdeg, alpha, components, w.parities(), p)
     # split the terms by source piece: one fill per differential
     zsrc = zdeg[src]
+    cuts = zip(np.searchsorted(zsrc, pieces, "left").tolist(), np.searchsorted(zsrc, pieces, "right").tolist())
     diffs = {}
-    for z, piece in sorted(by_z.items()):
-        tgt_piece = by_z.get(z + alpha)
-        if tgt_piece is None:
+    for z, (a, b) in zip(pieces.tolist(), cuts):
+        if z + alpha not in rows:
             continue
-        part = slice(np.searchsorted(zsrc, z, "left"), np.searchsorted(zsrc, z, "right"))
-        mat = FpMatrix.from_arrays(p, len(tgt_piece), len(piece), local[row[part]], local[src[part]], coef[part])
+        part = slice(a, b)
+        mat = FpMatrix.from_arrays(p, len(rows[z + alpha]), len(rows[z]), local[row[part]], local[src[part]], coef[part])
         if not mat.is_zero():
             diffs[z] = mat
     cx = PComplex(p, alpha, spaces, diffs)
-    return PowerComplexData(p, r, n, param, w, cx, index, by_z)
+    return PowerComplexData(p, r, n, param, w, cx, rows)
 
 
 def build_B(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
@@ -402,7 +431,7 @@ def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET, slices=None):
             pos = data.index.get(deg, {})
             vmat = FpMatrix.from_coords(
                 p,
-                len(data.monomials.get(deg, [])),
+                cx.dim(deg),
                 len(combos),
                 [((pos[exps], k), c) for k, combo in enumerate(combos) for exps, c in combo.items()],
             )

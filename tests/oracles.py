@@ -182,6 +182,32 @@ DUALS = {
 }
 
 
+def power_basis_oracle(kind, n, space):
+    """All admissible degree-n monomials, in descending lexicographic exponent
+    order, by recursion over the generators."""
+    out = []
+    dim = space.dim
+    bounded = kind.bounded_parity
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(PowerMonomial(kind, space, tuple(acc)))
+            return
+        if idx == dim:
+            return
+        cap = 1 if space.basis[idx].parity == bounded else remaining
+        for e in range(min(cap, remaining), -1, -1):
+            if e:
+                acc.append((idx, e))
+                rec(idx + 1, remaining - e, acc)
+                acc.pop()
+            else:
+                rec(idx + 1, remaining, acc)
+
+    rec(0, n, [])
+    return out
+
+
 def degree(m):
     return sum(e for _, e in m.exps)
 

@@ -285,3 +285,50 @@ def test_hstack_ranks():
     a = FpMatrix(3, np.array([[1], [0]], dtype=np.int64) % 3)
     b = FpMatrix(3, np.array([[0], [1]], dtype=np.int64) % 3)
     assert hstack([a, b]).rank() == 2
+
+
+def _add_at_reference(p, rows, cols, i, j, values):
+    data = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(data, (np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)), np.asarray(values, dtype=np.int64))
+    return data % p
+
+
+def test_from_arrays_matches_add_at_reference():
+    rng = np.random.default_rng(23)
+    cases = 0
+    for p in (3, 5, 7):
+        for dtype in (np.int8, np.int64):
+            for rows, cols in ((0, 4), (4, 0), (0, 0), (1, 1), (3, 5), (6, 2), (9, 9)):
+                for count in (0, 1, 7, 40):
+                    if count and not rows * cols:
+                        continue
+                    i = rng.integers(0, rows, count).astype(dtype) if count else np.zeros(0, dtype=dtype)
+                    j = rng.integers(0, cols, count).astype(dtype) if count else np.zeros(0, dtype=dtype)
+                    values = rng.integers(-2 * p, 2 * p, count).astype(dtype)
+                    got = FpMatrix.from_arrays(p, rows, cols, i, j, values)
+                    assert got.shape == (rows, cols)
+                    assert got.data.dtype == np.int64
+                    assert got.data.tobytes() == _add_at_reference(p, rows, cols, i, j, values).tobytes()
+                    cases += 1
+        # repeats that cancel mod p leave zeros, the others sum, whatever
+        # their order and dtype
+        for dtype in (np.int8, np.int64):
+            i = np.array([1, 0, 2, 1, 1, 0, 2], dtype=dtype)
+            j = np.array([2, 0, 1, 2, 2, 0, 1], dtype=dtype)
+            values = np.array([1, p - 1, p, p - 2, 1, 1, 2], dtype=dtype)
+            got = FpMatrix.from_arrays(p, 3, 3, i, j, values)
+            want = np.zeros((3, 3), dtype=np.int64)
+            want[2, 1] = 2  # p + 2, where (1, 2) and (0, 0) each sum to p
+            assert got.data.tobytes() == want.tobytes() == _add_at_reference(p, 3, 3, i, j, values).tobytes()
+    assert cases > 100
+    # no entries at all, from either constructor
+    assert FpMatrix.from_arrays(5, 2, 3, [], [], []) == FpMatrix.zeros(5, 2, 3)
+    assert FpMatrix.from_coords(5, 0, 3, []) == FpMatrix.zeros(5, 0, 3)
+
+
+def test_from_arrays_rejects_entries_outside_the_matrix():
+    for i, j in (([2], [0]), ([0], [3]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(IndexError):
+            FpMatrix.from_arrays(3, 2, 3, i, j, [1])
+    with pytest.raises(ValueError):
+        FpMatrix.from_arrays(3, 2, 3, [0, 1], [0], [1, 1])

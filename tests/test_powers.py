@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
+
 from oracles import (
     SignedTensor,
     act_sigma,
     coproduct_component,
     degree,
     lift_from_power,
+    power_basis_oracle,
     project_checked,
     project_to_power,
     shuffle_product_via_reps,
@@ -15,12 +18,14 @@ from oracles import (
 from supertroesch.powers import (
     PowerKind,
     add_mod_p,
+    dim_formula_sym,
     monomial_from_counts,
     multiset_coeff,
     power_basis,
+    power_exponents,
     power_product,
 )
-from supertroesch.superspace import k_super
+from supertroesch.superspace import build_Sh, hom_space, k_super, tensor
 
 SYM, EXT, DIV, ALT = PowerKind.SYM, PowerKind.EXT, PowerKind.DIV, PowerKind.ALT
 
@@ -32,6 +37,31 @@ def test_power_basis_examples():
     for n in range(1, 6):
         alt = power_basis(ALT, n, k_super(0, 1))
         assert len(alt) == 1 and alt[0].label() == (f"o0^{n}" if n > 1 else "o0")
+
+
+def test_power_exponents_match_the_recursive_oracle():
+    spaces = [
+        k_super(0, 0),
+        k_super(1, 0),
+        k_super(0, 1),
+        k_super(2, 1),
+        k_super(3, 3),
+        tensor(build_Sh(3, 1), k_super(1, 1)),
+        hom_space(k_super(1, 1), k_super(2, 1)),
+    ]
+    for kind in PowerKind:
+        for v in spaces:
+            for n in range(6):
+                rows = power_exponents(kind, n, v)
+                want = power_basis_oracle(kind, n, v)
+                assert rows.shape == (len(want), v.dim), (kind, n, v)
+                assert rows.dtype == np.min_scalar_type(n)
+                for row, m in zip(rows.tolist(), want):
+                    assert [(g, e) for g, e in enumerate(row) if e] == list(m.exps), (kind, n, v)
+                assert list(power_basis(kind, n, v)) == want
+                if kind is SYM:
+                    # the closed formula behind the build's pigeonhole budget check
+                    assert len(rows) == dim_formula_sym(n, *v.dims_by_parity())
 
 
 def closed_form_dim(kind, n, m_even, m_odd):

@@ -129,3 +129,27 @@ def test_parse_space():
         with pytest.raises(BudgetExceededError) as exc:
             parse_space(text, 3, 3)
         assert (exc.value.what, exc.value.size) == ("test space", size)
+
+
+def test_parity_indices_are_cached_immutable_and_match_a_rescan():
+    spaces = (ZERO_SPACE, k_super(2, 0), k_super(0, 3), tensor(build_Sh(3, 1), k_super(1, 1)), hom_space(k_super(1, 2), k_super(2, 1)))
+    for v in spaces:
+        for parity in (EVEN, ODD):
+            got = v.indices_of_parity(parity)
+            assert got == tuple(i for i, b in enumerate(v.basis) if b.parity == parity)
+            # the same tuple every time: the cache is read, not rebuilt, and
+            # a tuple cannot be changed in place by a caller
+            assert v.indices_of_parity(parity) is got
+            with pytest.raises(TypeError):
+                got[0:0] = (0,)
+        assert v.dims_by_parity() == tuple(len(v.indices_of_parity(parity)) for parity in (EVEN, ODD))
+
+
+def test_superspace_hash_is_lazy_and_equals_the_field_hash():
+    v = tensor(build_Sh(3, 1), k_super(1, 1))
+    assert "_hash" not in vars(v)
+    assert hash(v) == hash((v.basis,))
+    assert "_hash" in vars(v)
+    w = tensor(build_Sh(3, 1), k_super(1, 1))
+    assert v == w and hash(v) == hash(w)
+    assert len({v, w, k_super(1, 1)}) == 2

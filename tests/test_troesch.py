@@ -3,7 +3,7 @@ import random
 import pytest
 
 from supertroesch.errors import BudgetExceededError
-from oracles import apply_sym_matrix, convolution_apply_oracle, d_oracle_maps, tensor_identity_left
+from oracles import apply_sym_matrix, convolution_apply_oracle, d_oracle_maps, power_basis_oracle, tensor_identity_left
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import cohomology, cohomology_table
@@ -387,9 +387,8 @@ def test_d_oracle_needs_small_n():
         d_oracle_maps(3, 3)
 
 
-def test_theorem_B_eliminates_each_block_once_per_power_call(monkeypatch):
-    # the first rank asked of d^m eliminates every (degree, parity) block of
-    # d^m in one kernel call; a call per block would make 105 calls here
+def _keep_built(monkeypatch):
+    """Record every complex build_B returns while verify_theorem_B runs."""
     built = []
     build = troesch.build_B
 
@@ -398,6 +397,13 @@ def test_theorem_B_eliminates_each_block_once_per_power_call(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(troesch, "build_B", keeping_build_B)
+    return built
+
+
+def test_theorem_B_eliminates_each_block_once_per_power_call(monkeypatch):
+    # the first rank asked of d^m eliminates every (degree, parity) block of
+    # d^m in one kernel call; a call per block would make 105 calls here
+    built = _keep_built(monkeypatch)
     eliminate = FpMatrix.eliminate
     calls = []
 
@@ -417,3 +423,45 @@ def test_theorem_B_eliminates_each_block_once_per_power_call(monkeypatch):
         for parity in (EVEN, ODD)
     ]
     assert sorted(shape for call in calls for shape in call) == sorted(b for b in blocks if min(b))
+
+
+def test_theorem_B_off_multiples_makes_no_monomials(monkeypatch):
+    # 9 does not divide 7, so no eta class is looked up and the per-monomial
+    # bookkeeping is never made
+    built = _keep_built(monkeypatch)
+    assert verify_theorem_B(7, 2, k_super(1, 0), p=3).ok
+    assert "monomials" not in vars(built[0]) and "index" not in vars(built[0])
+    # asked for afterwards, the monomials carry the basis names
+    for z, monos in built[0].monomials.items():
+        assert [b.name for b in built[0].complex.term(z).basis] == [m.label() for m in monos]
+    # r = 1, n = 3 does look the eta classes up, by exponents only
+    assert verify_theorem_B(3, 1, k_super(1, 1), p=3).ok
+    assert "monomials" not in vars(built[1]) and "index" in vars(built[1])
+
+
+@pytest.mark.parametrize("barred", [False, True])
+def test_lazy_monomials_match_the_enumeration_grouped_by_degree(barred):
+    data = (build_B_bar if barred else build_B)(4, 1, k_super(1, 1), 3)
+    # the recursive enumeration split into pieces in order of first
+    # appearance, each piece in enumeration order
+    monomials = {}
+    for m in power_basis_oracle(PowerKind.SYM, 4, data.space):
+        monomials.setdefault(m.zdeg, []).append(m)
+    assert list(data.monomials.items()) == list(monomials.items())
+    index = {z: {m.exps: k for k, m in enumerate(monos)} for z, monos in monomials.items()}
+    assert list(data.index) == list(index)
+    assert all(list(data.index[z].items()) == list(pos.items()) for z, pos in index.items())
+    cx = data.complex
+    assert list(cx.terms) == list(monomials)
+    for z, monos in data.monomials.items():
+        # every basis name is the label of its monomial, with its grading
+        assert [(b.name, b.zdeg, b.parity) for b in cx.term(z).basis] == [(m.label(), m.zdeg, m.parity) for m in monos]
+        assert data.rows[z].tolist() == [[dict(m.exps).get(g, 0) for g in range(data.space.dim)] for m in monos]
+        for parity in (EVEN, ODD):
+            assert cx.dim(z, parity) == sum(1 for m in monos if m.parity == parity)
+
+
+def test_budget_names_the_first_piece_over_the_cap():
+    with pytest.raises(BudgetExceededError) as exc:
+        build_B(9, 2, k_super(1, 1), 3, budget=20000)
+    assert str(exc.value) == "graded piece at degree 26: size 20732 exceeds budget 20000"
