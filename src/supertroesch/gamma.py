@@ -360,12 +360,12 @@ def compose_power(el, k):
 # functorial actions
 
 
-def apply_sym_block(el, src_monos, tgt_pos, rows):
+def apply_sym_block(el, src_pos, tgt_pos, rows):
     """Matrix of the induced symmetric-power map on a selected graded piece.
 
-    src_monos are the column monomials; tgt_pos maps exponent tuples to row
-    indices; images landing outside tgt_pos are dropped (they must be zero
-    when the element is degree homogeneous across the chosen pieces).
+    src_pos and tgt_pos map exponent tuples to column and row indices;
+    images landing outside tgt_pos are dropped (they must be zero when the
+    element is degree homogeneous across the chosen pieces).
 
     gamma(A) sends x^b to one monomial or to zero.  It is zero unless
     sum_w A[w, v] = b_v for every v; then the image is x^c, with
@@ -376,20 +376,19 @@ def apply_sym_block(el, src_monos, tgt_pos, rows):
     src_par = el.source.parities()
     tgt_par = el.target.parities()
     g_par = el.hom.parities()
-    col_of = {mono.exps: col for col, mono in enumerate(src_monos)}
     entries = []
     for g_exps, cg in el.terms.items():
         t_seq = [idx for idx, e in sorted(g_exps, key=lambda ie: (ie[0] % dim_v, ie[0])) for _ in range(e)]
         rep = [idx % dim_v for idx in t_seq]
         b_exps = _seq_to_exps(rep)
-        if b_exps not in col_of:
+        if b_exps not in src_pos:
             continue
         img, sign = sort_with_sign(PowerKind.SYM, [idx // dim_v for idx in t_seq], tgt_par)
         row = None if img is None else tgt_pos.get(_seq_to_exps(img))
         if row is not None:
             coeff = cg * sign * _multinomial([b for _, b in b_exps], [e for _, e in g_exps])
-            entries.append(((row, col_of[b_exps]), coeff * (-1) ** _koszul_exponent(t_seq, g_par, rep, src_par)))
-    return FpMatrix.from_coords(el.p, rows, len(src_monos), entries)
+            entries.append(((row, src_pos[b_exps]), coeff * (-1) ** _koszul_exponent(t_seq, g_par, rep, src_par)))
+    return FpMatrix.from_coords(el.p, rows, len(src_pos), entries)
 
 
 def apply_frobenius(el, r):

@@ -48,9 +48,9 @@ class PComplex:
             tgt = self.term(i + self.alpha)
             if m.shape != (tgt.dim, src.dim):
                 raise ValueError(f"differential at {i} has shape {m.shape}, expected {(tgt.dim, src.dim)}")
-            odd_rows = np.array(tgt.parities()) == ODD
-            odd_cols = np.array(src.parities()) == ODD
-            if m.data[np.ix_(odd_rows, ~odd_cols)].any() or m.data[np.ix_(~odd_rows, odd_cols)].any():
+            even_rows, odd_rows = tgt.indices_of_parity(EVEN), tgt.indices_of_parity(ODD)
+            even_cols, odd_cols = src.indices_of_parity(EVEN), src.indices_of_parity(ODD)
+            if m.data[np.ix_(odd_rows, even_cols)].any() or m.data[np.ix_(even_rows, odd_cols)].any():
                 raise ValueError(f"differential at {i} is not even")
 
     @property

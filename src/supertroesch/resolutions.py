@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .gamma import (
     GammaElement,
@@ -180,11 +182,14 @@ def solve_epsilon(r, p, budget=DEFAULT_BUDGET):
     # the bottom component: the units (0, j) with sign (-1)^{0 + 1 + ... + (q-1)}
     units = [((0, j), 1) for j in range(q)]
     comps = {choose2: gamma_monomial(sh, shbar, q, p, units, (-1) ** choose2 % p)}
+    # every piece is enumerated, and checked against the budget, before the
+    # differentials are built or anything is composed
+    steps = range(choose2 + h, top + 1, h)
+    pieces = [monomials_with_bigrade(sh, shbar, q, p, nxt - choose2, nxt, budget) for nxt in steps]
     d_el = d_element(p, r)
     dbar_el = d_element(p, r, barred=True)
-    for ell in range(choose2, top, h):
-        nxt = ell + h
-        piece = monomials_with_bigrade(sh, shbar, q, p, nxt - choose2, nxt, budget)
+    for nxt, piece in zip(steps, pieces):
+        ell = nxt - h
         sol = _solve_elements(
             p,
             q,
@@ -317,19 +322,26 @@ class SplicedResolution:
         sign = (-1) ** local
         return comp.scaled(sign % p)
 
-    def blocks(self, m, max_shift_index=None):
-        """Blocks of the differential from degree m to m + 1."""
-        out = {}
-        tgt_terms = {t: None for t in self.terms(m + 1, max_shift_index)}
+    def arrows(self, m, max_shift_index=None):
+        """The (source term, target term) pairs of the differential from
+        degree m to m + 1: for each source term, its contraction step, then
+        its seam into the next copy."""
+        tgt_terms = set(self.terms(m + 1, max_shift_index))
         for t in self.terms(m, max_shift_index):
-            nxt = FormalTerm(t.shift, t.kind, t.local + 1)
-            if t.local + 1 <= self.top_local and nxt in tgt_terms:
-                out[(t, nxt)] = self.partial_element(t.kind, t.local)
-            if t.local >= self.q - 1:
-                other = "Tbar" if t.kind == "T" else "T"
-                seam = FormalTerm(t.shift + self.q, other, t.local - self.q + 1)
-                if seam in tgt_terms:
-                    out[(t, seam)] = self.eps_element(t.kind, t.local)
+            other = "Tbar" if t.kind == "T" else "T"
+            step = FormalTerm(t.shift, t.kind, t.local + 1)
+            seam = FormalTerm(t.shift + self.q, other, t.local - self.q + 1)
+            for nxt in (step, seam):
+                if nxt in tgt_terms:
+                    yield t, nxt
+
+    def blocks(self, m, max_shift_index=None):
+        """Blocks of the differential from degree m to m + 1, as elements:
+        the contraction differential on a step, the splice map on a seam."""
+        out = {}
+        for s, t in self.arrows(m, max_shift_index):
+            element = self.partial_element if s.kind == t.kind else self.eps_element
+            out[(s, t)] = element(s.kind, s.local)
         return out
 
 
@@ -362,20 +374,19 @@ def check_delta_squared_formal(p, r=1, flavor="J", max_degree=None, budget=DEFAU
 # evaluated complexes
 
 
-@dataclass
-class EvaluatedResolution:
-    complex: ChainComplex
-    term_layout: dict  # degree -> [(FormalTerm, offset, dim)]
-
-
 def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=False):
     """Evaluate the spliced resolution at a test space, truncated to the
-    given number of splice copies.
+    given number of splice copies, as a ChainComplex.
 
     With closed=False the head of the following copy is kept, so exactness
     holds through degree 2 * n_splices * p^r - 1; with closed=True the
     truncation stops exactly after n_splices copies (the two-story splice
     for n_splices = 1) and the top cohomology of the last copy survives.
+
+    A contraction block is a power of the evaluated differential of B or
+    B-bar; only the splice blocks are evaluated from formal elements.  A
+    block depends on its kinds and local degree, not on its shift, so each
+    is evaluated once.
     """
     res = SplicedResolution(p, r, flavor, budget)
     q = p ** r
@@ -385,75 +396,50 @@ def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=Fals
     else:
         max_q = 2 * n_splices + 1
         max_degree = 2 * n_splices * q
-    bdata = build_B(q, r, u, p, budget)
-    bbar = build_B_bar(q, r, u, p, budget)
-    data_for = {"T": bdata, "Tbar": bbar}
+    # solve the splice first: for r >= 2 its pieces are over the budget,
+    # and that shows before either complex is built
+    res.eps_components()
+    data_for = {"T": build_B(q, r, u, p, budget), "Tbar": build_B_bar(q, r, u, p, budget)}
 
-    def term_space(t):
-        data = data_for[t.kind]
-        z = zdeg_of_local(p, r, t.local)
-        monos = data.monomials.get(z, [])
+    def piece(kind, local):
+        return data_for[kind], zdeg_of_local(p, r, local)
+
+    def term_basis(t):
+        # the piece's own basis, named after the term; T-bar flips parity
+        data, z = piece(t.kind, t.local)
         flip = t.kind == "Tbar"
-        elems = tuple(
-            BasisElement(f"[{t.kind}{t.local}+{t.shift}]{m.label()}", m.zdeg, (m.parity + 1) % 2 if flip else m.parity)
-            for m in monos
-        )
-        return SuperSpace(elems)
+        prefix = f"[{t.kind}{t.local}+{t.shift}]"
+        return [BasisElement(prefix + b.name, b.zdeg, b.parity ^ flip) for b in data.complex.term(z).basis]
+
+    @lru_cache(maxsize=None)
+    def block(src_kind, local, tgt_kind):
+        data, zs = piece(src_kind, local)
+        if src_kind == tgt_kind:
+            return data.complex.iterated_diff(zs, 1 if local % 2 == 0 else p - 1)
+        tgt_data, zt = piece(tgt_kind, local - q + 1)
+        big = tensor_with_identity(res.eps_element(src_kind, local), u, budget)
+        return apply_sym_block(big, data.index.get(zs, {}), tgt_data.index.get(zt, {}), tgt_data.complex.dim(zt))
 
     terms = {}
-    layout = {}
+    offsets = {}  # term -> (offset in its degree, dim)
     for m in range(max_degree + 2):
-        row = []
         elems = []
         for t in res.terms(m, max_q):
-            sp = term_space(t)
-            row.append((t, len(elems), sp.dim))
-            elems.extend(sp.basis)
-        layout[m] = row
-        if elems:
-            terms[m] = SuperSpace(tuple(elems))
+            basis = term_basis(t)
+            offsets[t] = (len(elems), len(basis))
+            elems += basis
+        terms[m] = SuperSpace(tuple(elems))
     diffs = {}
     for m in range(max_degree + 1):
-        src_row = layout[m]
-        tgt_row = layout.get(m + 1, [])
-        if not src_row or not tgt_row:
-            continue
-        blocks = res.blocks(m, max_q)
-        tgt_off = {t: off for t, off, _ in tgt_row}
-        entries = []
-        for (src_t, off_s, dim_s) in src_row:
-            for (src2, tgt2), el in blocks.items():
-                if src2 != src_t or tgt2 not in tgt_off:
-                    continue
-                block = _evaluate_block(res, el, src_t, tgt2, data_for, u, p, r, budget)
-                off_t = tgt_off[tgt2]
-                entries += [((off_t + i, off_s + j), v) for (i, j), v in block.nonzero_items()]
-        total_src = sum(d for _, _, d in src_row)
-        total_tgt = sum(d for _, _, d in tgt_row)
-        mat = FpMatrix.from_coords(p, total_tgt, total_src, entries)
-        if not mat.is_zero():
-            diffs[m] = mat
-    cx = ChainComplex(p, terms, diffs)
-    return EvaluatedResolution(cx, layout)
-
-
-def _evaluate_block(res, el, src_t, tgt_t, data_for, u, p, r, budget):
-    src_data = data_for[src_t.kind]
-    tgt_data = data_for[tgt_t.kind]
-    zs = zdeg_of_local(p, r, src_t.local)
-    zt = zdeg_of_local(p, r, tgt_t.local)
-    src_monos = src_data.monomials.get(zs, [])
-    tgt_pos = tgt_data.index.get(zt, {})
-    rows = len(tgt_data.monomials.get(zt, []))
-    if src_t.kind == tgt_t.kind:
-        # contraction differential: reuse the evaluated p-complex
-        step = 1 if src_t.local % 2 == 0 else p - 1
-        cx = src_data.complex
-        mat = cx.iterated_diff(zs, step)
-        assert mat.shape == (rows, len(src_monos))
-        return mat
-    big = tensor_with_identity(el, u, budget)
-    return apply_sym_block(big, src_monos, tgt_pos, rows)
+        data = np.zeros((terms[m + 1].dim, terms[m].dim), dtype=np.int64)
+        for s, t in res.arrows(m, max_q):
+            (off_s, dim_s), (off_t, dim_t) = offsets[s], offsets[t]
+            mat = block(s.kind, s.local, t.kind)
+            if mat.shape != (dim_t, dim_s):
+                raise AssertionError(f"block {s} -> {t} has shape {mat.shape}, expected {(dim_t, dim_s)}")
+            data[off_t:off_t + dim_t, off_s:off_s + dim_s] = mat.data
+        diffs[m] = FpMatrix(p, data)
+    return ChainComplex(p, terms, diffs)
 
 
 def build_Q(r, u, p=3, budget=DEFAULT_BUDGET, flavor="J"):
@@ -476,8 +462,7 @@ class ExactnessReport:
 
 
 def verify_J_exactness(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J"):
-    built = build_J(r, u, n_splices, p, budget, flavor)
-    cx = built.complex
+    cx = build_J(r, u, n_splices, p, budget, flavor)
     cx.validate_p_differential()
     failures = []
     dim0, dim1 = u.dims_by_parity()

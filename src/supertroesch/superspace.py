@@ -196,19 +196,13 @@ def relabel_map(f, new_source, new_target):
     """Transport a map along basis relabelings that keep order, parity, zdeg offsets."""
     if new_source.dim != f.source.dim or new_target.dim != f.target.dim:
         raise ValueError("relabel dimension mismatch")
-    zshift = None
-    for (i, j), _ in f.matrix.nonzero_items():
-        zshift = new_target.basis[i].zdeg - new_source.basis[j].zdeg
-        break
-    if zshift is None:
-        zshift = f.zshift
-    par = None
-    for (i, j), _ in f.matrix.nonzero_items():
-        par = (new_target.basis[i].parity - new_source.basis[j].parity) % 2
-        break
-    if par is None:
-        par = f.parity
-    return LinearMapSS(new_source, new_target, f.matrix, par, zshift)
+    # the first nonzero entry fixes the grading; a zero map keeps f's
+    first = next(iter(f.matrix.nonzero_items()), None)
+    if first is None:
+        return LinearMapSS(new_source, new_target, f.matrix, f.parity, f.zshift)
+    (i, j), _ = first
+    bt, bs = new_target.basis[i], new_source.basis[j]
+    return LinearMapSS(new_source, new_target, f.matrix, (bt.parity - bs.parity) % 2, bt.zdeg - bs.zdeg)
 
 
 _SPACE_RE = re.compile(r"^k\^\{(\d+)\|(\d+)\}$")

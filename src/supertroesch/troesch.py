@@ -10,8 +10,7 @@ pieces and names their basis elements, ``convolution_terms`` expands all
 rows at once into the terms of each component, an exact byte-string lookup
 finds each target's row, and the terms are split by source degree into one
 fill per differential.  The position of each exponent tuple in its piece
-(``index``) and the ``PowerMonomial``s of a piece (``monomials``) are made
-only when a caller asks for them.
+(``index``) is made only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .pcomplex import (
 )
 from .powers import (
     PowerKind,
-    PowerMonomial,
     add_mod_p,
     binom_mod,
     dim_formula_sym,
@@ -186,7 +184,7 @@ class PowerComplexData:
     """A built p-complex of symmetric powers plus its monomial bookkeeping.
 
     ``rows`` holds the exponent rows of each graded piece in basis order;
-    ``monomials`` and ``index`` are made from them on first access.
+    ``index`` is made from them on first access.
     """
 
     p: int
@@ -196,14 +194,6 @@ class PowerComplexData:
     space: SuperSpace  # param tensor U
     complex: PComplex
     rows: dict  # zdeg -> exponent array, one row per basis element
-
-    @cached_property
-    def monomials(self):
-        """zdeg -> [PowerMonomial], in basis order."""
-        return {
-            z: [PowerMonomial(PowerKind.SYM, self.space, exps) for exps in exponent_tuples(rows)]
-            for z, rows in self.rows.items()
-        }
 
     @cached_property
     def index(self):

@@ -208,6 +208,12 @@ def power_basis_oracle(kind, n, space):
     return out
 
 
+def monomials_of(data):
+    """zdeg -> the PowerMonomials of a built complex's piece, in basis order,
+    made from the keys of its ``index``."""
+    return {z: [PowerMonomial(PowerKind.SYM, data.space, exps) for exps in pos] for z, pos in data.index.items()}
+
+
 def degree(m):
     return sum(e for _, e in m.exps)
 
@@ -554,9 +560,9 @@ def compose_slow(g, f):
 
 def apply_sym_matrix(el):
     """Matrix of the induced map on symmetric powers, in power-basis order."""
-    tgt_basis = power_basis(PowerKind.SYM, el.n, el.target)
-    tgt_index = {m.exps: k for k, m in enumerate(tgt_basis)}
-    return apply_sym_block(el, power_basis(PowerKind.SYM, el.n, el.source), tgt_index, len(tgt_basis))
+    src_index = {m.exps: k for k, m in enumerate(power_basis(PowerKind.SYM, el.n, el.source))}
+    tgt_index = {m.exps: k for k, m in enumerate(power_basis(PowerKind.SYM, el.n, el.target))}
+    return apply_sym_block(el, src_index, tgt_index, len(tgt_index))
 
 
 def apply_sym(el):
@@ -710,6 +716,7 @@ def d_oracle_maps(n, p):
     cdata = build_B(n, 1, k_super(0, 1), p)
     inv_nfact = pow(math.factorial(n) % p, p - 2, p)
     perms = list(itertools.permutations(range(n)))
+    cmonos = monomials_of(cdata)
     varphi = {}
     psi = {}
     s_maps = {}
@@ -727,7 +734,7 @@ def d_oracle_maps(n, p):
             if row is not None:
                 vp.append(((row, col), (-1) ** inversion_count(b)))
         ps = []
-        for ccol, m in enumerate(cdata.monomials.get(z, [])):
+        for ccol, m in enumerate(cmonos.get(z, [])):
             key = tuple(factor_sequence(m))
             if key in dindex:
                 ps.append(((dindex[key][1], ccol), 1))

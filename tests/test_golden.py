@@ -152,7 +152,7 @@ MATRIX_DIGESTS = {
         "4e037fac73aa24a4dc8037cf7824274f2363b94b340a882bc39cf11f5cda6920",
     ),
     "J(1) k^{1|1}": (
-        lambda: _matrices_digest(build_J(1, k_super(1, 1), 1, 3).complex.diffs),
+        lambda: _matrices_digest(build_J(1, k_super(1, 1), 1, 3).diffs),
         "8ccf3c9b3db154dc658e6c83e2fcf6a0de335c4483ae253c6aef12a833e48a50",
     ),
     "d (x) 1_{k^{1|1}}": (

@@ -139,6 +139,18 @@ def test_odd_differential_entry_rejected():
         odd = FpMatrix.from_coords(3, 3, 3, [((0, 0), 1), (bad, 1)])
         with pytest.raises(ValueError, match="differential at 1 is not even"):
             PComplex(3, 1, {0: sp, 1: sp, 2: sp}, {0: even, 1: odd})
+    # terms with no odd part or no even part: (source, target, an even
+    # entry, an odd entry)
+    cases = (
+        (k_super(1, 1), k_super(1, 0), (0, 0), (0, 1)),  # odd -> even
+        (k_super(0, 1), k_super(1, 1), (1, 0), (0, 0)),  # odd -> even
+        (k_super(1, 1), k_super(0, 1), (0, 1), (0, 0)),  # even -> odd
+        (k_super(1, 0), k_super(1, 1), (0, 0), (1, 0)),  # even -> odd
+    )
+    for src, tgt, good, bad in cases:
+        PComplex(3, 1, {0: src, 1: tgt}, {0: FpMatrix.from_coords(3, tgt.dim, src.dim, [(good, 1)])})
+        with pytest.raises(ValueError, match="differential at 0 is not even"):
+            PComplex(3, 1, {0: src, 1: tgt}, {0: FpMatrix.from_coords(3, tgt.dim, src.dim, [(bad, 1)])})
 
 
 def test_decompose_matches_ground_truth_and_oracle():

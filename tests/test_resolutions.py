@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 from oracles import element_bigrades
 from supertroesch import resolutions
+from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
     compose,
     differential_element,
@@ -123,9 +124,7 @@ def test_epsilon_on_generator_product():
     comps = epsilon_prime_1(p)
     el = tensor_with_identity(comps[p - 1], u)
     z = p * (p - 1) // 2
-    src = bdata.monomials[z]
-    tgt_pos = bbar.index[0]
-    mat = apply_sym_block(el, src, tgt_pos, len(bbar.monomials[0]))
+    mat = apply_sym_block(el, bdata.index[z], bbar.index[0], bbar.complex.dim(0))
     assert mat.shape == (1, 1)
     assert mat.data[0, 0] == 1
 
@@ -163,13 +162,13 @@ def test_terms_layout():
 def test_Q_cohomology():
     p = 3
     q = build_Q(1, k_super(1, 0), p)
-    q.complex.validate_p_differential()
-    dims = {i: q.complex.cohomology_dims(i) for i in range(0, 2 * p)}
+    q.validate_p_differential()
+    dims = {i: q.cohomology_dims(i) for i in range(0, 2 * p)}
     assert dims[0] == (1, 0)
     assert dims[2 * p - 1] == (1, 0)
     assert all(v == (0, 0) for i, v in dims.items() if i not in (0, 2 * p - 1))
     q2 = build_Q(1, k_super(0, 1), p)
-    assert all(q2.complex.cohomology_dims(i) == (0, 0) for i in range(0, 2 * p))
+    assert all(q2.cohomology_dims(i) == (0, 0) for i in range(0, 2 * p))
 
 
 def test_J_exactness():
@@ -323,6 +322,62 @@ def test_e_pth_power_vanishing_r2_or_skip():
         pytest.skip(f"recorded as skipped: r=2 lifting piece over budget ({exc.size}+)")
 
 
+@pytest.mark.parametrize("p, u", [(3, k_super(1, 1)), (3, k_super(0, 1)), (3, k_super(2, 0)), (5, k_super(0, 1))])
+def test_contraction_blocks_are_powers_of_the_built_differential(p, u):
+    # build_J reads each contraction block of J off B or B-bar as d or
+    # d^(p-1); the formal block, evaluated, is the same matrix
+    from supertroesch.gamma import apply_sym_block, tensor_with_identity
+    from supertroesch.troesch import build_B, build_B_bar
+
+    res = SplicedResolution(p, 1)
+    nonzero = 0
+    for kind, data in (("T", build_B(p, 1, u, p)), ("Tbar", build_B_bar(p, 1, u, p))):
+        for local in range(2 * p - 2):
+            zs, zt = zdeg_of_local(p, 1, local), zdeg_of_local(p, 1, local + 1)
+            el = tensor_with_identity(res.partial_element(kind, local), u)
+            formal = apply_sym_block(el, data.index.get(zs, {}), data.index.get(zt, {}), data.complex.dim(zt))
+            assert formal == data.complex.iterated_diff(zs, 1 if local % 2 == 0 else p - 1), (kind, local)
+            nonzero += not formal.is_zero()
+    assert nonzero
+
+
+def test_J_evaluates_only_the_seams_formally(monkeypatch):
+    # the contraction blocks come from B and B-bar, and each distinct seam
+    # block is evaluated once, whatever the number of shifts it occurs at
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_J made a formal contraction element")
+
+    monkeypatch.setattr(SplicedResolution, "partial_element", forbidden)
+    monkeypatch.setattr(resolutions, "d_element", forbidden)
+    monkeypatch.setattr(resolutions, "d_power_element", forbidden)
+    tensor_with_identity = resolutions.tensor_with_identity
+    calls = []
+
+    def counting(el, *args, **kwargs):
+        calls.append(el)
+        return tensor_with_identity(el, *args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "tensor_with_identity", counting)
+    assert verify_J_exactness(1, k_super(1, 1), 2, 3).ok
+    # two splices at p = 3: degrees 0 ... 12, shift indices below 5
+    res = SplicedResolution(3, 1)
+    seams = [(s.kind, s.local) for m in range(13) for s, t in res.arrows(m, 5) if s.kind != t.kind]
+    assert len(calls) == len(set(seams)) == 6 < len(seams)
+
+
+def test_J_at_r2_stops_at_the_splice_pieces(monkeypatch):
+    # the splice solve enumerates its pieces before it builds d or composes,
+    # and build_J solves the splice before it builds B
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    for name in ("build_B", "build_B_bar", "d_element"):
+        monkeypatch.setattr(resolutions, name, forbidden)
+    with pytest.raises(BudgetExceededError) as exc:
+        resolutions.build_J(2, k_super(1, 0), 1)
+    assert str(exc.value) == "bigraded piece: size 20001 exceeds budget 20000"
+
+
 def test_J_exactness_p5():
     rep = verify_J_exactness(1, k_super(1, 1), 1, 5)
     assert rep.ok, rep.summary()
@@ -357,4 +412,4 @@ def test_J_exactness_eliminates_each_parity_block_once(monkeypatch):
 
     monkeypatch.setattr(FpMatrix, "eliminate", staticmethod(counting_eliminate))
     assert verify_J_exactness(1, k_super(1, 1), 2, 3).ok
-    assert len(blocks) <= 2 * len(built[0].complex.diffs)
+    assert len(blocks) <= 2 * len(built[0].diffs)

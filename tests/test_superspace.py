@@ -15,6 +15,7 @@ from supertroesch.superspace import (
     k_super,
     parity_shift,
     parse_space,
+    relabel_map,
     rho,
     tensor,
 )
@@ -114,6 +115,23 @@ def test_tensor_associative_up_to_reindexing():
                 # same dimensions, degrees and parities in the same order
                 assert [x.zdeg for x in left.basis] == [x.zdeg for x in right.basis]
                 assert [x.parity for x in left.basis] == [x.parity for x in right.basis]
+
+
+def test_relabel_map_reads_its_grading_off_the_new_bases():
+    sh = build_Sh(3, 1)
+    shbar = parity_shift(sh)
+    f = rho(3, 1, 0)
+    onto_pi = relabel_map(f, shbar, shbar)
+    assert (onto_pi.parity, onto_pi.zshift) == (EVEN, 1)
+    assert onto_pi.matrix == f.matrix
+    across = relabel_map(f, sh, shbar)
+    assert (across.parity, across.zshift) == (ODD, 1)
+    # a zero map has no entry to read: it keeps f's grading
+    zero = LinearMapSS(sh, shbar, FpMatrix.zeros(3, 3, 3), ODD, 5)
+    kept = relabel_map(zero, shbar, sh)
+    assert (kept.parity, kept.zshift) == (ODD, 5)
+    with pytest.raises(ValueError, match="relabel dimension mismatch"):
+        relabel_map(f, build_Sh(3, 2), sh)
 
 
 def test_parse_space():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from supertroesch.errors import BudgetExceededError
-from oracles import apply_sym_matrix, convolution_apply_oracle, d_oracle_maps, power_basis_oracle, tensor_identity_left
+from oracles import apply_sym_matrix, convolution_apply_oracle, d_oracle_maps, monomials_of, power_basis_oracle, tensor_identity_left
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import cohomology, cohomology_table
@@ -84,7 +84,7 @@ def _diffs_from_oracle(data, param_maps, u):
     p, r, alpha = data.p, data.r, data.complex.alpha
     images_list = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
     diffs = {}
-    for z, monos in data.monomials.items():
+    for z, monos in monomials_of(data).items():
         tpos = data.index.get(z + alpha)
         if tpos is None:
             continue
@@ -331,10 +331,11 @@ def _full_diff(data):
         pos += 1
     p = data.p
     mat = FpMatrix.zeros(p, len(basis), len(basis))
+    monomials = monomials_of(data)
     for z in data.complex.degrees():
         d = data.complex.diff(z)
-        src = data.monomials.get(z, [])
-        tgt = data.monomials.get(z + data.complex.alpha, [])
+        src = monomials.get(z, [])
+        tgt = monomials.get(z + data.complex.alpha, [])
         for (i, j), v in d.nonzero_items():
             mat.data[idx[tgt[i].exps], idx[src[j].exps]] = v
     return mat
@@ -430,13 +431,13 @@ def test_theorem_B_off_multiples_makes_no_monomials(monkeypatch):
     # bookkeeping is never made
     built = _keep_built(monkeypatch)
     assert verify_theorem_B(7, 2, k_super(1, 0), p=3).ok
-    assert "monomials" not in vars(built[0]) and "index" not in vars(built[0])
+    assert "index" not in vars(built[0])
     # asked for afterwards, the monomials carry the basis names
-    for z, monos in built[0].monomials.items():
+    for z, monos in monomials_of(built[0]).items():
         assert [b.name for b in built[0].complex.term(z).basis] == [m.label() for m in monos]
     # r = 1, n = 3 does look the eta classes up, by exponents only
     assert verify_theorem_B(3, 1, k_super(1, 1), p=3).ok
-    assert "monomials" not in vars(built[1]) and "index" in vars(built[1])
+    assert "index" in vars(built[1])
 
 
 @pytest.mark.parametrize("barred", [False, True])
@@ -447,13 +448,12 @@ def test_lazy_monomials_match_the_enumeration_grouped_by_degree(barred):
     monomials = {}
     for m in power_basis_oracle(PowerKind.SYM, 4, data.space):
         monomials.setdefault(m.zdeg, []).append(m)
-    assert list(data.monomials.items()) == list(monomials.items())
     index = {z: {m.exps: k for k, m in enumerate(monos)} for z, monos in monomials.items()}
     assert list(data.index) == list(index)
     assert all(list(data.index[z].items()) == list(pos.items()) for z, pos in index.items())
     cx = data.complex
     assert list(cx.terms) == list(monomials)
-    for z, monos in data.monomials.items():
+    for z, monos in monomials.items():
         # every basis name is the label of its monomial, with its grading
         assert [(b.name, b.zdeg, b.parity) for b in cx.term(z).basis] == [(m.label(), m.zdeg, m.parity) for m in monos]
         assert data.rows[z].tolist() == [[dict(m.exps).get(g, 0) for g in range(data.space.dim)] for m in monos]
