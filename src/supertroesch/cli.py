@@ -68,9 +68,11 @@ def cmd_cohomology(args):
     p = args.p
     u = parse_space(args.space, p, args.budget)
     n_poly = args.n * p ** args.r
-    data = build_B(n_poly, args.r, u, p, args.budget)
+    # decompose_cyclic validates after the ranks, so d is applied only to
+    # the pivot columns of d^(p-1)
+    data = build_B(n_poly, args.r, u, p, args.budget, validate=False)
+    dec = decompose_cyclic(data.complex)
     table = cohomology_table(data.complex)
-    dec = decompose_cyclic(data.complex, validate=False)
     normal = dec.is_normal()
     payload = table.to_jsonable()
     payload["normal"] = normal
@@ -97,8 +99,8 @@ def cmd_decompose(args):
     p = args.p
     u = parse_space(args.space, p, args.budget)
     n_poly = args.n * p ** args.r
-    data = build_B(n_poly, args.r, u, p, args.budget)
-    dec = decompose_cyclic(data.complex, validate=False)
+    data = build_B(n_poly, args.r, u, p, args.budget, validate=False)
+    dec = decompose_cyclic(data.complex)
     payload = dec.to_jsonable()
     payload["normal"] = dec.is_normal()
     payload["csv"] = [["shift", "length", "parity", "multiplicity"]] + [

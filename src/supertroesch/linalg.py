@@ -6,16 +6,19 @@ All eliminations use first-nonzero pivoting so that ranks, kernel bases and
 particular solutions are reproducible bit for bit.
 
 One kernel, ``FpMatrix.eliminate``, does every elimination.  It takes a
-list of arrays and steps batches of them through their columns in
-lockstep, so the fixed cost of a numpy call is paid once per column of a
-batch; a single matrix is a list of one.  Residues are lazy: row updates
-are not reduced mod p.  Each batch is held in the narrowest of int16, int32
-and int64 that holds the checked bound on how far entries can grow, and
-the reduced arrays come back as int64 residues.
+list of arrays, stacks them in order of width, each at its own height, and
+steps batches of them through their columns in lockstep, so the fixed cost
+of a numpy call is paid once per column of a batch; a single matrix is a
+list of one.  A step scans only the arrays still wider than its column.
+Residues are lazy: row updates are not reduced mod p.  Each batch is held
+in the narrowest of int16, int32 and int64 that holds the checked bound on
+how far entries can grow, and the reduced arrays come back as int64
+residues.
 
-Every matrix filled entry by entry goes through ``FpMatrix.from_arrays``:
-it sorts the entries by position once, sums the repeats with
-``np.add.reduceat`` and writes only those sums, reduced mod p.
+Every matrix filled entry by entry goes through ``FpMatrix.from_arrays``,
+or, for many matrices in one pass, ``FpMatrix.batch_from_arrays``: the
+entries are sorted by position once, the repeats summed with
+``np.add.reduceat``, and only those sums are written, reduced mod p.
 
 Products are the one place floating point appears.  ``_mod_p_product``
 multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
@@ -28,6 +31,8 @@ int64 residues, identical to ``(a @ b) % p`` in int64.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 SUPPORTED_PRIMES = (3, 5, 7)
@@ -35,11 +40,23 @@ SUPPORTED_PRIMES = (3, 5, 7)
 # inverses mod p, indexed by residue (0 has none and maps to 0)
 _INVERSES = {p: np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16) for p in SUPPORTED_PRIMES}
 
+# x mod p for every int16 x, indexed by the bits of x read as uint16.  On
+# an int16 batch of 256 rows or more, a lookup reduces a column about twice
+# as fast as numpy's int16 remainder; on fewer rows the remainder is
+# cheaper.  Filled on first use of each p.
+_RESIDUES16 = {}
+
+# the index of the pivot among the live rows of a column when they all lie
+# in one array
+_FIRST = np.zeros(1, dtype=np.intp)
+
 # the working dtypes of elimination, narrowest first, with their maxima
 _WORK_DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
 
-# Cells of one padded batch in ``FpMatrix.eliminate``: 2 MB as int16.
-BATCH_CELLS = 1 << 20
+# Cells of one batch in ``FpMatrix.eliminate``: 4 MB as int16, so that all
+# (degree, parity) blocks of d (6,431 rows, 289 columns) in the
+# verify_theorem_B(7, 2, k^{1|0}) complex are one batch.
+BATCH_CELLS = 1 << 21
 
 
 class ShapeMismatchError(ValueError):
@@ -110,12 +127,33 @@ class FpMatrix:
         if values.size:
             if min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols:
                 raise IndexError(f"from_arrays: an entry lies outside the {rows} x {cols} matrix")
-            at = i * cols + j
-            order = np.argsort(at, kind="stable")
-            at = at[order]
-            starts = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-            data.reshape(-1)[at[starts]] = np.add.reduceat(values[order], starts) % p
+            _sum_into(data.reshape(-1), i * cols + j, values, p)
         return FpMatrix(p, data)
+
+    @staticmethod
+    def batch_from_arrays(p, shapes, k, i, j, values):
+        """One matrix of each of the given shapes, from the matrix, row,
+        column and value of every entry as four arrays.
+
+        The matrices are laid out one after another in one flat array, and
+        its entries are summed as in ``from_arrays``, in one pass for all
+        the matrices.  Each matrix is a view of its part.
+        """
+        k, i, j, values = (np.asarray(x, dtype=np.int64).ravel() for x in (k, i, j, values))
+        if not k.size == i.size == j.size == values.size:
+            raise ValueError(f"batch_from_arrays: {k.size} matrices, {i.size} rows, {j.size} columns and {values.size} values")
+        rows = np.array([r for r, c in shapes], dtype=np.int64)
+        cols = np.array([c for r, c in shapes], dtype=np.int64)
+        start = np.zeros(len(shapes) + 1, dtype=np.int64)
+        np.cumsum(rows * cols, out=start[1:])
+        flat = np.zeros(start[-1], dtype=np.int64)
+        if values.size:
+            if k.min() < 0 or k.max() >= len(shapes):
+                raise IndexError(f"batch_from_arrays: an entry names no matrix of the {len(shapes)} given")
+            if min(i.min(), j.min()) < 0 or (i >= rows[k]).any() or (j >= cols[k]).any():
+                raise IndexError("batch_from_arrays: an entry lies outside its matrix")
+            _sum_into(flat, start[k] + i * cols[k] + j, values, p)
+        return [FpMatrix(p, flat[start[n] : start[n + 1]].reshape(shape)) for n, shape in enumerate(shapes)]
 
     # ------------------------------------------------------------------
     # basic access
@@ -175,12 +213,14 @@ class FpMatrix:
         are appended to it in the order of ``arrays``, as int64 residues with
         the augmented column last.
 
-        The arrays are sorted by shape and padded with zeros into batches of
-        at most ``BATCH_CELLS`` cells (an array larger than that is a batch
-        alone), eliminated one batch at a time.  A step over one column makes
-        the same numpy calls for a whole batch, so their fixed cost is paid
-        once per column of the batch, not once per column of every array.
-        The padding never holds a pivot and stays zero.
+        The arrays are sorted by shape and stacked, each at its own height,
+        into batches of at most ``BATCH_CELLS`` cells (an array larger than
+        that is a batch alone), eliminated one batch at a time.  Only the
+        columns are padded, to the widest array of the batch.  A step over
+        one column makes the same numpy calls for the arrays still wider
+        than it, which sit at the end of the batch, so their fixed cost is
+        paid once per column of the batch, not once per column of every
+        array.  The padding never holds a pivot and stays zero.
 
         Residues are reduced lazily: only the scanned column and the pivot
         rows are reduced when a column is reached, the row updates are not.
@@ -195,23 +235,23 @@ class FpMatrix:
         extra = int(augs is not None)
         pivots = [None] * len(arrays)
         reduced = [None] * len(arrays)
-        for members, rows, cols in _batches(shapes, extra):
-            worst = (p - 1) + (p - 1) ** 2 * max(min(shapes[b]) for b in members)
+        for members, cols in _batches(shapes, extra):
+            sizes = [shapes[b] for b in members]
+            worst = (p - 1) + (p - 1) ** 2 * max(min(size) for size in sizes)
             dtype = next(t for t, top in _WORK_DTYPES if worst <= top)
-            a = np.zeros((len(members), rows, cols + extra), dtype=dtype)
-            for k, b in enumerate(members):
-                r, c = shapes[b]
-                a[k, :r, :c] = arrays[b]
+            tops = list(accumulate((r for r, c in sizes), initial=0))
+            a = np.zeros((tops[-1], cols + extra), dtype=dtype)
+            for b, t, (r, c) in zip(members, tops, sizes):
+                a[t : t + r, :c] = arrays[b]
                 if extra:
-                    a[k, :r, cols] = np.asarray(augs[b], dtype=np.int64) % p
-            found = _lockstep(p, a, [shapes[b] for b in members], reduce_above)
-            for k, b in enumerate(members):
-                pivots[b] = found[k]
+                    a[t : t + r, cols] = np.asarray(augs[b], dtype=np.int64) % p
+            found = _lockstep(p, a, sizes, reduce_above)
+            for b, t, (r, c), piv in zip(members, tops, sizes, found):
+                pivots[b] = piv
                 if out is not None:
-                    r, c = shapes[b]
                     red = np.empty((r, c + extra), dtype=np.int64)
-                    red[:, :c] = a[k, :r, :c]
-                    red[:, c:] = a[k, :r, cols:]
+                    red[:, :c] = a[t : t + r, :c]
+                    red[:, c:] = a[t : t + r, cols:]
                     reduced[b] = np.remainder(red, p, out=red)
         if out is not None:
             out.extend(reduced)
@@ -259,69 +299,114 @@ class FpMatrix:
         return x.tolist()
 
 
+def _sum_into(flat, at, values, p):
+    """Write at each distinct place of ``at`` in ``flat`` the sum mod p of
+    the values there: one stable sort, one ``np.add.reduceat``."""
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    flat[at[first]] = np.add.reduceat(values[order], first) % p
+
+
 def _batches(shapes, extra):
-    """(indices, rows, columns) of each batch: the arrays sorted by column
-    count, then row count, and cut where padding every array of a batch to
-    its largest rows and columns, plus ``extra`` columns, would pass
-    ``BATCH_CELLS`` cells."""
+    """(indices, columns) of each batch: the arrays sorted by column count,
+    then row count, and cut where stacking them at their own heights, all
+    as wide as the widest plus ``extra`` columns, would pass ``BATCH_CELLS``
+    cells."""
     batch, rows, cols = [], 0, 0
     for b in sorted(range(len(shapes)), key=lambda b: shapes[b][::-1]):
         r, c = shapes[b]
-        if batch and (len(batch) + 1) * max(rows, r) * (max(cols, c) + extra) > BATCH_CELLS:
-            yield batch, rows, cols
-            batch, rows, cols = [], 0, 0
+        if batch and (rows + r) * (c + extra) > BATCH_CELLS:
+            yield batch, cols
+            batch, rows = [], 0
         batch.append(b)
-        rows, cols = max(rows, r), max(cols, c)
+        rows, cols = rows + r, c
     if batch:
-        yield batch, rows, cols
+        yield batch, cols
 
 
 def _lockstep(p, a, shapes, reduce_above):
-    """Eliminate the stacked arrays a[k], of the given unpadded shapes, in
-    place and in lockstep; returns the pivot columns of each."""
-    count, height, width = a.shape
-    flat = a.reshape(count * height, width)  # row k * height + i is a[k, i]
+    """Eliminate the arrays stacked in the rows of a, each at its own height
+    and in order of width, in place and in lockstep; returns the pivot
+    columns of each."""
+    count = len(shapes)
+    heights = [r for r, c in shapes]
+    widths = [c for r, c in shapes]
+    top = np.array(list(accumulate(heights, initial=0)))  # array k holds rows top[k] to top[k+1]
     every = np.arange(count)
-    top = every * height  # the first row of each array, in flat
-    nxt = top.copy()  # the current row of each array
+    owner = np.repeat(every, heights)  # the array of each row
+    nxt = top[:-1].copy()  # the current row of each array, from base
     # p on pivot rows and 0 on the others, so that a residue above it is a
     # nonzero entry of a row that can still take a pivot
-    lock = np.zeros(count * height, dtype=a.dtype)
+    lock = np.zeros(len(a), dtype=a.dtype)
     slot = np.zeros(count, dtype=np.intp)  # which of a step's pivot rows is array k's
+    has = np.zeros(count, dtype=bool)
     inverse = _INVERSES[p]
+    if a.dtype == np.int16 and len(a) >= 256:
+        table = _RESIDUES16.get(p)
+        if table is None:
+            table = _RESIDUES16[p] = np.arange(2**16, dtype=np.uint16).view(np.int16) % p
+
+        def residues(x):
+            return table.take(x.view(np.uint16))
+    else:
+
+        def residues(x):
+            return x % p
+
     pivots = [[] for _ in range(count)]
     left = sum(r for r, c in shapes if c)  # rows that can still take a pivot
+    # the arrays from index wider on are wider than column c: they start at
+    # row base, and sub, sub_lock and sub_owner are their rows
+    wider, base, sub, sub_lock, sub_owner = 0, 0, a, lock, owner
     for c in range(max((c for r, c in shapes if r), default=0)):
         if not left:
             break
-        col = flat[:, c] % p
-        live = col > lock
-        if not np.count_nonzero(live):
+        if widths[wider] <= c:
+            while widths[wider] <= c:
+                wider += 1
+            nxt -= top[wider] - base
+            base = top[wider]
+            sub, sub_lock, sub_owner = a[base:], lock[base:], owner[base:]
+        col = residues(sub[:, c])
+        at = (col > sub_lock).nonzero()[0]
+        if not at.size:
             continue
-        first = live.reshape(count, height).argmax(1) + top
-        has = live[first]
-        got = has.nonzero()[0]
-        src, dst = first[got], nxt[got]
+        own = sub_owner[at]
+        if own[0] == own[-1]:
+            # one array has live rows: its first one is the pivot
+            first, rest = _FIRST, at[1:]
+        else:
+            # the live rows are sorted, so each array's first one starts a run
+            starts = np.empty(at.size, dtype=bool)
+            starts[0] = True
+            np.not_equal(own[1:], own[:-1], out=starts[1:])
+            first, rest = starts.nonzero()[0], at[~starts]
+        got = own[first]
+        src, dst = at[first], nxt[got]
         # swap the pivot row into the current row; left of column c both
         # rows are zero mod p, so only c: moves
-        row = flat[src, c:]
-        flat[src, c:] = flat[dst, c:]
-        np.remainder(row, p, out=row)
+        row = residues(sub[src, c:])
+        sub[src, c:] = sub[dst, c:]
         row *= inverse[row[:, :1]]
-        np.remainder(row, p, out=row)
-        flat[dst, c:] = row
+        row = residues(row)
+        sub[dst, c:] = row
         # clear column c with the reduced entries from before the swap, in
         # the arrays that have a pivot here: the pivot's own entry is
-        # dropped, and the old current row, now at src, was zero there
+        # dropped, and the old current row, now at src, was zero there.
+        # Below the current rows these are the live rows but the pivots.
         if not reduce_above:
-            col *= live
-        elif got.size < count:
-            col.reshape(count, height)[~has] = 0
-        col[src] = 0
-        rows = col.nonzero()[0]
+            rows = rest
+        else:
+            if got.size < count - wider:
+                has[got] = True
+                col *= has[sub_owner]
+                has[got] = False
+            col[src] = 0
+            rows = col.nonzero()[0]
         slot[got] = every[: got.size]
-        flat[rows, c:] -= col[rows][:, None] * row[slot[rows // height]]
-        lock[dst] = p
+        sub[rows, c:] -= col[rows][:, None] * row[slot[sub_owner[rows]]]
+        sub_lock[dst] = p
         nxt[got] = dst + 1
         for b in got.tolist():
             pivots[b].append(c)

@@ -9,7 +9,13 @@ Whether given cocycles span H_[1] is decided in one place,
 ``cocycles_span``.
 
 The first rank asked of a power d^m eliminates all (degree, parity) blocks
-of d^m in one call to the batched kernel ``FpMatrix.eliminate``.
+of d^m in one call to the batched kernel ``FpMatrix.eliminate``.  For
+m >= 2, d^m is formed and kept only on the pivot columns of d^(m-1), as d
+times d^(m-1) there: those columns span the image of d^(m-1), so the
+pivots are those of the whole d^m.  d^m on its own pivot columns
+(``image_of_power``) is a basis of its image; it feeds the next power, the
+check d^N = 0 once the ranks are known, and every span check against the
+image of d^(N-1).
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ class PComplex:
     terms: dict
     diffs: dict
     _rank_cache: dict = field(default_factory=dict, repr=False)  # m -> {(degree, parity): pivots}
+    # (degree, m) -> d^m on the pivot columns of d^(m-1), for m >= 2
+    _power_cache: dict = field(default_factory=dict, repr=False)
     _iter_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -93,9 +101,22 @@ class PComplex:
         return got
 
     def validate_p_differential(self):
+        """Raise PDifferentialError naming the first degree where d^N != 0.
+
+        Once the ranks of d^(N-1) are cached, d is applied only to
+        ``image_of_power(i, N-1)``, whose columns span the image of
+        d^(N-1)(i), so the same degrees fail.  Before, d^(N-1)(i + alpha)
+        is multiplied out and applied to d(i).
+        """
+        top = self.order - 1
         for i in self.degrees():
-            # d^N is not cached: nothing reads it, and here it is zero
-            if not matmul(self.iterated_diff(i + self.alpha, self.order - 1), self.diff(i)).is_zero():
+            if top in self._rank_cache:
+                d, image = self.diffs.get(i + top * self.alpha), self.image_of_power(i, top)
+                nonzero = d is not None and image.cols > 0 and not matmul(d, image).is_zero()
+            else:
+                # d^N is not cached: nothing reads it, and here it is zero
+                nonzero = not matmul(self.iterated_diff(i + self.alpha, top), self.diff(i)).is_zero()
+            if nonzero:
                 raise PDifferentialError(f"d^{self.order} is nonzero starting at degree {i}")
 
     # -- parity-aware ranks -------------------------------------------
@@ -116,30 +137,62 @@ class PComplex:
             got = self._rank_cache[m] = self._eliminate_power(m)
         return got.get((i, parity), [])
 
+    def image_of_power(self, i, m):
+        """d^m(i) on the columns of both parities' pivots, in basis order:
+        its columns are a basis of the image of d^m(i), for 1 <= m < N."""
+        cols = self._image_columns(i, m)
+        if not cols:
+            return FpMatrix.zeros(self.p, self.dim(i + m * self.alpha), 0)
+        if m == 1:
+            on, power = range(self.dim(i)), self.diffs[i]
+        else:
+            on, power = self._image_columns(i, m - 1), self._power_cache[(i, m)]
+        if len(cols) == len(on):
+            return power
+        return FpMatrix(self.p, power.data[:, np.searchsorted(on, cols)])
+
+    def _image_columns(self, i, m):
+        """The pivot columns of d^m(i) of both parities, in basis order."""
+        return sorted(self._pivot_columns(i, m, EVEN) + self._pivot_columns(i, m, ODD))
+
     def _eliminate_power(self, m):
         """Pivot columns of every (degree, parity) block of d^m, from one
         call to the elimination kernel.
 
-        The image of d^m is d applied to the image of d^(m-1), so for m >= 2
-        only the columns at the pivots of d^(m-1) are eliminated.  A block
-        with no rows or no columns, or of a zero d, has no pivots.
+        For m >= 2, d^m(i) is formed only on the pivot columns of
+        d^(m-1)(i), as d times ``image_of_power(i, m - 1)``, kept, and only
+        those columns are eliminated.  A block with no rows or no columns,
+        or of a zero d, has no pivots.
         """
-        keys, columns, blocks = [], [], []
+        pivots, keys, columns, blocks = {}, [], [], []
         for i in self.degrees():
-            for parity in (EVEN, ODD):
-                if m == 1:
-                    cols = self.term(i).indices_of_parity(parity) if i in self.diffs else []
-                else:
-                    cols = self._pivot_columns(i, m - 1, parity)
+            if m == 1:
+                # on is None: power is d(i) itself, on every column
+                on, power = None, self.diffs.get(i)
+                parts = [self.term(i).indices_of_parity(parity) if power is not None else () for parity in (EVEN, ODD)]
+            else:
+                on = self._image_columns(i, m - 1)
+                parts = [self._pivot_columns(i, m - 1, parity) for parity in (EVEN, ODD)]
+                d = self.diffs.get(i + (m - 1) * self.alpha)
+                power = None
+                if on and d is not None:
+                    power = self._power_cache[(i, m)] = matmul(d, self.image_of_power(i, m - 1))
+            for parity, cols in zip((EVEN, ODD), parts):
                 rows = self.term(i + m * self.alpha).indices_of_parity(parity)
-                if rows and cols:
-                    keys.append((i, parity))
-                    columns.append(cols)
-                    # residues below p <= 7: int8 holds every block of d^m
-                    # at an eighth of int64 until the kernel packs them
-                    blocks.append(self.iterated_diff(i, m).data[np.ix_(rows, cols)].astype(np.int8))
-        pivots = FpMatrix.eliminate(self.p, blocks, reduce_above=False)
-        return {key: [cols[k] for k in piv] for key, cols, piv in zip(keys, columns, pivots)}
+                if not (rows and cols):
+                    continue
+                if power is None:
+                    pivots[(i, parity)] = []
+                    continue
+                keys.append((i, parity))
+                columns.append(cols)
+                at = cols if on is None else np.searchsorted(on, cols)
+                # residues below p <= 7: int8 holds every block of d^m at an
+                # eighth of int64 until the kernel packs them
+                blocks.append(power.data[np.ix_(rows, at)].astype(np.int8))
+        for key, cols, piv in zip(keys, columns, FpMatrix.eliminate(self.p, blocks, reduce_above=False)):
+            pivots[key] = [cols[k] for k in piv]
+        return pivots
 
 
 class ChainComplex(PComplex):
@@ -238,6 +291,9 @@ def decompose_cyclic(cx, validate=True):
     the graded Jordan-type count for a nilpotent operator of order p.
     """
     if validate:
+        # ranks first, so that validation applies d only to the pivot
+        # columns of d^(N-1)
+        cx.rank_of_power(0, cx.order - 1, EVEN)
         cx.validate_p_differential()
     blocks = {}
     for i in cx.degrees():
@@ -337,7 +393,7 @@ def cocycles_span(cx, deg, vmat):
     d^(N-1), so that their classes span H_[1] when they are cocycles."""
     is_cocycle = matmul(cx.diff(deg), vmat).is_zero()
     ker_rank = cx.dim(deg) - sum(cx.rank_of_power(deg, 1, parity) for parity in (EVEN, ODD))
-    img = cx.iterated_diff(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
+    img = cx.image_of_power(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
     return is_cocycle, hstack([img, vmat]).rank() == ker_rank
 
 
@@ -345,7 +401,7 @@ def _class_representatives(cx, deg):
     """Cocycles, as the columns of an array, whose classes form a basis of
     H_[1] in this degree."""
     ker = cx.diff(deg).kernel_basis()
-    img = cx.iterated_diff(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
+    img = cx.image_of_power(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
     # first-nonzero pivoting picks each kernel column not in the span of the
     # image and the kernel columns before it
     pivots = hstack([img, ker]).pivot_columns()

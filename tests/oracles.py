@@ -16,7 +16,7 @@ import numpy as np
 
 from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, hom_space
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
-from supertroesch.pcomplex import CyclicDecomposition, PComplex, cohomology, contraction_degree
+from supertroesch.pcomplex import CyclicDecomposition, PComplex, PDifferentialError, cohomology, contraction_degree
 from supertroesch.powers import (
     PowerKind,
     PowerMonomial,
@@ -850,6 +850,17 @@ def build_from_blocks(p, alpha, blocks):
         for sdeg, entries in by_src.items()
     }
     return PComplex(p, alpha, spaces, diffs)
+
+
+def validate_p_differential_oracle(cx):
+    """d^N = 0 from the whole product d(i + (N-1) alpha) ... d(i) in every
+    degree, with the library's message at the first degree where it fails."""
+    for i in cx.degrees():
+        power = FpMatrix.identity(cx.p, cx.dim(i))
+        for k in range(cx.order):
+            power = matmul(cx.diff(i + k * cx.alpha), power)
+        if not power.is_zero():
+            raise PDifferentialError(f"d^{cx.order} is nonzero starting at degree {i}")
 
 
 def contraction_prediction(cx, s, t, ell):

@@ -10,6 +10,7 @@ the printed ranks are locked separately, by digest.
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ import pytest
 from supertroesch import cli
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, d_power_element, e_class, solve_epsilon
+from supertroesch.pcomplex import decompose_cyclic
 from supertroesch.superspace import EVEN, ODD, k_super
-from supertroesch.troesch import build_B, build_B_bar, eta_images
+from supertroesch.troesch import build_B, build_B_bar, eta_images, verify_theorem_B
+from test_troesch import _keep_built
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,3 +216,47 @@ MATRIX_DIGESTS = {
 def test_matrix_digest(name):
     compute, want = MATRIX_DIGESTS[name]
     assert compute() == want
+
+
+def _pivot_digest(cx):
+    """sha256 over the sorted (m, degree, parity, pivot columns) of every
+    block whose rank the complex has cached."""
+    items = sorted((m, i, parity, pivots) for m, blocks in cx._rank_cache.items() for (i, parity), pivots in blocks.items())
+    return len(items), hashlib.sha256(json.dumps(items).encode()).hexdigest()
+
+
+def _theorem_B_pivots(monkeypatch):
+    built = _keep_built(monkeypatch)
+    assert verify_theorem_B(7, 2, k_super(1, 0), 3).ok
+    return _pivot_digest(built[0].complex)
+
+
+def _decomposed_pivots(n, u, p):
+    cx = build_B(n, 1, u, p).complex
+    decompose_cyclic(cx)
+    return _pivot_digest(cx)
+
+
+# every cached pivot list of d^1 .. d^(p-1), recorded before the elimination
+# kernel stacked its arrays unpadded and before d^m was formed on the pivot
+# columns of d^(m-1) only
+PIVOT_DIGESTS = {
+    "verify_theorem_B(7, 2, k^{1|0})": (
+        _theorem_B_pivots,
+        (105, "a4856f595d741fdfd6a62b90ef5f4a855b50f0777859420e572da6efd4a55ed9"),
+    ),
+    "B_4(1) k^{1|1}": (
+        lambda monkeypatch: _decomposed_pivots(4, k_super(1, 1), 3),
+        (30, "9ec54c1460ccecb2f092e83fa1ffb43e648ad6a2feba15645814fe3501be1c4f"),
+    ),
+    "B_5(1) k^{1|2} p=5": (
+        lambda monkeypatch: _decomposed_pivots(5, k_super(1, 2), 5),
+        (148, "0e149e2a3777caf76437f88ecb26412a41f288c0a1dc55ebb058bb17523fcc59"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_DIGESTS))
+def test_pivot_digest(name, monkeypatch):
+    compute, want = PIVOT_DIGESTS[name]
+    assert compute(monkeypatch) == want

@@ -214,6 +214,35 @@ def test_batched_elimination_matches_single_and_oracle(monkeypatch, cells):
                 assert FpMatrix.eliminate(p, arrays, reduce_above, given) == pivots
 
 
+@pytest.mark.parametrize("cells", [linalg.BATCH_CELLS, 150])
+def test_batches_stack_arrays_at_their_own_heights(monkeypatch, cells):
+    # no row padding: a batch has as many rows as its arrays together, and
+    # is as wide as its widest array plus the augmented column
+    monkeypatch.setattr(linalg, "BATCH_CELLS", cells)
+    lockstep = linalg._lockstep
+    batches = []
+
+    def recording_lockstep(p, a, shapes, *args):
+        batches.append((a.shape, list(shapes)))
+        return lockstep(p, a, shapes, *args)
+
+    monkeypatch.setattr(linalg, "_lockstep", recording_lockstep)
+    rng = random.Random(29)
+    for _ in range(20):
+        shapes = [(rng.randrange(12), rng.randrange(12)) for _ in range(rng.randrange(1, 10))]
+        arrays = [random_matrix(rng, 3, r, c).data for r, c in shapes]
+        for augs in (None, [[1] * r for r, c in shapes]):
+            batches.clear()
+            FpMatrix.eliminate(3, arrays, augs is not None, augs)
+            assert sorted(s for _, batch in batches for s in batch) == sorted(shapes)
+            for (rows, width), batch in batches:
+                assert rows == sum(r for r, c in batch)
+                assert width == max(c for r, c in batch) + (augs is not None)
+                # in order of width, so the arrays wider than a column are a suffix
+                assert [c for r, c in batch] == sorted(c for r, c in batch)
+                assert len(batch) == 1 or rows * width <= cells
+
+
 @pytest.mark.parametrize("n, dtype", [(910, np.int16), (911, np.int32)])
 def test_elimination_at_the_int16_bound(monkeypatch, n, dtype):
     # p = 7: the bound (p-1) + (p-1)**2 * min(rows, cols) is 32766 at 910,
@@ -324,6 +353,31 @@ def test_from_arrays_matches_add_at_reference():
     # no entries at all, from either constructor
     assert FpMatrix.from_arrays(5, 2, 3, [], [], []) == FpMatrix.zeros(5, 2, 3)
     assert FpMatrix.from_coords(5, 0, 3, []) == FpMatrix.zeros(5, 0, 3)
+
+
+def test_batch_from_arrays_matches_one_fill_per_matrix():
+    rng = np.random.default_rng(31)
+    shapes = [(0, 3), (2, 2), (4, 0), (5, 7), (1, 1), (3, 6)]
+    fillable = [n for n, (r, c) in enumerate(shapes) if r * c]
+    for p in (3, 5, 7):
+        for count in (0, 1, 60):
+            k = rng.choice(fillable, count)
+            i = np.array([rng.integers(shapes[n][0]) for n in k], dtype=np.int64)
+            j = np.array([rng.integers(shapes[n][1]) for n in k], dtype=np.int64)
+            values = rng.integers(-2 * p, 2 * p, count)
+            mats = FpMatrix.batch_from_arrays(p, shapes, k, i, j, values)
+            assert len(mats) == len(shapes)
+            for n, shape in enumerate(shapes):
+                one = k == n
+                assert mats[n].shape == shape and mats[n].data.dtype == np.int64
+                assert mats[n] == FpMatrix.from_arrays(p, *shape, i[one], j[one], values[one])
+    assert FpMatrix.batch_from_arrays(3, [], [], [], [], []) == []
+    # (1, 1) lies inside the 2 x 2 matrix but outside the 1 x 1 one
+    for k, i, j in (([2], [0], [0]), ([-1], [0], [0]), ([6], [0], [0]), ([4], [1], [1]), ([1], [0], [-1])):
+        with pytest.raises(IndexError):
+            FpMatrix.batch_from_arrays(3, shapes, k, i, j, [1])
+    with pytest.raises(ValueError):
+        FpMatrix.batch_from_arrays(3, shapes, [1, 1], [0, 1], [0], [1, 1])
 
 
 def test_from_arrays_rejects_entries_outside_the_matrix():
