@@ -346,16 +346,6 @@ def _seq_to_exps(seq):
     return tuple(sorted(counts.items()))
 
 
-def compose_power(el, k):
-    """k-fold composition of an endomorphism-type element with itself."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    out = el
-    for _ in range(k - 1):
-        out = compose(el, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # functorial actions
 

@@ -17,7 +17,6 @@ from .gamma import (
     apply_frobenius,
     apply_sym_block,
     compose,
-    compose_power,
     differential_element,
     element_from_map,
     element_product,
@@ -91,9 +90,30 @@ def d_element(p, r, barred=False):
     return differential_element(p, r, q, maps, ELEMENT_TERM_CAP)
 
 
-@lru_cache(maxsize=8)
-def d_power_element(p, r, k, barred=False):
-    return compose_power(d_element(p, r, barred), k)
+@lru_cache(maxsize=16)
+def _d_by_source_degree(p, r, barred):
+    return d_element(p, r, barred).split_by_source_degree()
+
+
+@lru_cache(maxsize=256)
+def d_component(p, r, z, k, barred):
+    """The component of d^k out of source z-degree z, never forming d^k whole.
+
+    It is d_{z+(k-1)h} o ... o d_{z+h} o d_z with h = p^(r-1), each factor
+    the component of d out of that z-degree; a missing component of d gives
+    the zero element.  compose pairs monomials by target profile, which fixes
+    the z-sum, so composing with a component gives exactly the terms that
+    composing with the whole power gives at that source degree.  The cache
+    hands out one object per component, so lifting indexes each once.
+    """
+    if k > 1:
+        h = p ** (r - 1)
+        return compose(d_component(p, r, z + (k - 1) * h, 1, barred), d_component(p, r, z, k - 1, barred))
+    comp = _d_by_source_degree(p, r, barred).get(z)
+    if comp is None:
+        d_el = d_element(p, r, barred)
+        comp = zero_element(d_el.source, d_el.target, d_el.n, p)
+    return comp
 
 
 @lru_cache(maxsize=4)
@@ -296,17 +316,20 @@ class SplicedResolution:
         return self._eps
 
     def partial_element(self, kind, local):
-        """The contraction differential out of a local degree, as an element."""
+        """The contraction differential out of a local degree, as an element:
+        the component of d, or of d^(p-1) for odd local, out of that local
+        degree's z-degree."""
         p, r = self.p, self.r
         barred = kind == "Tbar"
-        if local % 2 == 0:
-            return d_element(p, r, barred)
-        if p ** r > 5:
-            # the (p-1)-fold formal composite squares the monomial count of
-            # the one-step element; far past any desk-scale budget
-            base = len(d_element(p, r, barred).terms)
-            raise BudgetExceededError("formal differential power", base * base, self.budget)
-        return d_power_element(p, r, p - 1, barred)
+        k = 1
+        if local % 2:
+            if p ** r > 5:
+                # the (p-1)-fold formal composite squares the monomial count of
+                # the one-step element; far past any desk-scale budget
+                base = len(d_element(p, r, barred).terms)
+                raise BudgetExceededError("formal differential power", base * base, self.budget)
+            k = p - 1
+        return d_component(p, r, zdeg_of_local(p, r, local), k, barred)
 
     def eps_element(self, kind, local):
         """The splice block out of a local degree, with its alternating sign."""

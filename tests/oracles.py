@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, hom_space
+from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, compose, hom_space
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.pcomplex import CyclicDecomposition, PComplex, PDifferentialError, cohomology, contraction_degree
 from supertroesch.powers import (
@@ -28,6 +28,7 @@ from supertroesch.powers import (
     power_basis,
     sort_with_sign,
 )
+from supertroesch.resolutions import d_element
 from supertroesch.superspace import EVEN, ODD, BasisElement, LinearMapSS, SuperSpace, k_super, tensor
 from supertroesch.troesch import build_B
 
@@ -502,6 +503,23 @@ def element_parity(el):
 
 def element_bigrades(el):
     return sorted({el.monomial_bigrade(k) for k in el.terms})
+
+
+def compose_power(el, k):
+    """k-fold composition of an endomorphism-type element with itself."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    out = el
+    for _ in range(k - 1):
+        out = compose(el, out)
+    return out
+
+
+@lru_cache(maxsize=8)
+def d_power_element(p, r, k, barred=False):
+    """The whole formal d^k, every source degree at once; the library forms
+    it one source degree at a time (resolutions.d_component)."""
+    return compose_power(d_element(p, r, barred), k)
 
 
 def expand_to_invariant_tensor(el, check=False):

@@ -18,10 +18,11 @@ import pytest
 
 from supertroesch import cli
 from supertroesch.gamma import tensor_with_identity
-from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, d_power_element, e_class, solve_epsilon
+from supertroesch.resolutions import YonedaCalculator, build_J, c_class, d_element, e_class, solve_epsilon
 from supertroesch.pcomplex import decompose_cyclic
 from supertroesch.superspace import EVEN, ODD, k_super
 from supertroesch.troesch import build_B, build_B_bar, eta_images, verify_theorem_B
+from oracles import d_power_element
 from test_troesch import _keep_built
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,8 +175,9 @@ MATRIX_DIGESTS = {
         lambda: _epsilon_digest(1, 5),
         "7c2fd72ff29bae064ed858542d79dbe32d6a653df13533b07b721417de199be2",
     ),
-    # d^4 at p = 5 over Sh and over its parity shift, 1,185 terms each; the
-    # two digests agree because the shift keeps every unit index and parity
+    # the whole d^4 at p = 5 over Sh and over its parity shift, 1,185 terms
+    # each; the two digests agree because the shift keeps every unit index
+    # and parity
     "d(5, 1)^4": (
         lambda: _terms_digest(sorted(d_power_element(5, 1, 4).terms.items())),
         "e2f08debe02ab5dc20a0265427e9269c73c009504b0a0818d3dd04f747ea0ef5",

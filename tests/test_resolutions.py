@@ -4,7 +4,7 @@ import pytest
 
 from types import SimpleNamespace
 
-from oracles import element_bigrades
+from oracles import d_power_element, element_bigrades
 from supertroesch import resolutions
 from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
@@ -130,23 +130,25 @@ def test_epsilon_on_generator_product():
 
 
 def test_delta_squared_formal():
-    for flavor in ("J", "Jbar"):
-        ok, msg = check_delta_squared_formal(3, 1, flavor)
-        assert ok, msg
+    for p in (3, 5):
+        for flavor in ("J", "Jbar"):
+            ok, msg = check_delta_squared_formal(p, 1, flavor)
+            assert ok, (p, msg)
 
 
 def test_formal_anticommutation():
     # the signed splice blocks anticommute with the contraction differentials
-    res = SplicedResolution(3, 1)
-    q = 3
-    for local in range(q - 1, 2 * q - 2):
-        eps_l = res.eps_element("T", local)
-        eps_next = res.eps_element("T", local + 1)
-        partial = res.partial_element("T", local)
-        partial_bar = res.partial_element("Tbar", local - q + 1)
-        lhs = compose(partial_bar, eps_l)
-        rhs = compose(eps_next, partial).scaled(-1)
-        assert lhs == rhs, local
+    for p in (3, 5):
+        res = SplicedResolution(p, 1)
+        q = p
+        for local in range(q - 1, 2 * q - 2):
+            eps_l = res.eps_element("T", local)
+            eps_next = res.eps_element("T", local + 1)
+            partial = res.partial_element("T", local)
+            partial_bar = res.partial_element("Tbar", local - q + 1)
+            lhs = compose(partial_bar, eps_l)
+            rhs = compose(eps_next, partial).scaled(-1)
+            assert lhs == rhs, (p, local)
 
 
 def test_terms_layout():
@@ -322,7 +324,10 @@ def test_e_pth_power_vanishing_r2_or_skip():
         pytest.skip(f"recorded as skipped: r=2 lifting piece over budget ({exc.size}+)")
 
 
-@pytest.mark.parametrize("p, u", [(3, k_super(1, 1)), (3, k_super(0, 1)), (3, k_super(2, 0)), (5, k_super(0, 1))])
+@pytest.mark.parametrize(
+    "p, u",
+    [(3, k_super(1, 1)), (3, k_super(0, 1)), (3, k_super(2, 0)), (5, k_super(0, 1)), (5, k_super(1, 1)), (5, k_super(2, 0))],
+)
 def test_contraction_blocks_are_powers_of_the_built_differential(p, u):
     # build_J reads each contraction block of J off B or B-bar as d or
     # d^(p-1); the formal block, evaluated, is the same matrix
@@ -349,7 +354,7 @@ def test_J_evaluates_only_the_seams_formally(monkeypatch):
 
     monkeypatch.setattr(SplicedResolution, "partial_element", forbidden)
     monkeypatch.setattr(resolutions, "d_element", forbidden)
-    monkeypatch.setattr(resolutions, "d_power_element", forbidden)
+    monkeypatch.setattr(resolutions, "d_component", forbidden)
     tensor_with_identity = resolutions.tensor_with_identity
     calls = []
 
@@ -381,6 +386,41 @@ def test_J_at_r2_stops_at_the_splice_pieces(monkeypatch):
 def test_J_exactness_p5():
     rep = verify_J_exactness(1, k_super(1, 1), 1, 5)
     assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("barred", [False, True])
+def test_d_components_are_pieces_of_the_whole_power(p, barred):
+    # each cached component of d and d^(p-1) is the piece of the whole
+    # formal power out of its source z-degree, and zero where it has none
+    top = p * (p - 1)
+    d_el = d_element(p, 1, barred)
+    for k in (1, p - 1):
+        pieces = d_power_element(p, 1, k, barred).split_by_source_degree()
+        assert set(pieces) < set(range(top + 1))
+        for z in range(top + 2):
+            comp = resolutions.d_component(p, 1, z, k, barred)
+            if z in pieces:
+                assert comp == pieces[z], (k, z)
+            else:
+                assert comp.is_zero() and (comp.source, comp.target, comp.n) == (d_el.source, d_el.target, p), (k, z)
+
+
+def test_lifting_at_p5_never_forms_a_whole_power(monkeypatch):
+    # e(1) o e(1) at p = 5 composes with the components of d, d^4 and the
+    # splice, never with an element as large as the whole d; the cache is
+    # cleared so that the components are formed under the patch
+    resolutions.d_component.cache_clear()
+    compose_ = resolutions.compose
+    largest = []
+
+    def sizing(g, f, *args, **kwargs):
+        largest.append(max(len(g.terms), len(f.terms)))
+        return compose_(g, f, *args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "compose", sizing)
+    assert YonedaCalculator(5, 1).product(e_class(1), e_class(1)) == {e_class(2): 1}
+    assert largest and max(largest) < len(d_element(5, 1).terms) == 280
 
 
 def test_zdeg_of_local():
