@@ -86,24 +86,25 @@ class GammaElement:
     def items(self):
         return sorted(self.terms.items())
 
-    def monomial_bigrade(self, exps):
-        """(sum of target z-degrees, sum of source z-degrees) of a monomial."""
-        tz = self.target.zdegs()
-        sz = self.source.zdegs()
-        t = s = 0
-        for idx, e in exps:
-            i, j = self.unit_pair(idx)
-            t += e * tz[i]
-            s += e * sz[j]
-        return (t, s)
-
     def split_by_source_degree(self):
-        """Components keyed by total source z-degree."""
-        out = {}
+        """Components keyed by total source z-degree, each with its terms in
+        this element's order.
+
+        Unit index idx maps source basis vector idx mod dim(V), so a
+        monomial's source z-degree is read off the source z-degrees alone.
+        """
+        sz = self.source.zdegs()
+        dim = self.source.dim
+        parts = {}
         for exps, c in self.terms.items():
-            _, s = self.monomial_bigrade(exps)
-            out.setdefault(s, GammaElement(self.source, self.target, self.n, self.p)).add_term(exps, c)
-        return out
+            s = 0
+            for idx, e in exps:
+                s += e * sz[idx % dim]
+            terms = parts.get(s)
+            if terms is None:
+                terms = parts[s] = {}
+            terms[exps] = c
+        return {s: GammaElement(self.source, self.target, self.n, self.p, terms) for s, terms in parts.items()}
 
     def __repr__(self):
         return f"GammaElement(n={self.n}, {len(self.terms)} monomials)"

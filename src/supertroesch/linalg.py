@@ -1,7 +1,11 @@
 """Exact dense linear algebra over GF(p) for odd primes p.
 
-A matrix is a numpy int64 array of residues in [0, p), so it takes
-8 * rows * cols bytes: a 2,810-dimensional square piece takes about 63 MB.
+A matrix is a numpy int8 array of residues in [0, p), one byte per cell,
+since p <= 7 needs three bits: a 2,810-dimensional square piece takes
+7.9 MB, not the 63 MB of int64.  Every constructor reduces its input mod p
+before it narrows, so nothing wraps.  Arithmetic on stored residues widens
+first: sums and products of int8 residues pass 127 well below the sizes
+met here.
 All eliminations use first-nonzero pivoting so that ranks, kernel bases and
 particular solutions are reproducible bit for bit.
 
@@ -12,21 +16,21 @@ of a numpy call is paid once per column of a batch; a single matrix is a
 list of one.  A step scans only the arrays still wider than its column.
 Residues are lazy: row updates are not reduced mod p.  Each batch is held
 in the narrowest of int16, int32 and int64 that holds the checked bound on
-how far entries can grow, and the reduced arrays come back as int64
+how far entries can grow, and the reduced arrays come back as int8
 residues.
 
 Every matrix filled entry by entry goes through ``FpMatrix.from_arrays``,
 or, for many matrices in one pass, ``FpMatrix.batch_from_arrays``: the
-entries are sorted by position once, the repeats summed with
+entries are sorted by position once, the repeats summed in int64 with
 ``np.add.reduceat``, and only those sums are written, reduced mod p.
 
 Products are the one place floating point appears.  ``_mod_p_product``
 multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
-int64 ``@`` never does.  This is exact because it first checks that the
+integer ``@`` never does.  This is exact because it first checks that the
 largest possible dot product, inner * (p-1)**2, is at most 2**53: float64
 holds every integer up to 2**53, so every partial sum is an exact integer
 in whatever order BLAS adds.  The result is reduced mod p and returned as
-int64 residues, identical to ``(a @ b) % p`` in int64.
+int8 residues, identical to ``(a @ b) % p`` computed in int64.
 """
 
 from __future__ import annotations
@@ -75,12 +79,22 @@ def check_prime(p):
 
 
 class FpMatrix:
-    """A rows x cols matrix over GF(p), stored as a dense int64 array."""
+    """A rows x cols matrix over GF(p), stored as a dense int8 array of
+    residues in [0, p): one byte per cell.
+
+    An int8 array is taken as it is, as residues.  Any other input, an
+    int64 array or nested lists say, is reduced mod p first and then
+    narrowed, so unreduced or negative entries never wrap:
+    ``FpMatrix(7, [[200, -1]])`` holds ``[[4, 6]]``.
+    """
 
     __slots__ = ("p", "rows", "cols", "data")
 
     def __init__(self, p, data):
         check_prime(p)
+        data = np.asarray(data)
+        if data.dtype != np.int8:
+            data = np.remainder(data, p).astype(np.int8)
         self.p = p
         self.rows, self.cols = data.shape
         self.data = data
@@ -90,11 +104,11 @@ class FpMatrix:
 
     @staticmethod
     def zeros(p, rows, cols):
-        return FpMatrix(p, np.zeros((rows, cols), dtype=np.int64))
+        return FpMatrix(p, np.zeros((rows, cols), dtype=np.int8))
 
     @staticmethod
     def identity(p, n):
-        return FpMatrix(p, np.eye(n, dtype=np.int64))
+        return FpMatrix(p, np.eye(n, dtype=np.int8))
 
     @staticmethod
     def from_coords(p, rows, cols, entries):
@@ -115,15 +129,15 @@ class FpMatrix:
         """``from_coords`` with the rows, columns and values as three arrays.
 
         The entries are sorted by position, the values at each position are
-        summed with one ``np.add.reduceat``, and only those sums are reduced
-        and written.
+        summed in int64 with one ``np.add.reduceat``, and only those sums are
+        reduced and written into an int8 array.
         """
         i = np.asarray(i, dtype=np.int64).ravel()
         j = np.asarray(j, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.int64).ravel()
         if not i.size == j.size == values.size:
             raise ValueError(f"from_arrays: {i.size} rows, {j.size} columns and {values.size} values")
-        data = np.zeros((rows, cols), dtype=np.int64)
+        data = np.zeros((rows, cols), dtype=np.int8)
         if values.size:
             if min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols:
                 raise IndexError(f"from_arrays: an entry lies outside the {rows} x {cols} matrix")
@@ -146,7 +160,7 @@ class FpMatrix:
         cols = np.array([c for r, c in shapes], dtype=np.int64)
         start = np.zeros(len(shapes) + 1, dtype=np.int64)
         np.cumsum(rows * cols, out=start[1:])
-        flat = np.zeros(start[-1], dtype=np.int64)
+        flat = np.zeros(start[-1], dtype=np.int8)
         if values.size:
             if k.min() < 0 or k.max() >= len(shapes):
                 raise IndexError(f"batch_from_arrays: an entry names no matrix of the {len(shapes)} given")
@@ -193,6 +207,7 @@ class FpMatrix:
         if len(vec) != self.cols:
             raise ShapeMismatchError("apply", self.shape, (len(vec), 1))
         col = np.array(vec, dtype=np.int64).reshape(self.cols, 1) % self.p
+        # _mod_p_product widens both operands to float64 before it multiplies
         return _mod_p_product(self.data, col, self.p)[:, 0].tolist()
 
     # ------------------------------------------------------------------
@@ -210,7 +225,7 @@ class FpMatrix:
         the unique reduced row echelon form.  ``augs``, when given, holds one
         augmented column per array (any integers), carried along as its last
         column and never scanned.  When ``out`` is a list, the reduced arrays
-        are appended to it in the order of ``arrays``, as int64 residues with
+        are appended to it in the order of ``arrays``, as int8 residues with
         the augmented column last.
 
         The arrays are sorted by shape and stacked, each at its own height,
@@ -249,10 +264,10 @@ class FpMatrix:
             for b, t, (r, c), piv in zip(members, tops, sizes, found):
                 pivots[b] = piv
                 if out is not None:
-                    red = np.empty((r, c + extra), dtype=np.int64)
-                    red[:, :c] = a[t : t + r, :c]
-                    red[:, c:] = a[t : t + r, cols:]
-                    reduced[b] = np.remainder(red, p, out=red)
+                    red = np.empty((r, c + extra), dtype=np.int8)
+                    red[:, :c] = a[t : t + r, :c] % p
+                    red[:, c:] = a[t : t + r, cols:] % p
+                    reduced[b] = red
         if out is not None:
             out.extend(reduced)
         return pivots
@@ -272,9 +287,10 @@ class FpMatrix:
         a = reduced[0]
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        out = np.zeros((self.cols, len(free)), dtype=np.int64)
+        out = np.zeros((self.cols, len(free)), dtype=np.int8)
         out[free, range(len(free))] = 1
-        out[pivots, :] = (-a[: len(pivots), free]) % self.p
+        # negate in int64: the residues are int8
+        out[pivots, :] = -a[: len(pivots), free].astype(np.int64) % self.p
         return FpMatrix(self.p, out)
 
     def image_basis(self):
@@ -415,7 +431,11 @@ def _lockstep(p, a, shapes, reduce_above):
 
 
 def _mod_p_product(a, b, p):
-    """a @ b mod p for int64 arrays of residues in [0, p), as int64.
+    """a @ b mod p for integer arrays of residues in [0, p), as int8
+    residues, one byte per cell of the result.
+
+    Both operands are widened to float64 for BLAS, so the int8 storage
+    never takes part in the arithmetic.
 
     Raises ValueError, before converting anything, when a dot product could
     exceed 2**53, the largest integer range float64 holds exactly.
@@ -429,7 +449,7 @@ def _mod_p_product(a, b, p):
     prod = a.astype(np.float64) @ b.astype(np.float64)
     # in place: a second float64 result array would raise peak memory
     np.fmod(prod, p, out=prod)
-    return prod.astype(np.int64)
+    return prod.astype(np.int8)
 
 
 def matmul(a, b):

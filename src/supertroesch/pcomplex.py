@@ -186,10 +186,13 @@ class PComplex:
                     continue
                 keys.append((i, parity))
                 columns.append(cols)
+                if len(rows) == power.rows and len(cols) == power.cols:
+                    # one parity covers the piece: the stored int8 array is
+                    # the block, and the kernel copies it into its batch
+                    blocks.append(power.data)
+                    continue
                 at = cols if on is None else np.searchsorted(on, cols)
-                # residues below p <= 7: int8 holds every block of d^m at an
-                # eighth of int64 until the kernel packs them
-                blocks.append(power.data[np.ix_(rows, at)].astype(np.int8))
+                blocks.append(power.data[np.ix_(rows, at)])
         for key, cols, piv in zip(keys, columns, FpMatrix.eliminate(self.p, blocks, reduce_above=False)):
             pivots[key] = [cols[k] for k in piv]
         return pivots
@@ -374,14 +377,15 @@ def tensor_pcomplex(c1, c2):
     diffs = {}
     for (i, j), off in offsets.items():
         z, d1, d2 = i + j, c1.dim(i), c2.dim(j)
-        # d(a (*) b) = da (*) b + a (*) db
+        # d(a (*) b) = da (*) b + a (*) db, with the int8 residues widened
+        # before the Kronecker products
         leibniz = (
-            ((i + alpha, j), np.kron(c1.diff(i).data, np.eye(d2, dtype=np.int64))),
-            ((i, j + alpha), np.kron(np.eye(d1, dtype=np.int64), c2.diff(j).data)),
+            ((i + alpha, j), np.kron(c1.diff(i).data.astype(np.int64), np.eye(d2, dtype=np.int64))),
+            ((i, j + alpha), np.kron(np.eye(d1, dtype=np.int64), c2.diff(j).data.astype(np.int64))),
         )
         for target, block in leibniz:
             if target in offsets:
-                mat = diffs.setdefault(z, np.zeros((spaces[z + alpha].dim, spaces[z].dim), dtype=np.int64))
+                mat = diffs.setdefault(z, np.zeros((spaces[z + alpha].dim, spaces[z].dim), dtype=np.int8))
                 toff = offsets[target]
                 mat[toff : toff + block.shape[0], off : off + d1 * d2] = block
     return PComplex(p, alpha, spaces, {z: FpMatrix(p, m) for z, m in diffs.items()}), offsets
@@ -433,7 +437,7 @@ def kunneth_check(c1, c2):
     for n in sorted(ht):
         if ht[n] == (0, 0):
             continue
-        cols = [np.zeros((t.dim(n), 0), dtype=np.int64)]
+        cols = [np.zeros((t.dim(n), 0), dtype=np.int8)]
         for i, r1 in reps1.items():
             r2 = reps2.get(n - i)
             if r2 is None:
@@ -441,9 +445,10 @@ def kunneth_check(c1, c2):
             # column a * k2 + b of the Kronecker product, for the k2 columns
             # of r2, is the product of cocycles a and b, laid out c1-major
             # like the basis
-            block = np.zeros((t.dim(n), r1.shape[1] * r2.shape[1]), dtype=np.int64)
+            block = np.zeros((t.dim(n), r1.shape[1] * r2.shape[1]), dtype=np.int8)
             off = offsets[(i, n - i)]
-            block[off : off + r1.shape[0] * r2.shape[0]] = np.kron(r1, r2) % t.p
+            # the representatives are int8 residues: widen before multiplying
+            block[off : off + r1.shape[0] * r2.shape[0]] = np.kron(r1.astype(np.int64), r2) % t.p
             cols.append(block)
         if not all(cocycles_span(t, n, FpMatrix(t.p, np.hstack(cols)))):
             return False, f"cocycle products do not span H^{n}"

@@ -454,7 +454,7 @@ def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=Fals
         terms[m] = SuperSpace(tuple(elems))
     diffs = {}
     for m in range(max_degree + 1):
-        data = np.zeros((terms[m + 1].dim, terms[m].dim), dtype=np.int64)
+        data = np.zeros((terms[m + 1].dim, terms[m].dim), dtype=np.int8)
         for s, t in res.arrows(m, max_q):
             (off_s, dim_s), (off_t, dim_t) = offsets[s], offsets[t]
             mat = block(s.kind, s.local, t.kind)

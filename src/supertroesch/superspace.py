@@ -62,11 +62,21 @@ class SuperSpace:
         even, odd = self._by_parity
         return (len(even), len(odd))
 
+    @cached_property
+    def _parities(self):
+        return tuple(b.parity for b in self.basis)
+
+    @cached_property
+    def _zdegs(self):
+        return tuple(b.zdeg for b in self.basis)
+
     def parities(self):
-        return [b.parity for b in self.basis]
+        """The parity of each basis element, as a tuple computed once."""
+        return self._parities
 
     def zdegs(self):
-        return [b.zdeg for b in self.basis]
+        """The Z-degree of each basis element, as a tuple computed once."""
+        return self._zdegs
 
     def indices_of_parity(self, parity):
         """The basis indices of the given parity, as a tuple computed once."""

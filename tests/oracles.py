@@ -501,8 +501,30 @@ def element_parity(el):
     return pars.pop() if pars else EVEN
 
 
+def monomial_bigrade(el, exps):
+    """(sum of target z-degrees, sum of source z-degrees) of a monomial."""
+    tz = el.target.zdegs()
+    sz = el.source.zdegs()
+    t = s = 0
+    for idx, e in exps:
+        i, j = el.unit_pair(idx)
+        t += e * tz[i]
+        s += e * sz[j]
+    return (t, s)
+
+
 def element_bigrades(el):
-    return sorted({el.monomial_bigrade(k) for k in el.terms})
+    return sorted({monomial_bigrade(el, k) for k in el.terms})
+
+
+def split_by_source_degree_oracle(el):
+    """Components keyed by total source z-degree, each term added in turn to
+    a fresh element of its degree."""
+    out = {}
+    for exps, c in el.terms.items():
+        _, s = monomial_bigrade(el, exps)
+        out.setdefault(s, GammaElement(el.source, el.target, el.n, el.p)).add_term(exps, c)
+    return out
 
 
 def compose_power(el, k):

@@ -83,8 +83,8 @@ def _matrices_digest(diffs):
 
 
 def _elimination_digest(cx):
-    """sha256 over the kernel basis, image basis and one particular solution
-    of every nonempty parity block of d and d^(p-1)."""
+    """sha256 over the kernel basis, image basis (their int64 bytes) and one
+    particular solution of every nonempty parity block of d and d^(p-1)."""
     h = hashlib.sha256()
     for i in cx.degrees():
         for m in (1, cx.p - 1):
@@ -95,8 +95,8 @@ def _elimination_digest(cx):
                     continue
                 block = cx.iterated_diff(i, m).submatrix(rows, cols)
                 h.update(repr((i, m, parity, block.shape)).encode())
-                h.update(block.kernel_basis().data.tobytes())
-                h.update(block.image_basis().data.tobytes())
+                h.update(np.ascontiguousarray(block.kernel_basis().data, dtype=np.int64).tobytes())
+                h.update(np.ascontiguousarray(block.image_basis().data, dtype=np.int64).tobytes())
                 h.update(repr(block.solve(block.apply([1] * len(cols)))).encode())
     return h.hexdigest()
 

@@ -89,6 +89,12 @@ def test_matmul_associative():
         assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
 
 
+def _wide(m):
+    """The residues of m as int64, so that reference arithmetic never runs
+    in the int8 of storage."""
+    return m.data.astype(np.int64)
+
+
 def test_product_matches_int64_reference():
     """matmul and apply against int64 ``(a @ b) % p``, bit for bit."""
     rng = np.random.default_rng(5)
@@ -97,29 +103,30 @@ def test_product_matches_int64_reference():
         for rows, inner, cols in shapes:
             a = FpMatrix(p, rng.integers(0, p, (rows, inner)))
             b = FpMatrix(p, rng.integers(0, p, (inner, cols)))
-            ref = (a.data @ b.data) % p
+            ref = (_wide(a) @ _wide(b)) % p
             for got in (matmul(a, b).data, (a @ b).data):
-                assert got.dtype == np.int64 and got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes()
+                assert got.dtype == np.int8 and got.shape == ref.shape
+                assert got.astype(np.int64).tobytes() == ref.tobytes()
             # apply reduces its list first, so unreduced entries work too
             vec = rng.integers(-2 * p, 2 * p, inner)
-            assert a.apply(vec.tolist()) == ((a.data @ vec) % p).tolist()
+            assert a.apply(vec.tolist()) == ((_wide(a) @ vec) % p).tolist()
         # every dot product at its largest for this inner size
         n = 5000
         a = FpMatrix(p, np.full((1, n), p - 1, dtype=np.int64))
         b = FpMatrix(p, np.full((n, 1), p - 1, dtype=np.int64))
-        ref = (a.data @ b.data) % p
-        assert matmul(a, b).data.tobytes() == ref.tobytes()
+        ref = (_wide(a) @ _wide(b)) % p
+        assert matmul(a, b).data.astype(np.int64).tobytes() == ref.tobytes()
         assert a.apply([p - 1] * n) == ref[:, 0].tolist()
 
 
 def test_product_bound_checked_before_conversion():
-    # zero-stride views: 2**48 columns and nothing allocated; at p = 7 the
-    # largest dot product 36 * 2**48 exceeds 2**53, so matmul must refuse
-    # before casting, which would ask for petabytes
+    # zero-stride int8 views, taken as residues without a copy: 2**48
+    # columns and nothing allocated; at p = 7 the largest dot product
+    # 36 * 2**48 exceeds 2**53, so matmul must refuse before casting, which
+    # would ask for petabytes
     n = 2**48
-    a = FpMatrix(7, np.broadcast_to(np.int64(6), (1, n)))
-    b = FpMatrix(7, np.broadcast_to(np.int64(6), (n, 1)))
+    a = FpMatrix(7, np.broadcast_to(np.int8(6), (1, n)))
+    b = FpMatrix(7, np.broadcast_to(np.int8(6), (n, 1)))
     with pytest.raises(ValueError, match=r"2\*\*53"):
         matmul(a, b)
 
@@ -207,9 +214,10 @@ def test_batched_elimination_matches_single_and_oracle(monkeypatch, cells):
                     one = []
                     one_pivots = FpMatrix.eliminate(p, [arrays[b]], reduce_above, None if aug is None else [aug], one)
                     want, want_pivots = _oracle_array(m, reduce_above, None if aug is None else [x % p for x in aug])
-                    assert out[b].dtype == np.int64 and out[b].shape == want.shape
+                    assert out[b].dtype == one[0].dtype == np.int8 and out[b].shape == want.shape
                     assert pivots[b] == one_pivots[0] == want_pivots
-                    assert out[b].tobytes() == one[0].tobytes() == want.tobytes()
+                    assert out[b].tobytes() == one[0].tobytes()
+                    assert out[b].astype(np.int64).tobytes() == want.tobytes()
                 # without out, the same pivots
                 assert FpMatrix.eliminate(p, arrays, reduce_above, given) == pivots
 
@@ -268,7 +276,8 @@ def test_elimination_at_the_int16_bound(monkeypatch, n, dtype):
         pivots = FpMatrix.eliminate(p, [m.data], reduce_above, out=out)
         want, want_pivots = eager_rref(m, reduce_above)
         assert pivots[0] == want_pivots == list(range(n))
-        assert out[0].tobytes() == want.tobytes()
+        assert out[0].dtype == np.int8
+        assert out[0].astype(np.int64).tobytes() == want.tobytes()
     assert used == [dtype, dtype]
 
 
@@ -336,8 +345,8 @@ def test_from_arrays_matches_add_at_reference():
                     values = rng.integers(-2 * p, 2 * p, count).astype(dtype)
                     got = FpMatrix.from_arrays(p, rows, cols, i, j, values)
                     assert got.shape == (rows, cols)
-                    assert got.data.dtype == np.int64
-                    assert got.data.tobytes() == _add_at_reference(p, rows, cols, i, j, values).tobytes()
+                    assert got.data.dtype == np.int8
+                    assert _wide(got).tobytes() == _add_at_reference(p, rows, cols, i, j, values).tobytes()
                     cases += 1
         # repeats that cancel mod p leave zeros, the others sum, whatever
         # their order and dtype
@@ -348,7 +357,7 @@ def test_from_arrays_matches_add_at_reference():
             got = FpMatrix.from_arrays(p, 3, 3, i, j, values)
             want = np.zeros((3, 3), dtype=np.int64)
             want[2, 1] = 2  # p + 2, where (1, 2) and (0, 0) each sum to p
-            assert got.data.tobytes() == want.tobytes() == _add_at_reference(p, 3, 3, i, j, values).tobytes()
+            assert _wide(got).tobytes() == want.tobytes() == _add_at_reference(p, 3, 3, i, j, values).tobytes()
     assert cases > 100
     # no entries at all, from either constructor
     assert FpMatrix.from_arrays(5, 2, 3, [], [], []) == FpMatrix.zeros(5, 2, 3)
@@ -369,7 +378,7 @@ def test_batch_from_arrays_matches_one_fill_per_matrix():
             assert len(mats) == len(shapes)
             for n, shape in enumerate(shapes):
                 one = k == n
-                assert mats[n].shape == shape and mats[n].data.dtype == np.int64
+                assert mats[n].shape == shape and mats[n].data.dtype == np.int8
                 assert mats[n] == FpMatrix.from_arrays(p, *shape, i[one], j[one], values[one])
     assert FpMatrix.batch_from_arrays(3, [], [], [], [], []) == []
     # (1, 1) lies inside the 2 x 2 matrix but outside the 1 x 1 one
@@ -386,3 +395,78 @@ def test_from_arrays_rejects_entries_outside_the_matrix():
             FpMatrix.from_arrays(3, 2, 3, i, j, [1])
     with pytest.raises(ValueError):
         FpMatrix.from_arrays(3, 2, 3, [0, 1], [0], [1, 1])
+
+
+def test_every_constructor_stores_int8():
+    p = 7
+    rng = np.random.default_rng(37)
+    a = FpMatrix(p, rng.integers(0, p, (5, 6)))
+    b = FpMatrix(p, rng.integers(0, p, (6, 4)))
+    made = [
+        a,
+        FpMatrix(p, [[200, -1]]),
+        FpMatrix.zeros(p, 2, 3),
+        FpMatrix.identity(p, 3),
+        FpMatrix.from_coords(p, 2, 2, [((0, 1), 9)]),
+        FpMatrix.from_arrays(p, 2, 2, [0], [1], [9]),
+        *FpMatrix.batch_from_arrays(p, [(2, 2), (1, 3)], [0, 1], [0, 0], [1, 2], [9, -9]),
+        matmul(a, b),
+        a @ b,
+        a.submatrix([0, 2], [1, 3]),
+        hstack([a, FpMatrix.identity(p, 5)]),
+        a.kernel_basis(),
+        a.image_basis(),
+    ]
+    assert all(m.data.dtype == np.int8 for m in made)
+    out = []
+    FpMatrix.eliminate(p, [a.data, b.data], True, [[100] * 5, [-100] * 6], out)
+    assert [x.dtype for x in out] == [np.int8, np.int8]
+
+
+def test_unreduced_input_is_reduced_before_narrowing():
+    assert FpMatrix(7, [[200, -1]]).data.tolist() == [[4, 6]]
+    # entries that a plain cast to int8 would wrap: 200 to -56, 128 to -128,
+    # 2**40 + 3 to 3
+    big = np.array([[200, -1, 127, 128], [-129, 2**40 + 3, -(2**40), 7 * 2**50 + 5]], dtype=np.int64)
+    for p in (3, 5, 7):
+        got = FpMatrix(p, big)
+        assert got.data.dtype == np.int8
+        assert _wide(got).tolist() == (big % p).tolist()
+    # an int8 array is taken as it is, without a copy
+    residues = np.array([[1, 6]], dtype=np.int8)
+    assert FpMatrix(7, residues).data is residues
+
+
+def test_int8_arithmetic_sites_match_int64_oracle_at_p7():
+    """Every place that computes on stored residues, at p = 7 on inputs whose
+    sums or products pass 127, against the same arithmetic in int64 or in
+    Python integers."""
+    p = 7
+    rng = np.random.default_rng(41)
+    # products: all-6 rows against all-6 columns, 36 * 40 = 1440 per entry
+    a = FpMatrix(p, np.full((3, 40), 6))
+    b = FpMatrix(p, np.full((40, 2), 6))
+    assert _wide(a @ b).tolist() == ((_wide(a) @ _wide(b)) % p).tolist() == [[1440 % p] * 2] * 3
+    dense = FpMatrix(p, rng.integers(0, p, (30, 50)))
+    other = FpMatrix(p, rng.integers(0, p, (50, 20)))
+    assert _wide(dense @ other).tobytes() == ((_wide(dense) @ _wide(other)) % p).tobytes()
+    # apply: an unreduced vector, far past int8 and int16 once multiplied
+    vec = rng.integers(-1000, 1000, 50)
+    assert dense.apply(vec.tolist()) == ((_wide(dense) @ vec) % p).tolist()
+    # from_arrays and batch_from_arrays: 40 copies of 6 at one place sum to 240
+    got = FpMatrix.from_arrays(p, 2, 2, [1] * 40, [0] * 40, [6] * 40)
+    assert _wide(got).tolist() == [[0, 0], [240 % p, 0]]
+    k = i = [1] * 40 + [0]
+    one, two = FpMatrix.batch_from_arrays(p, [(1, 1), (2, 2)], k, i, [0] * 41, [6] * 40 + [-300])
+    assert _wide(one).tolist() == [[-300 % p]] and _wide(two).tolist() == [[0, 0], [240 % p, 0]]
+    # solve: an unreduced augmented column; kernel basis: negated residues
+    sixes = FpMatrix(p, np.full((6, 9), 6))
+    for m in (dense, sixes, hstack([FpMatrix.identity(p, 6), sixes])):
+        rhs = rng.integers(-300, 300, m.rows).tolist()
+        assert m.solve(rhs) == oracle_solve(m, rhs)
+        y = m.apply(rng.integers(-300, 300, m.cols).tolist())
+        x = m.solve([v + 140 * p for v in y])
+        assert x is not None and m.apply(x) == y
+        ker = m.kernel_basis()
+        assert ker == oracle_kernel_basis(m)
+        assert not ((_wide(m) @ _wide(ker)) % p).any()

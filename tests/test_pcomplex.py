@@ -269,6 +269,53 @@ def test_kunneth_random_normal_complexes():
         assert ok, msg
 
 
+def _tensor_differential_oracle(c1, c2, offsets, z, rows, cols):
+    """The Leibniz differential of c1 (*) c2 out of degree z, entry by entry
+    in int64: d(a (*) b) = da (*) b + a (*) db, basis c1-major."""
+    want = np.zeros((rows, cols), dtype=np.int64)
+    alpha = c1.alpha
+    for (i, j), off in offsets.items():
+        if i + j != z:
+            continue
+        d1, d2 = c1.diff(i).data.astype(np.int64), c2.diff(j).data.astype(np.int64)
+        n1, n2 = c1.dim(i), c2.dim(j)
+        for a in range(n1):
+            for b in range(n2):
+                col = off + a * n2 + b
+                if (i + alpha, j) in offsets:
+                    to = offsets[(i + alpha, j)]
+                    for r in range(d1.shape[0]):
+                        want[to + r * n2 + b, col] += d1[r, a]
+                if (i, j + alpha) in offsets:
+                    to = offsets[(i, j + alpha)]
+                    for s in range(d2.shape[0]):
+                        want[to + a * d2.shape[0] + s, col] += d2[s, b]
+    return want % c1.p
+
+
+def test_tensor_and_kunneth_at_p7_match_int64_oracle():
+    # scrambled bases put every residue up to 6 into the differentials and
+    # class representatives, whose products reach 36
+    rng = random.Random(113)
+    p = 7
+    for _ in range(4):
+        c1, c2 = (
+            scramble_basis(
+                rng, build_from_blocks(p, 1, [(rng.randrange(3), rng.choice((1, p)), rng.randrange(2)) for _ in range(3)])
+            )
+            for _ in range(2)
+        )
+        assert any((m.data == p - 1).any() for m in c1.diffs.values())
+        t, offsets = tensor_pcomplex(c1, c2)
+        for z in t.degrees():
+            d = t.diff(z)
+            assert d.data.dtype == np.int8
+            want = _tensor_differential_oracle(c1, c2, offsets, z, *d.shape)
+            assert d.data.astype(np.int64).tobytes() == want.tobytes()
+        ok, msg = kunneth_check(c1, c2)
+        assert ok, msg
+
+
 def test_contraction_degree_layout():
     cx = build_from_blocks(3, 2, [(0, 3, EVEN)])
     assert contraction_degree(cx, 1, 0, 0) == 0

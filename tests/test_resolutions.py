@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from types import SimpleNamespace
 
-from oracles import d_power_element, element_bigrades
+from oracles import d_power_element, element_bigrades, split_by_source_degree_oracle
 from supertroesch import resolutions
 from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
@@ -383,6 +384,15 @@ def test_J_at_r2_stops_at_the_splice_pieces(monkeypatch):
     assert str(exc.value) == "bigraded piece: size 20001 exceeds budget 20000"
 
 
+def test_built_J_is_int8():
+    cx = resolutions.build_J(1, k_super(1, 1), 1)
+    for i in cx.degrees():
+        cx.cohomology_dims(i)
+    assert cx.diffs
+    for i in cx.degrees():
+        assert cx.diff(i).data.dtype == cx.image_of_power(i, 1).data.dtype == np.int8
+
+
 def test_J_exactness_p5():
     rep = verify_J_exactness(1, k_super(1, 1), 1, 5)
     assert rep.ok, rep.summary()
@@ -404,6 +414,22 @@ def test_d_components_are_pieces_of_the_whole_power(p, barred):
                 assert comp == pieces[z], (k, z)
             else:
                 assert comp.is_zero() and (comp.source, comp.target, comp.n) == (d_el.source, d_el.target, p), (k, z)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("barred", [False, True])
+def test_split_by_source_degree_matches_oracle(p, barred):
+    # the same components, in the same order, each with its terms in the
+    # same order as the term-by-term oracle's
+    d_el = d_element(p, 1, barred)
+    got = d_el.split_by_source_degree()
+    want = split_by_source_degree_oracle(d_el)
+    assert len(want) > 1
+    assert list(got) == list(want)
+    for z, comp in got.items():
+        assert (comp.source, comp.target, comp.n, comp.p) == (d_el.source, d_el.target, d_el.n, d_el.p)
+        assert list(comp.terms.items()) == list(want[z].terms.items()), z
+    assert sum(len(comp.terms) for comp in got.values()) == len(d_el.terms)
 
 
 def test_lifting_at_p5_never_forms_a_whole_power(monkeypatch):

@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from supertroesch.errors import BudgetExceededError
 from oracles import apply_sym_matrix, convolution_apply_oracle, d_oracle_maps, monomials_of, power_basis_oracle, tensor_identity_left
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.linalg import FpMatrix, matmul
-from supertroesch.pcomplex import cohomology, cohomology_table
+from supertroesch.pcomplex import cohomology, cohomology_table, decompose_cyclic
 from supertroesch.powers import PowerKind, PowerMonomial, power_basis
 from supertroesch.superspace import ZERO_SPACE, k_super, tensor, build_Sh
 from supertroesch.troesch import (
@@ -465,3 +467,29 @@ def test_budget_names_the_first_piece_over_the_cap():
     with pytest.raises(BudgetExceededError) as exc:
         build_B(9, 2, k_super(1, 1), 3, budget=20000)
     assert str(exc.value) == "graded piece at degree 26: size 20732 exceeds budget 20000"
+
+
+def test_built_complex_and_its_powers_are_int8():
+    cx = build_B(7, 2, k_super(1, 0), validate=False).complex
+    # the ranks of every power fill the power cache; d^(p-1) whole fills
+    # the product cache
+    decompose_cyclic(cx)
+    for i in cx.degrees():
+        cx.iterated_diff(i, cx.order - 1)
+        cx.image_of_power(i, 1)
+    assert cx.diffs and cx._power_cache and cx._iter_cache
+    for m in (*cx.diffs.values(), *cx._power_cache.values(), *cx._iter_cache.values()):
+        assert m.data.dtype == np.int8
+
+
+def test_r2_concentration_peak_memory():
+    # the int64 differentials (10.3 MB) and cached d^2 products (6.7 MB)
+    # alone would pass this bound
+    tracemalloc.start()
+    try:
+        rep = verify_theorem_B(7, 2, k_super(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok, rep.first_failure
+    assert peak < 12 * 10**6, f"peak {peak / 1e6:.1f} MB"
