@@ -208,8 +208,9 @@ def _suite_epsilon(args):
         (f"pascal p={p}", check_pascal(p), ""),
         (f"epsilon chain p={p}", check_epsilon_chain(p), ""),
     ]
+    # J reads one component per contraction degree p-1 .. 2p-2, and each is nonzero
     comps = epsilon_prime_1(p)
-    results.append((f"epsilon components present p={p}", set(comps) == set(range(p - 1, 2 * p - 1)), ""))
+    results.append((f"epsilon components present p={p}", not any(el.is_zero() for el in comps.values()), ""))
     return results
 
 

@@ -28,10 +28,12 @@ class GammaElement:
 
     terms maps an exponent tuple ((unit index, exponent), ...) to a nonzero
     residue mod p.  Unit index i*dim(V)+j encodes the map sending the j-th
-    basis vector of V to the i-th basis vector of W.
+    basis vector of V to the i-th basis vector of W.  The terms change only
+    through add_term, which drops the target-profile index that compose
+    builds the first time the element is its right factor.
     """
 
-    __slots__ = ("source", "target", "n", "p", "terms")
+    __slots__ = ("source", "target", "n", "p", "terms", "_profile_index")
 
     def __init__(self, source, target, n, p, terms=None):
         self.source = source
@@ -39,6 +41,7 @@ class GammaElement:
         self.n = n
         self.p = p
         self.terms = terms if terms is not None else {}
+        self._profile_index = None
 
     # -- bookkeeping --------------------------------------------------
 
@@ -51,6 +54,7 @@ class GammaElement:
 
     def add_term(self, exps, coeff):
         add_mod_p(self.terms, exps, coeff, self.p)
+        self._profile_index = None
 
     def is_zero(self):
         return not self.terms
@@ -236,7 +240,7 @@ def group_by_target_profile(f):
     return out
 
 
-def compose(g, f, f_grouped=None):
+def compose(g, f):
     """Composition in the divided-power Hom calculus: g after f.
 
     For monomials g = gamma(A) and f = gamma(B), A indexed by (w, v) and B by
@@ -247,9 +251,9 @@ def compose(g, f, f_grouped=None):
     unit's block.  A C with an odd unit of exponent >= 2 is skipped, as its
     arrangements cancel.  The targets of f must match the sources of g as
     multisets for a monomial pair to meet, so f is indexed by that profile
-    with its rows split per v; pass f_grouped (from group_by_target_profile)
-    to reuse the index.  The tables for one v depend only on the column of A
-    and the row of B, and _tables caches them by that pair.
+    with its rows split per v, once, and keeps the index until its terms
+    change.  The tables for one v depend only on the column of A and the row
+    of B, and _tables caches them by that pair.
     """
     if g.n != f.n:
         raise ValueError(f"degree mismatch: {g.n} vs {f.n}")
@@ -261,8 +265,9 @@ def compose(g, f, f_grouped=None):
     f_par = f.hom.parities()
     out = GammaElement(f.source, g.target, g.n, g.p)
     out_par = out.hom.parities()
-    if f_grouped is None:
-        f_grouped = group_by_target_profile(f)
+    by_profile = f._profile_index
+    if by_profile is None:
+        by_profile = f._profile_index = group_by_target_profile(f)
     for g_exps, cg in g.terms.items():
         g_by_v = {}  # v -> [(w, A[w, v])]
         for idx, e in g_exps:
@@ -271,7 +276,7 @@ def compose(g, f, f_grouped=None):
         profile = tuple((v, sum(e for _, e in col)) for v, col in sorted(g_by_v.items()))
         cols = [tuple(g_by_v[v]) for v, _ in profile]
         g_odd = any(g_par[idx] for idx, _ in g_exps)
-        for rows, cf, f_odd in f_grouped.get(profile, ()):
+        for rows, cf, f_odd in by_profile.get(profile, ()):
             # with no odd unit on either side every unit of C is even and
             # every sign is +1
             signed = g_odd or f_odd

@@ -219,9 +219,8 @@ class CohomologyTable:
     alpha: int
     rows: dict  # s -> {degree: (even, odd)}
 
-    def is_zero(self, s=None):
-        slices = [s] if s is not None else list(self.rows)
-        return all(not any(e or o for e, o in self.rows[t].values()) for t in slices)
+    def is_zero(self):
+        return all(not any(e or o for e, o in row.values()) for row in self.rows.values())
 
     def to_jsonable(self):
         return {
@@ -259,9 +258,8 @@ def cohomology(cx, s):
     return {i: _slice_dims(cx, s, i) for i in cx.degrees()}
 
 
-def cohomology_table(cx, slices=None):
-    slices = list(range(1, cx.order)) if slices is None else list(slices)
-    return CohomologyTable(cx.p, cx.alpha, {s: cohomology(cx, s) for s in slices})
+def cohomology_table(cx):
+    return CohomologyTable(cx.p, cx.alpha, {s: cohomology(cx, s) for s in range(1, cx.order)})
 
 
 @dataclass
@@ -287,17 +285,16 @@ class CyclicDecomposition:
         }
 
 
-def decompose_cyclic(cx, validate=True):
+def decompose_cyclic(cx):
     """Block multiplicities from ranks of iterated differentials.
 
     N(i, j) = r_{j-1}(i) - r_j(i) - r_j(i - alpha) + r_{j+1}(i - alpha),
     the graded Jordan-type count for a nilpotent operator of order p.
     """
-    if validate:
-        # ranks first, so that validation applies d only to the pivot
-        # columns of d^(N-1)
-        cx.rank_of_power(0, cx.order - 1, EVEN)
-        cx.validate_p_differential()
+    # ranks first, so that validation applies d only to the pivot columns
+    # of d^(N-1)
+    cx.rank_of_power(0, cx.order - 1, EVEN)
+    cx.validate_p_differential()
     blocks = {}
     for i in cx.degrees():
         for parity in (EVEN, ODD):
@@ -313,10 +310,6 @@ def decompose_cyclic(cx, validate=True):
                 if n:
                     blocks[(i, j, parity)] = n
     return CyclicDecomposition(cx.p, cx.alpha, blocks)
-
-
-def is_normal(cx):
-    return decompose_cyclic(cx).is_normal()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .gamma import (
     element_from_map,
     element_product,
     gamma_monomial,
-    group_by_target_profile,
     monomials_with_bigrade,
     relabel_element,
     tensor_with_identity,
@@ -104,7 +103,7 @@ def d_component(p, r, z, k, barred):
     the zero element.  compose pairs monomials by target profile, which fixes
     the z-sum, so composing with a component gives exactly the terms that
     composing with the whole power gives at that source degree.  The cache
-    hands out one object per component, so lifting indexes each once.
+    hands out one object per component, so compose indexes each once.
     """
     if k > 1:
         h = p ** (r - 1)
@@ -291,6 +290,7 @@ class SplicedResolution:
         self.q = p ** r
         self.top_local = 2 * self.q - 2
         self._eps = None
+        self._blocks = {}  # degree -> its blocks, built once
 
     # term bookkeeping ------------------------------------------------
 
@@ -358,13 +358,17 @@ class SplicedResolution:
                 if nxt in tgt_terms:
                     yield t, nxt
 
-    def blocks(self, m, max_shift_index=None):
+    def blocks(self, m):
         """Blocks of the differential from degree m to m + 1, as elements:
-        the contraction differential on a step, the splice map on a seam."""
-        out = {}
-        for s, t in self.arrows(m, max_shift_index):
-            element = self.partial_element if s.kind == t.kind else self.eps_element
-            out[(s, t)] = element(s.kind, s.local)
+        the contraction differential on a step, the splice map on a seam.
+        Each degree's blocks are built once, so a block is one object and
+        keeps its compose index across calls."""
+        out = self._blocks.get(m)
+        if out is None:
+            out = self._blocks[m] = {}
+            for s, t in self.arrows(m):
+                element = self.partial_element if s.kind == t.kind else self.eps_element
+                out[(s, t)] = element(s.kind, s.local)
         return out
 
 
@@ -672,8 +676,6 @@ class YonedaCalculator:
         self.budget = budget
         self.res = {f: SplicedResolution(p, r, f, budget) for f in ("J", "Jbar")}
         self._lifts = {}  # class -> {source degree: blocks}
-        self._src_blocks = {}  # (flavor, degree) -> {block key: (block, its index)}
-        self._indexes = {}  # id(block) -> index; _src_blocks keeps the blocks alive
 
     def _unknown(self, key, src, tgt):
         """The (key, source, target, piece) unknown of a block from term src to
@@ -718,22 +720,9 @@ class YonedaCalculator:
             blocks[m + 1] = self._lift_step(cls, src_res, tgt_res, blocks[m], m)
         return blocks
 
-    def _indexed_blocks(self, res, m):
-        """The blocks of res out of degree m, each with its target-profile
-        index, kept for later steps and classes.  A block object that recurs
-        in several degrees is indexed once."""
-        key = (res.flavor, m)
-        if key not in self._src_blocks:
-            out = self._src_blocks[key] = {}
-            for k, el in res.blocks(m).items():
-                if id(el) not in self._indexes:
-                    self._indexes[id(el)] = group_by_target_profile(el)
-                out[k] = (el, self._indexes[id(el)])
-        return self._src_blocks[key]
-
     def _lift_step(self, cls, src_res, tgt_res, prev_blocks, m):
         s_b = cls.degree
-        d_src = self._indexed_blocks(src_res, m)
+        d_src = src_res.blocks(m)
         d_tgt = tgt_res.blocks(m + s_b)
         unknowns = [self._unknown((a, b), a, b) for a in src_res.terms(m + 1) for b in tgt_res.terms(m + 1 + s_b)]
         unknowns = [u for u in unknowns if u[3]]
@@ -741,9 +730,9 @@ class YonedaCalculator:
         def image(key, el):
             a, b = key
             out = {}
-            for (tau, a2), (dblock, grouped) in d_src.items():
+            for (tau, a2), dblock in d_src.items():
                 if a2 == a:
-                    comp = compose(el, dblock, f_grouped=grouped)
+                    comp = compose(el, dblock)
                     out.update({(tau, b, e2): c for e2, c in comp.terms.items()})
             return out
 

@@ -294,7 +294,7 @@ def build_B(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
     return data
 
 
-def build_B_bar(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
+def build_B_bar(n, r, u, p=3, budget=DEFAULT_BUDGET):
     """Same construction with the parity-shifted parameter space.
 
     The terms returned here are the underlying symmetric powers; the extra
@@ -307,8 +307,7 @@ def build_B_bar(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
     base_maps = [rho(p, r, s) for s in range(r)]
     maps = [relabel_map(f, shbar, shbar) for f in base_maps]
     data = build_power_pcomplex(p, r, n, shbar, maps, u, budget)
-    if validate:
-        data.complex.validate_p_differential()
+    data.complex.validate_p_differential()
     return data
 
 
@@ -378,10 +377,6 @@ class VerificationReport:
             self.ok = False
             if self.first_failure is None:
                 self.first_failure = f"{name}: {detail}"
-
-    def summary(self):
-        lines = [f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({d})" if d else "") for name, ok, d in self.checks]
-        return "\n".join(lines)
 
 
 def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET, slices=None):

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from supertroesch import cli
 from supertroesch.cli import main
+from supertroesch.resolutions import epsilon_prime_1
 
 RUN = [sys.executable, "-m", "supertroesch.cli"]
 
@@ -156,6 +158,22 @@ def test_main_inprocess_exit():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", "3", "--suite", "epsilon"])
     assert exc.value.code == 0
+
+
+def test_verify_epsilon_fails_on_a_zero_component(monkeypatch, capsys):
+    # every component J reads must be nonzero; zero one and the row fails
+    def with_a_zero(p):
+        comps = epsilon_prime_1(p)
+        comps[p] = comps[p].scaled(0)
+        return comps
+
+    monkeypatch.setattr(cli, "epsilon_prime_1", with_a_zero)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "3", "--suite", "epsilon"])
+    assert exc.value.code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL  epsilon components present p=3" in out
+    assert "PASS  epsilon chain p=3" in out and out[-1] == "FAIL"
 
 
 def _limit_address_space():

@@ -81,6 +81,22 @@ def test_compose_identity_neutral():
         assert compose(identity_element(tgt, n, 3), el) == el
 
 
+def test_add_term_changes_what_compose_returns():
+    # compose keeps f's index; a term added to f afterwards must still count
+    rng = random.Random(11)
+    src, tgt = k_super(2, 1), k_super(1, 1)
+    basis = power_basis(PowerKind.DIV, 2, hom_space(src, tgt))
+    ident = identity_element(tgt, 2, 3)
+    f = random_element(rng, src, tgt, 2, 3)
+    assert compose(ident, f) == f
+    f.add_term(next(m.exps for m in basis if m.exps not in f.terms), 1)
+    assert compose(ident, f) == f
+    g = random_element(rng, tgt, k_super(1, 2), 2, 3)
+    compose(g, f)
+    f.add_term(next(iter(f.terms)), 1)
+    assert compose(g, f) == compose_slow(g, f)
+
+
 def test_compose_matches_slow_reference():
     rng = random.Random(7)
     for _ in range(60):

@@ -2,11 +2,13 @@
 
 A def or class that only the tests reach belongs beside the tests, in
 ``tests/oracles.py`` or the test module, not in ``src/``.  This scans the
-package's syntax trees: a module-level function or class counts as used when
-its name appears anywhere in ``src/`` outside its own body (as a name, an
-attribute or an import), a method when it appears as an attribute.  Exempt
-are the functions ``perfbench/tracer.py`` patches, the console entry point,
-and the public API listed below.
+package's syntax trees: a module-level function counts as used when its bare
+name is loaded or imported somewhere in ``src/`` outside its own body, a
+method when its name is read as an attribute, and a class or nested function
+when either happens.  An attribute read such as ``dec.is_normal()`` therefore
+keeps a method alive but never a module-level function of the same name.
+Exempt are the functions ``perfbench/tracer.py`` patches, the console entry
+point, and the public API listed below.
 """
 
 import ast
@@ -44,8 +46,8 @@ class _Scanner(ast.NodeVisitor):
     """Collects definitions and the references made outside each one's body."""
 
     def __init__(self):
-        self.defs = []  # (name, is_method, (module, qualified name), line)
-        self.names = set()  # bare names and imports
+        self.defs = []  # (name, kind, (module, qualified name), line)
+        self.names = set()  # bare names loaded, and imports
         self.attrs = set()
         self._stack = []
         self._module = ""
@@ -55,9 +57,14 @@ class _Scanner(ast.NodeVisitor):
         self.visit(ast.parse(path.read_text()))
 
     def _visit_def(self, node):
-        in_class = bool(self._stack) and isinstance(self._stack[-1], ast.ClassDef)
+        if isinstance(node, ast.ClassDef):
+            kind = "other"
+        elif not self._stack:
+            kind = "function"
+        else:
+            kind = "method" if isinstance(self._stack[-1], ast.ClassDef) else "other"
         qualname = ".".join([outer.name for outer in self._stack] + [node.name])
-        self.defs.append((node.name, in_class, (self._module, qualname), node.lineno))
+        self.defs.append((node.name, kind, (self._module, qualname), node.lineno))
         for deco in node.decorator_list:
             self.visit(deco)
         self._stack.append(node)
@@ -72,7 +79,7 @@ class _Scanner(ast.NodeVisitor):
         return all(node.name != name for node in self._stack)
 
     def visit_Name(self, node):
-        if self._outside(node.id):
+        if isinstance(node.ctx, ast.Load) and self._outside(node.id):
             self.names.add(node.id)
 
     def visit_Attribute(self, node):
@@ -90,10 +97,14 @@ def unused_library_names():
         scanner.scan(path)
     exempt = set(API) | _tracer_targets() | _entry_points()
     unused = []
-    for name, is_method, key, line in scanner.defs:
+    for name, kind, key, line in scanner.defs:
         if name.startswith("__") and name.endswith("__") or key in exempt:
             continue
-        used = name in scanner.attrs or (not is_method and name in scanner.names)
+        used = {
+            "function": name in scanner.names,
+            "method": name in scanner.attrs,
+            "other": name in scanner.attrs or name in scanner.names,
+        }[kind]
         if not used:
             unused.append(f"{key[0]}.py:{line} {key[1]}")
     return unused

@@ -6,7 +6,7 @@ import pytest
 from types import SimpleNamespace
 
 from oracles import d_power_element, element_bigrades, split_by_source_degree_oracle
-from supertroesch import resolutions
+from supertroesch import gamma, resolutions
 from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
     compose,
@@ -273,22 +273,48 @@ def test_lift_resumes_from_cached_blocks(monkeypatch):
     assert all(blocks[m] == fresh[m] for m in range(5))
 
 
-def test_lifting_indexes_each_source_block_once(monkeypatch):
+def _record_indexed(monkeypatch):
+    """Record every element compose indexes, keeping each alive so that no
+    id is reused."""
     indexed = []
-    index = resolutions.group_by_target_profile
+    index = gamma.group_by_target_profile
 
     def counted(el):
-        indexed.append(id(el))
+        indexed.append(el)
         return index(el)
 
-    monkeypatch.setattr(resolutions, "group_by_target_profile", counted)
+    monkeypatch.setattr(gamma, "group_by_target_profile", counted)
+    return indexed
+
+
+def test_lifting_indexes_each_source_block_once(monkeypatch):
+    indexed = _record_indexed(monkeypatch)
+    # fresh components of d, so that no block comes indexed from another test
+    resolutions._d_by_source_degree.cache_clear()
+    resolutions.d_component.cache_clear()
     calc = YonedaCalculator(3, 1)
     calc.lift(e_class(1), 3)
-    first = len(indexed)
     # a second class through the same degrees reuses every index
     calc.lift(e_class(2), 3)
-    assert first > 0 and len(indexed) == first
-    assert len(set(indexed)) == len(indexed)
+    res = calc.res["J"]
+    blocks = [el for m in range(3) for el in res.blocks(m).values()]
+    assert blocks and all(res.blocks(m) is res.blocks(m) for m in range(3))
+    assert all(sum(x is el for x in indexed) == 1 for el in blocks)
+
+
+def test_solve_epsilon_indexes_d_once(monkeypatch):
+    indexed = _record_indexed(monkeypatch)
+    made = []
+
+    def fresh_d(p, r, barred=False):
+        made.append(d_element.__wrapped__(p, r, barred))
+        return made[-1]
+
+    monkeypatch.setattr(resolutions, "d_element", fresh_d)
+    solve_epsilon(1, 5)
+    d_el = made[0]
+    assert len(made) == 2
+    assert sum(x is d_el for x in indexed) == 1
 
 
 @pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])
