@@ -255,48 +255,69 @@ def compose(g, f):
     change.  The tables for one v depend only on the column of A and the row
     of B, and _tables caches them by that pair.
     """
-    if g.n != f.n:
-        raise ValueError(f"degree mismatch: {g.n} vs {f.n}")
-    if g.source != f.target:
+    return GammaElement(f.source, g.target, g.n, g.p, next(compose_each([g], f)))
+
+
+def compose_each(gs, f):
+    """The terms of g o f as a dict, in compose's order, for each g of the
+    iterable gs in turn.  The gs share one Hom space, so f's index and the
+    parities are looked up once; each g is taken, and its dict made, only
+    when asked for."""
+    gs = iter(gs)
+    g0 = next(gs, None)
+    if g0 is None:
+        return
+    if g0.n != f.n:
+        raise ValueError(f"degree mismatch: {g0.n} vs {f.n}")
+    if g0.source != f.target:
         raise ValueError("middle spaces do not match")
+    p = f.p
     dim_u = f.source.dim
     dim_v = f.target.dim
-    g_par = g.hom.parities()
+    g_par = g0.hom.parities()
     f_par = f.hom.parities()
-    out = GammaElement(f.source, g.target, g.n, g.p)
-    out_par = out.hom.parities()
+    out_par = hom_space(f.source, g0.target).parities()
+    fact = _factorials(f.n)
     by_profile = f._profile_index
     if by_profile is None:
         by_profile = f._profile_index = group_by_target_profile(f)
-    for g_exps, cg in g.terms.items():
-        g_by_v = {}  # v -> [(w, A[w, v])]
-        for idx, e in g_exps:
-            w, v = divmod(idx, dim_v)
-            g_by_v.setdefault(v, []).append((w, e))
-        profile = tuple((v, sum(e for _, e in col)) for v, col in sorted(g_by_v.items()))
-        cols = [tuple(g_by_v[v]) for v, _ in profile]
-        g_odd = any(g_par[idx] for idx, _ in g_exps)
-        for rows, cf, f_odd in by_profile.get(profile, ()):
-            # with no odd unit on either side every unit of C is even and
-            # every sign is +1
-            signed = g_odd or f_odd
-            for choice in itertools.product(*map(_tables, cols, rows)):
-                cells = sorted((w * dim_u + u, v, t) for (v, _), table in zip(profile, choice) for w, u, t in table)
-                exps = {}
-                for c, _, t in cells:
-                    exps[c] = exps.get(c, 0) + t
-                if signed and any(e > 1 and out_par[c] == ODD for c, e in exps.items()):
-                    continue
-                coeff = cg * cf * _multinomial(exps.values(), [cell[2] for cell in cells])
-                if coeff % g.p:
-                    if signed:
-                        # odd units have exponent 1, so a cell with t > 1 holds
-                        # only even factors and each cell counts once
-                        t_seq = [c // dim_u * dim_v + v for c, v, _ in cells]
-                        s_seq = [v * dim_u + c % dim_u for c, v, _ in cells]
-                        coeff *= (-1) ** _koszul_exponent(t_seq, g_par, s_seq, f_par)
-                    out.add_term(tuple(exps.items()), coeff)
-    return out
+    for g in itertools.chain([g0], gs):
+        out = {}
+        for g_exps, cg in g.terms.items():
+            g_by_v = {}  # v -> [(w, A[w, v])]
+            for idx, e in g_exps:
+                w, v = divmod(idx, dim_v)
+                g_by_v.setdefault(v, []).append((w, e))
+            profile = tuple((v, sum(e for _, e in col)) for v, col in sorted(g_by_v.items()))
+            cols = [tuple(g_by_v[v]) for v, _ in profile]
+            g_odd = any(g_par[idx] for idx, _ in g_exps)
+            for rows, cf, f_odd in by_profile.get(profile, ()):
+                # with no odd unit on either side every unit of C is even and
+                # every sign is +1
+                signed = g_odd or f_odd
+                for choice in itertools.product(*map(_tables, cols, rows)):
+                    cells = sorted((w * dim_u + u, v, t) for (v, _), table in zip(profile, choice) for w, u, t in table)
+                    exps = {}
+                    for c, _, t in cells:
+                        exps[c] = exps.get(c, 0) + t
+                    if signed and any(e > 1 and out_par[c] == ODD for c, e in exps.items()):
+                        continue
+                    coeff = cg * cf * (math.prod([fact[e] for e in exps.values()]) // math.prod([fact[cell[2]] for cell in cells]))
+                    if coeff % p:
+                        if signed:
+                            # odd units have exponent 1, so a cell with t > 1
+                            # holds only even factors and each cell counts once
+                            t_seq = [c // dim_u * dim_v + v for c, v, _ in cells]
+                            s_seq = [v * dim_u + c % dim_u for c, v, _ in cells]
+                            coeff *= (-1) ** _koszul_exponent(t_seq, g_par, s_seq, f_par)
+                        add_mod_p(out, tuple(exps.items()), coeff, p)
+        yield out
+
+
+@lru_cache(maxsize=None)
+def _factorials(n):
+    """0!, 1!, ..., n!"""
+    return tuple(map(math.factorial, range(n + 1)))
 
 
 @lru_cache(maxsize=8192)

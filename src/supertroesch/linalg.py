@@ -13,7 +13,8 @@ One kernel, ``FpMatrix.eliminate``, does every elimination.  It takes a
 list of arrays, stacks them in order of width, each at its own height, and
 steps batches of them through their columns in lockstep, so the fixed cost
 of a numpy call is paid once per column of a batch; a single matrix is a
-list of one.  A step scans only the arrays still wider than its column.
+list of one.  Each array ends at its batch's last column, so a step scans
+and updates only the arrays that reach its column, in their own columns.
 Residues are lazy: row updates are not reduced mod p.  Each batch is held
 in the narrowest of int16, int32 and int64 that holds the checked bound on
 how far entries can grow, and the reduced arrays come back as int8
@@ -231,11 +232,13 @@ class FpMatrix:
         The arrays are sorted by shape and stacked, each at its own height,
         into batches of at most ``BATCH_CELLS`` cells (an array larger than
         that is a batch alone), eliminated one batch at a time.  Only the
-        columns are padded, to the widest array of the batch.  A step over
-        one column makes the same numpy calls for the arrays still wider
-        than it, which sit at the end of the batch, so their fixed cost is
-        paid once per column of the batch, not once per column of every
-        array.  The padding never holds a pivot and stays zero.
+        columns are padded, to the widest array of the batch, and on the
+        left: each array ends at the batch's last column.  A step over one
+        column makes the same numpy calls for the arrays that reach it,
+        which sit at the end of the batch, so their fixed cost is paid once
+        per column of the batch, not once per column of every array, and
+        each row update covers only its own array's columns.  The padding
+        is never read or written.
 
         Residues are reduced lazily: only the scanned column and the pivot
         rows are reduced when a column is reached, the row updates are not.
@@ -257,17 +260,14 @@ class FpMatrix:
             tops = list(accumulate((r for r, c in sizes), initial=0))
             a = np.zeros((tops[-1], cols + extra), dtype=dtype)
             for b, t, (r, c) in zip(members, tops, sizes):
-                a[t : t + r, :c] = arrays[b]
+                a[t : t + r, cols - c : cols] = arrays[b]
                 if extra:
                     a[t : t + r, cols] = np.asarray(augs[b], dtype=np.int64) % p
-            found = _lockstep(p, a, sizes, reduce_above)
+            found = _lockstep(p, a, sizes, cols, reduce_above)
             for b, t, (r, c), piv in zip(members, tops, sizes, found):
                 pivots[b] = piv
                 if out is not None:
-                    red = np.empty((r, c + extra), dtype=np.int8)
-                    red[:, :c] = a[t : t + r, :c] % p
-                    red[:, c:] = a[t : t + r, cols:] % p
-                    reduced[b] = red
+                    reduced[b] = (a[t : t + r, cols - c :] % p).astype(np.int8)
         if out is not None:
             out.extend(reduced)
         return pivots
@@ -341,17 +341,18 @@ def _batches(shapes, extra):
         yield batch, cols
 
 
-def _lockstep(p, a, shapes, reduce_above):
+def _lockstep(p, a, shapes, cols, reduce_above):
     """Eliminate the arrays stacked in the rows of a, each at its own height
     and in order of width, in place and in lockstep; returns the pivot
-    columns of each."""
+    columns of each in its own numbering.  An array c wide fills columns
+    cols - c to cols of its rows, and the columns from cols on are carried
+    along unscanned."""
     count = len(shapes)
     heights = [r for r, c in shapes]
     widths = [c for r, c in shapes]
     top = np.array(list(accumulate(heights, initial=0)))  # array k holds rows top[k] to top[k+1]
     every = np.arange(count)
     owner = np.repeat(every, heights)  # the array of each row
-    nxt = top[:-1].copy()  # the current row of each array, from base
     # p on pivot rows and 0 on the others, so that a residue above it is a
     # nonzero entry of a row that can still take a pivot
     lock = np.zeros(len(a), dtype=a.dtype)
@@ -372,17 +373,19 @@ def _lockstep(p, a, shapes, reduce_above):
 
     pivots = [[] for _ in range(count)]
     left = sum(r for r, c in shapes if c)  # rows that can still take a pivot
-    # the arrays from index wider on are wider than column c: they start at
-    # row base, and sub, sub_lock and sub_owner are their rows
-    wider, base, sub, sub_lock, sub_owner = 0, 0, a, lock, owner
-    for c in range(max((c for r, c in shapes if r), default=0)):
+    # the arrays from index active on reach column c: they start at row
+    # base, and sub, sub_lock and sub_owner are their rows
+    active, base = count, top[-1]
+    sub = sub_lock = sub_owner = None
+    nxt = top[:-1] - base  # the current row of each array, from base
+    for c in range(cols - max((c for r, c in shapes if r), default=0), cols):
         if not left:
             break
-        if widths[wider] <= c:
-            while widths[wider] <= c:
-                wider += 1
-            nxt -= top[wider] - base
-            base = top[wider]
+        if active and cols - widths[active - 1] <= c:
+            while active and cols - widths[active - 1] <= c:
+                active -= 1
+            nxt += base - top[active]
+            base = top[active]
             sub, sub_lock, sub_owner = a[base:], lock[base:], owner[base:]
         col = residues(sub[:, c])
         at = (col > sub_lock).nonzero()[0]
@@ -414,7 +417,7 @@ def _lockstep(p, a, shapes, reduce_above):
         if not reduce_above:
             rows = rest
         else:
-            if got.size < count - wider:
+            if got.size < count - active:
                 has[got] = True
                 col *= has[sub_owner]
                 has[got] = False
@@ -425,7 +428,7 @@ def _lockstep(p, a, shapes, reduce_above):
         sub_lock[dst] = p
         nxt[got] = dst + 1
         for b in got.tolist():
-            pivots[b].append(c)
+            pivots[b].append(c - cols + widths[b])
         left -= got.size
     return pivots
 

@@ -17,6 +17,7 @@ from .gamma import (
     apply_frobenius,
     apply_sym_block,
     compose,
+    compose_each,
     differential_element,
     element_from_map,
     element_product,
@@ -72,13 +73,9 @@ def phi_j_element(p, j):
 ELEMENT_TERM_CAP = 1_000_000
 
 
-@lru_cache(maxsize=16)
-def d_element(p, r, barred=False):
-    """The formal differential of polynomial degree p^r, over Sh or its shift."""
-    sh, shbar = _sh_pair(p, r)
-    maps = [rho(p, r, s) for s in range(r)]
-    if barred:
-        maps = [relabel_map(f, shbar, shbar) for f in maps]
+def _check_d_estimate(p, r):
+    """Raise BudgetExceededError when the closed-form term count of the
+    formal differential of degree p^r passes ELEMENT_TERM_CAP."""
     q = p ** r
     est = sum(
         math.comb(q + p ** s - 1, p ** s) * math.comb(2 * q - p ** s - 1, q - p ** s)
@@ -86,7 +83,17 @@ def d_element(p, r, barred=False):
     )
     if est > ELEMENT_TERM_CAP:
         raise BudgetExceededError("formal differential expansion", est, ELEMENT_TERM_CAP)
-    return differential_element(p, r, q, maps, ELEMENT_TERM_CAP)
+
+
+@lru_cache(maxsize=16)
+def d_element(p, r, barred=False):
+    """The formal differential of polynomial degree p^r, over Sh or its shift."""
+    sh, shbar = _sh_pair(p, r)
+    maps = [rho(p, r, s) for s in range(r)]
+    if barred:
+        maps = [relabel_map(f, shbar, shbar) for f in maps]
+    _check_d_estimate(p, r)
+    return differential_element(p, r, p ** r, maps, ELEMENT_TERM_CAP)
 
 
 @lru_cache(maxsize=16)
@@ -147,32 +154,40 @@ def epsilon_prime_components_by_zdeg(p, r=1, budget=DEFAULT_BUDGET):
     return solve_epsilon(r, p, budget)
 
 
-def _solve_elements(p, n, unknowns, image, rhs, stage):
+def _solve_elements(p, n, unknowns, images, rhs, stage):
     """Solve for unknown elements of degree-n divided Hom powers.
 
     unknowns lists (key, source, target, piece): an element from source to
-    target spanned by the monomials of piece.  image(key, el) gives
-    {row key: coeff} for a one-monomial element of the unknown at key, and
-    rhs is {row key: coeff}.  Columns follow the unknowns, then the piece
-    order, so the pivots and the particular solution (free variables 0)
-    do not depend on how rows are keyed.  Returns {key: element} for the
-    nonzero unknowns.
+    target spanned by the monomials of piece.  images(key, monomials) yields
+    the image of the unknown at key as (part, columns) pairs, each call
+    monomials() iterating afresh over its piece's one-monomial elements:
+    columns gives each monomial's image in that part as {exps: coeff}, in
+    rows keyed (part, exps).  rhs is {row key: coeff}.  Columns follow the
+    unknowns, then the piece order, so the pivots and the particular
+    solution (free variables 0) depend on neither the row keys nor the row
+    order.  Returns {key: element} for the nonzero unknowns.
     """
     rows = {}
-    coeffs = []
+    at_row, at_col, values = [], [], []
     col = 0
     for key, source, target, piece in unknowns:
-        for exps in piece:
-            el = GammaElement(source, target, n, p, {exps: 1})
-            for row, c in image(key, el).items():
-                coeffs.append(((rows.setdefault(row, len(rows)), col), c))
-            col += 1
+
+        def monomials():
+            return (GammaElement(source, target, n, p, {exps: 1}) for exps in piece)
+
+        for part, columns in images(key, monomials):
+            for j, terms in enumerate(columns, col):
+                for exps, c in terms.items():
+                    at_row.append(rows.setdefault((part, exps), len(rows)))
+                    at_col.append(j)
+                    values.append(c)
+        col += len(piece)
     for row in rhs:
         rows.setdefault(row, len(rows))
     b = [0] * len(rows)
     for row, c in rhs.items():
         b[rows[row]] = c
-    x = FpMatrix.from_coords(p, len(rows), col, coeffs).solve(b)
+    x = FpMatrix.from_arrays(p, len(rows), col, at_row, at_col, values).solve(b)
     if x is None:
         raise AssertionError(f"{stage}: the linear system is inconsistent")
     out = {}
@@ -213,8 +228,8 @@ def solve_epsilon(r, p, budget=DEFAULT_BUDGET):
             p,
             q,
             [(nxt, sh, shbar, piece)],
-            lambda _, el: compose(el, d_el).terms,
-            compose(dbar_el, comps[ell]).terms,
+            lambda _, monomials: [(None, compose_each(monomials(), d_el))],
+            {(None, exps): c for exps, c in compose(dbar_el, comps[ell]).terms.items()},
             f"splice solve at degree {nxt}",
         )
         comps[nxt] = sol.get(nxt, zero_element(sh, shbar, q, p))
@@ -670,6 +685,9 @@ class YonedaCalculator:
     """Computes Yoneda products of canonical classes by lifting chain maps."""
 
     def __init__(self, p, r, budget=DEFAULT_BUDGET):
+        # every lifting step composes with d, so a d past the cap fails here,
+        # before any piece is enumerated
+        _check_d_estimate(p, r)
         self.p = p
         self.r = r
         self.q = p ** r
@@ -709,13 +727,12 @@ class YonedaCalculator:
             assert rep_flavor == tgt_res.flavor
             tau0 = src_res.terms(0)[0]
 
-            def image(key, el):
-                fr = apply_frobenius(el, self.r)
-                return {(key[1], i): int(fr.data[i, 0]) for i in range(self.q)}
+            def images(key, monomials):
+                yield key[1], ({i: int(v) for i, v in enumerate(apply_frobenius(el, self.r).data[:, 0])} for el in monomials())
 
             unknowns = [self._unknown((tau0, tgt), tau0, tgt) for tgt in tgt_res.terms(cls.degree)]
             rhs = {(rep_term, rep_idx): 1}
-            blocks = self._lifts[cls] = {0: _solve_elements(self.p, self.q, unknowns, image, rhs, "lifting base step")}
+            blocks = self._lifts[cls] = {0: _solve_elements(self.p, self.q, unknowns, images, rhs, "lifting base step")}
         for m in range(len(blocks) - 1, up_to):
             blocks[m + 1] = self._lift_step(cls, src_res, tgt_res, blocks[m], m)
         return blocks
@@ -727,14 +744,11 @@ class YonedaCalculator:
         unknowns = [self._unknown((a, b), a, b) for a in src_res.terms(m + 1) for b in tgt_res.terms(m + 1 + s_b)]
         unknowns = [u for u in unknowns if u[3]]
 
-        def image(key, el):
+        def images(key, monomials):
             a, b = key
-            out = {}
             for (tau, a2), dblock in d_src.items():
                 if a2 == a:
-                    comp = compose(el, dblock)
-                    out.update({(tau, b, e2): c for e2, c in comp.terms.items()})
-            return out
+                    yield (tau, b), compose_each(monomials(), dblock)
 
         # right-hand side: delta_tgt o prev
         rhs = {}
@@ -742,8 +756,8 @@ class YonedaCalculator:
             for (mid2, b), el2 in d_tgt.items():
                 if mid2 == mid:
                     for e2, c in compose(el2, el1).terms.items():
-                        add_mod_p(rhs, (tau, b, e2), c, self.p)
-        return _solve_elements(self.p, self.q, unknowns, image, rhs, f"lifting step {m + 1}")
+                        add_mod_p(rhs, ((tau, b), e2), c, self.p)
+        return _solve_elements(self.p, self.q, unknowns, images, rhs, f"lifting step {m + 1}")
 
     # -- products -------------------------------------------------------
 

@@ -77,6 +77,25 @@ def test_ring_output_contains_sign_line():
     assert "FAIL" not in res.stdout
 
 
+@pytest.mark.parametrize(
+    "p, r, size",
+    [
+        (3, 3, "73150076108819990448"),
+        (5, 2, "209938418109640350"),
+        (5, 3, "6492153808579349135272080124982967008535190964421503737302910771604215253108695672560326421600"),
+    ],
+)
+def test_ring_past_the_differential_cap_exits_on_budget(p, r, size):
+    # the closed-form term count of d is checked before any bigraded piece is
+    # enumerated; at p = 5, r = 3 the base step's piece enumeration would
+    # otherwise recurse once per unit of Hom(Sh_3, Sh_3) (15,625 units)
+    env = {k: v for k, v in os.environ.items() if k != "SUPERTROESCH_BUDGET"}
+    res = subprocess.run(RUN + ["ring", "--p", str(p), "--r", str(r)], capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "mu: not computed (budget)\n"
+    assert res.stderr == f"budget exceeded: formal differential expansion: size {size} exceeds budget 1000000\n"
+
+
 def test_verify_suite_kunneth():
     res = run_cli("verify", "--p", "3", "--suite", "kunneth")
     assert res.returncode == 0

@@ -1,13 +1,24 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from oracles import apply_sym, apply_sym_matrix, apply_sym_slow, compose_slow, expand_to_invariant_tensor, recognize_invariant_tensor
+from oracles import (
+    apply_sym,
+    apply_sym_matrix,
+    apply_sym_slow,
+    compose_slow,
+    element_bigrades,
+    expand_to_invariant_tensor,
+    recognize_invariant_tensor,
+)
 from supertroesch.gamma import (
+    GammaElement,
     _tables,
     apply_frobenius,
     compose,
+    compose_each,
     element_from_map,
     element_product,
     gamma_monomial,
@@ -20,6 +31,7 @@ from supertroesch.gamma import (
 )
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.powers import PowerKind, power_basis
+from supertroesch.resolutions import _sh_pair, d_component, zdeg_of_local
 from supertroesch.superspace import (
     build_Sh,
     hom_space,
@@ -418,3 +430,82 @@ def test_monomials_with_bigrade():
     choose2 = p * (p - 1) // 2
     for j in range(choose2):
         assert monomials_with_bigrade(sh, shbar, p, p, 0, j) == []
+
+
+def _piece_elements(rng, source, target, n, p, f, count, terms):
+    """count elements of a few terms each, drawn from the bigraded pieces
+    whose source z-degree is the target z-degree of f's terms."""
+    mid = element_bigrades(f)[0][0]
+    pieces = [
+        piece
+        for t_sum in range(0, 2 * n * (n - 1) + 1)
+        for piece in [monomials_with_bigrade(source, target, n, p, t_sum, mid)]
+        if piece
+    ]
+    out = []
+    for _ in range(count):
+        piece = rng.choice(pieces)
+        el = zero_element(source, target, n, p)
+        for exps in rng.sample(piece, min(terms, len(piece))):
+            el.add_term(exps, rng.randrange(1, p))
+        out.append(el)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("barred", [False, True])
+def test_compose_each_matches_slow_reference(p, barred):
+    # f is a component of d over Sh or its shift; half the left factors map
+    # into the other space, so their units are odd and their products signed
+    rng = random.Random(p + 10 * barred)
+    sh, shbar = _sh_pair(p, 1)
+    space = shbar if barred else sh
+    f = max((d_component(p, 1, z, 1, barred) for z in range(p * (p - 1))), key=lambda el: len(el.terms))
+    nonzero = 0
+    for target in (sh, shbar):
+        gs = _piece_elements(rng, space, target, p, p, f, 4, 3)
+        got = list(compose_each(gs, f))
+        assert len(got) == len(gs)
+        for g, terms in zip(gs, got):
+            assert terms == compose_slow(g, f).terms
+            assert list(terms.items()) == list(compose(g, f).terms.items())
+            nonzero += bool(terms)
+    assert nonzero >= 5
+    assert list(compose_each([], f)) == []
+
+
+def _terms_digest(el):
+    return hashlib.sha256(repr(list(el.terms.items())).encode()).hexdigest()
+
+
+def test_compose_term_order_is_locked():
+    # the terms of compose(g, f), in order, as a digest recorded before
+    # compose ran through compose_each
+    pairs = {}
+    for p, barred in ((3, False), (5, True)):
+        # the d^(p-1) component out of the largest odd local degree
+        z = max(
+            (zdeg_of_local(p, 1, local) for local in range(1, 2 * p - 1, 2)),
+            key=lambda z: len(d_component(p, 1, z, p - 1, barred).terms),
+        )
+        pairs[f"d^{p - 1}"] = (d_component(p, 1, z + p - 2, 1, barred), d_component(p, 1, z, p - 2, barred))
+    rng = random.Random(19)
+    k11 = k_super(1, 1)
+    basis = power_basis(PowerKind.DIV, 5, hom_space(k11, k11))
+    g, f = zero_element(k11, k11, 5, 5), zero_element(k11, k11, 5, 5)
+    for _ in range(12):
+        g.add_term(rng.choice(basis).exps, rng.randrange(1, 5))
+        f.add_term(rng.choice(basis).exps, rng.randrange(1, 5))
+    pairs["End(k^{1|1})"] = (g, f)
+    sh, _ = _sh_pair(5, 1)
+    piece = monomials_with_bigrade(sh, sh, 5, 5, 8, 7)
+    pairs["piece"] = (GammaElement(sh, sh, 5, 5, {e: 1 + i % 4 for i, e in enumerate(piece[::7])}), d_component(5, 1, 6, 1, False))
+    want = {
+        "d^2": "6a40cf0143dbd1851dbdc459f53ad181be44066aeb0b19a056b37e5aff071bf4",
+        "d^4": "0025f98562e1568fa53ae835ef17cf55eef0c69b8a1b5fa3d5a0569bc2dc5580",
+        "End(k^{1|1})": "43ca037df01e645da3680a46c13e8f7467a29eb1511afe31e1a2b4f0ec3ca26b",
+        "piece": "5ddd8c95e87f922f9487b50d86b97e82f7997b79a08394c58a291443d9b86cf5",
+    }
+    sizes = {name: len(compose(g, f).terms) for name, (g, f) in pairs.items()}
+    assert sizes == {"d^2": 3, "d^4": 125, "End(k^{1|1})": 9, "piece": 327}
+    assert {name: _terms_digest(compose(g, f)) for name, (g, f) in pairs.items()} == want

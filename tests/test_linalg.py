@@ -251,6 +251,39 @@ def test_batches_stack_arrays_at_their_own_heights(monkeypatch, cells):
                 assert len(batch) == 1 or rows * width <= cells
 
 
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("reduce_above", [False, True])
+def test_lockstep_keeps_each_array_in_its_own_columns(augmented, reduce_above):
+    # a hand-stacked batch of mixed widths, each array ending at the batch's
+    # last column: the sentinel in the padding left of an array is never
+    # read (it would be taken as a pivot) or written, and every array comes
+    # out as if eliminated alone, its pivots in its own column numbering
+    rng = random.Random(31)
+    p, sentinel = 5, 1
+    shapes = [(3, 0), (4, 2), (0, 4), (6, 3), (3, 3), (5, 6), (2, 9)]
+    cols = max(c for _, c in shapes)
+    mats = [random_matrix(rng, p, r, c, density=0.6) for r, c in shapes]
+    augs = [[rng.randrange(p) for _ in range(r)] for r, _ in shapes]
+    tops = [0]
+    for r, _ in shapes:
+        tops.append(tops[-1] + r)
+    a = np.full((tops[-1], cols + augmented), sentinel, dtype=np.int16)
+    for t, m, aug in zip(tops, mats, augs):
+        a[t : t + m.rows, cols - m.cols : cols] = m.data
+        if augmented:
+            a[t : t + m.rows, cols] = aug
+    before = a.copy()
+    pivots = linalg._lockstep(p, a, shapes, cols, reduce_above)
+    assert sum(map(len, pivots)) > 0
+    for t, (r, c), m, aug, got in zip(tops, shapes, mats, augs, pivots):
+        assert (a[t : t + r, : cols - c] == before[t : t + r, : cols - c]).all()
+        assert (a[t : t + r, : cols - c] == sentinel).all()
+        one = []
+        want = FpMatrix.eliminate(p, [m.data], reduce_above, [aug] if augmented else None, one)
+        assert got == want[0]
+        assert (a[t : t + r, cols - c :] % p).astype(np.int8).tobytes() == one[0].tobytes()
+
+
 @pytest.mark.parametrize("n, dtype", [(910, np.int16), (911, np.int32)])
 def test_elimination_at_the_int16_bound(monkeypatch, n, dtype):
     # p = 7: the bound (p-1) + (p-1)**2 * min(rows, cols) is 32766 at 910,

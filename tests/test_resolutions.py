@@ -302,6 +302,54 @@ def test_lifting_indexes_each_source_block_once(monkeypatch):
     assert all(sum(x is el for x in indexed) == 1 for el in blocks)
 
 
+def test_lifting_composes_once_per_block(monkeypatch):
+    # e(1) o e(1) at p = 5: the step that solves for the 561-monomial piece
+    # composes the whole piece with each source block in one compose_each
+    # call, and never composes one monomial of the piece with compose
+    calls = []
+    step = [None]
+    pieces = {}
+    lift_step, solve = YonedaCalculator._lift_step, resolutions._solve_elements
+    compose_, compose_each_ = resolutions.compose, resolutions.compose_each
+
+    def stepping(self, cls, src_res, tgt_res, prev_blocks, m):
+        step[0] = m + 1
+        return lift_step(self, cls, src_res, tgt_res, prev_blocks, m)
+
+    def solving(p, n, unknowns, images, rhs, stage):
+        pieces[step[0]] = [(key, piece) for key, _, _, piece in unknowns]
+        return solve(p, n, unknowns, images, rhs, stage)
+
+    def each(gs, f):
+        gs = list(gs)
+        calls.append((step[0], "compose_each", f, gs))
+        return compose_each_(gs, f)
+
+    def single(g, f):
+        calls.append((step[0], "compose", f, [g]))
+        return compose_(g, f)
+
+    monkeypatch.setattr(YonedaCalculator, "_lift_step", stepping)
+    monkeypatch.setattr(resolutions, "_solve_elements", solving)
+    monkeypatch.setattr(resolutions, "compose_each", each)
+    monkeypatch.setattr(resolutions, "compose", single)
+    calc = YonedaCalculator(5, 1)
+    assert calc.product(e_class(1), e_class(1)) == {e_class(2): 1}
+    ((key, piece),) = pieces[2]
+    assert len(piece) == 561
+    # one call per (unknown, source block) pair, each over the whole piece
+    sources = [el for (_, a), el in calc.res["J"].blocks(1).items() if a == key[0]]
+    each_calls = [(f, gs) for m, kind, f, gs in calls if m == 2 and kind == "compose_each"]
+    assert sources and len(each_calls) == len(sources)
+    assert all(any(f is el for f, _ in each_calls) for el in sources)
+    assert all([next(iter(g.terms)) for g in gs] == piece for _, gs in each_calls)
+    # compose forms only the right-hand side, with no left factor from the piece
+    monomials = set(piece)
+    singles = [gs[0] for m, kind, _, gs in calls if m == 2 and kind == "compose"]
+    assert len(singles) < 10
+    assert not any(len(g.terms) == 1 and next(iter(g.terms)) in monomials for g in singles)
+
+
 def test_solve_epsilon_indexes_d_once(monkeypatch):
     indexed = _record_indexed(monkeypatch)
     made = []
