@@ -476,50 +476,93 @@ def relabel_element(el, new_source, new_target):
 
 
 def monomials_with_bigrade(source, target, n, p, tgt_sum, src_sum, budget=None):
-    """All admissible monomials of the Hom power with the given degree sums."""
+    """All admissible monomials of the Hom power with the given degree sums,
+    in descending lexicographic order of their exponent rows.
+
+    The z-degrees are shifted to start at 0, so a unit adds (t, s) >= 0 to
+    the sums and the targets T, S bound every partial sum.  reach[j][r] is
+    a bitmask over the (t, s) sums, bit t*(S+1)+s set when the units from j
+    on can take exactly degree r with those sums; it is built right to left
+    by shifted ORs, each masked so that s cannot carry into the next t row.
+    tails(j, r, t, s) then lists the monomials of the units from j on: the
+    next nonzero unit in index order, its exponent from high to low, and
+    only children that reach.  Reach only grows as the suffix lengthens, so
+    the first unit whose suffix cannot reach ends the search.  Each state is
+    expanded once and its list shared by every prefix that reaches it, and
+    the recursion is at most n + 1 deep.  Every tail of a reachable state
+    extends to a distinct monomial, so a state's list passes the budget
+    exactly when the piece does.
+    """
     hom = hom_space(source, target)
     dim = hom.dim
+    dim_v = source.dim
     tz = target.zdegs()
     sz = source.zdegs()
     par = hom.parities()
-    dim_v = source.dim
-    unit_t = [tz[i // dim_v] for i in range(dim)]
-    unit_s = [sz[i % dim_v] for i in range(dim)]
-    # suffix bounds for pruning
-    INF = float("inf")
-    min_t = [INF] * (dim + 1)
-    max_t = [-INF] * (dim + 1)
-    min_s = [INF] * (dim + 1)
-    max_s = [-INF] * (dim + 1)
-    for i in range(dim - 1, -1, -1):
-        min_t[i] = min(min_t[i + 1], unit_t[i])
-        max_t[i] = max(max_t[i + 1], unit_t[i])
-        min_s[i] = min(min_s[i + 1], unit_s[i])
-        max_s[i] = max(max_s[i + 1], unit_s[i])
-    out = []
+    t_min = min(tz, default=0)
+    s_min = min(sz, default=0)
+    unit_t = [tz[i // dim_v] - t_min for i in range(dim)]
+    unit_s = [sz[i % dim_v] - s_min for i in range(dim)]
+    T = tgt_sum - n * t_min
+    S = src_sum - n * s_min
+    if T < 0 or S < 0:
+        return []
+    W = S + 1
+    row_span = (1 << W) - 1
+    masks = {}
 
-    def rec(idx, rem, t_need, s_need, acc):
-        if rem == 0:
-            if t_need == 0 and s_need == 0:
-                out.append(tuple(acc))
-                if budget is not None and len(out) > budget:
-                    raise BudgetExceededError("bigraded piece", len(out), budget)
-            return
-        if idx == dim:
-            return
-        if min_t[idx] != INF:
-            if not (rem * min_t[idx] <= t_need <= rem * max_t[idx]):
-                return
-            if not (rem * min_s[idx] <= s_need <= rem * max_s[idx]):
-                return
-        cap = 1 if par[idx] == ODD else rem
-        for e in range(min(cap, rem), -1, -1):
-            if e:
-                acc.append((idx, e))
-                rec(idx + 1, rem - e, t_need - e * unit_t[idx], s_need - e * unit_s[idx], acc)
-                acc.pop()
-            else:
-                rec(idx + 1, rem, t_need, s_need, acc)
+    def keep(dt, ds):
+        # the (t, s) with t + dt <= T and s + ds <= S
+        m = masks.get((dt, ds))
+        if m is None:
+            m = masks[dt, ds] = ((1 << (S - ds + 1)) - 1) * ((1 << W * (T - dt + 1)) - 1) // row_span
+        return m
 
-    rec(0, n, tgt_sum, src_sum, [])
+    reach = [None] * dim + [[1] + [0] * n]
+    for j in range(dim - 1, -1, -1):
+        nxt = reach[j + 1]
+        cur = list(nxt)
+        for e in range(1, (1 if par[j] == ODD else n) + 1):
+            dt, ds = e * unit_t[j], e * unit_s[j]
+            if dt > T or ds > S:
+                break
+            mask = keep(dt, ds)
+            shift = dt * W + ds
+            for r in range(e, n + 1):
+                x = nxt[r - e] & mask
+                if x:
+                    cur[r] |= x << shift
+        reach[j] = cur
+    if not reach[0][n] >> (T * W + S) & 1:
+        return []
+    done = [()]
+    memo = {}
+
+    def tails(j, r, t, s):
+        if r == 0:
+            return done
+        key = (j, r, t, s)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = []
+        at = t * W + s
+        for k in range(j, dim):
+            if not reach[k][r] >> at & 1:
+                break
+            ut, us = unit_t[k], unit_s[k]
+            for e in range(1 if par[k] == ODD else r, 0, -1):
+                t2, s2 = t - e * ut, s - e * us
+                if t2 >= 0 and s2 >= 0 and reach[k + 1][r - e] >> (t2 * W + s2) & 1:
+                    head = ((k, e),)
+                    out += [head + tail for tail in tails(k + 1, r - e, t2, s2)]
+                    if budget is not None and len(out) > budget:
+                        raise BudgetExceededError("bigraded piece", budget + 1, budget)
+        memo[key] = out
+        return out
+
+    out = tails(0, n, T, S)
+    if budget is not None and len(out) > budget:
+        # n = 0: the empty monomial is the one state not checked above
+        raise BudgetExceededError("bigraded piece", budget + 1, budget)
     return out

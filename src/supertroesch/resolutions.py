@@ -85,9 +85,15 @@ def _check_d_estimate(p, r):
         raise BudgetExceededError("formal differential expansion", est, ELEMENT_TERM_CAP)
 
 
-@lru_cache(maxsize=16)
 def d_element(p, r, barred=False):
-    """The formal differential of polynomial degree p^r, over Sh or its shift."""
+    """The formal differential of polynomial degree p^r, over Sh or its shift.
+
+    Built once per (p, r, barred), however barred is passed."""
+    return _d_element(p, r, bool(barred))
+
+
+@lru_cache(maxsize=16)
+def _d_element(p, r, barred):
     sh, shbar = _sh_pair(p, r)
     maps = [rho(p, r, s) for s in range(r)]
     if barred:
@@ -694,22 +700,21 @@ class YonedaCalculator:
         self.budget = budget
         self.res = {f: SplicedResolution(p, r, f, budget) for f in ("J", "Jbar")}
         self._lifts = {}  # class -> {source degree: blocks}
+        self._pieces = {}  # (source kind, target kind, target z-sum, source z-sum) -> piece
 
     def _unknown(self, key, src, tgt):
         """The (key, source, target, piece) unknown of a block from term src to
-        term tgt: piece lists the monomials of its bigraded piece."""
+        term tgt: piece lists the monomials of its bigraded piece.  Each piece
+        is enumerated once per calculator and only read afterwards."""
         p, r = self.p, self.r
         sh, shbar = _sh_pair(p, r)
         spaces = {"T": sh, "Tbar": shbar}
-        piece = monomials_with_bigrade(
-            spaces[src.kind],
-            spaces[tgt.kind],
-            self.q,
-            p,
-            zdeg_of_local(p, r, tgt.local),
-            zdeg_of_local(p, r, src.local),
-            self.budget,
-        )
+        grade = (src.kind, tgt.kind, zdeg_of_local(p, r, tgt.local), zdeg_of_local(p, r, src.local))
+        piece = self._pieces.get(grade)
+        if piece is None:
+            piece = self._pieces[grade] = monomials_with_bigrade(
+                spaces[src.kind], spaces[tgt.kind], self.q, p, grade[2], grade[3], self.budget
+            )
         return key, spaces[src.kind], spaces[tgt.kind], piece
 
     # -- lifting --------------------------------------------------------

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, compose, hom_space
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.pcomplex import CyclicDecomposition, PComplex, PDifferentialError, cohomology, contraction_degree
@@ -524,6 +525,60 @@ def split_by_source_degree_oracle(el):
     for exps, c in el.terms.items():
         _, s = monomial_bigrade(el, exps)
         out.setdefault(s, GammaElement(el.source, el.target, el.n, el.p)).add_term(exps, c)
+    return out
+
+
+def monomials_with_bigrade_oracle(source, target, n, p, tgt_sum, src_sum, budget=None):
+    """All admissible monomials of the Hom power with the given degree sums,
+    by a recursion over every unit in turn (exponent from high to low, 0
+    last), pruned only by the suffix bounds of the z-degrees.  It recurses
+    once per unit, so it needs a Hom space with fewer units than the
+    recursion limit."""
+    hom = hom_space(source, target)
+    dim = hom.dim
+    tz = target.zdegs()
+    sz = source.zdegs()
+    par = hom.parities()
+    dim_v = source.dim
+    unit_t = [tz[i // dim_v] for i in range(dim)]
+    unit_s = [sz[i % dim_v] for i in range(dim)]
+    # suffix bounds for pruning
+    INF = float("inf")
+    min_t = [INF] * (dim + 1)
+    max_t = [-INF] * (dim + 1)
+    min_s = [INF] * (dim + 1)
+    max_s = [-INF] * (dim + 1)
+    for i in range(dim - 1, -1, -1):
+        min_t[i] = min(min_t[i + 1], unit_t[i])
+        max_t[i] = max(max_t[i + 1], unit_t[i])
+        min_s[i] = min(min_s[i + 1], unit_s[i])
+        max_s[i] = max(max_s[i + 1], unit_s[i])
+    out = []
+
+    def rec(idx, rem, t_need, s_need, acc):
+        if rem == 0:
+            if t_need == 0 and s_need == 0:
+                out.append(tuple(acc))
+                if budget is not None and len(out) > budget:
+                    raise BudgetExceededError("bigraded piece", len(out), budget)
+            return
+        if idx == dim:
+            return
+        if min_t[idx] != INF:
+            if not (rem * min_t[idx] <= t_need <= rem * max_t[idx]):
+                return
+            if not (rem * min_s[idx] <= s_need <= rem * max_s[idx]):
+                return
+        cap = 1 if par[idx] == ODD else rem
+        for e in range(min(cap, rem), -1, -1):
+            if e:
+                acc.append((idx, e))
+                rec(idx + 1, rem - e, t_need - e * unit_t[idx], s_need - e * unit_s[idx], acc)
+                acc.pop()
+            else:
+                rec(idx + 1, rem, t_need, s_need, acc)
+
+    rec(0, n, tgt_sum, src_sum, [])
     return out
 
 

@@ -11,8 +11,10 @@ from oracles import (
     compose_slow,
     element_bigrades,
     expand_to_invariant_tensor,
+    monomials_with_bigrade_oracle,
     recognize_invariant_tensor,
 )
+from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
     GammaElement,
     _tables,
@@ -33,6 +35,9 @@ from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.powers import PowerKind, power_basis
 from supertroesch.resolutions import _sh_pair, d_component, zdeg_of_local
 from supertroesch.superspace import (
+    EVEN,
+    BasisElement,
+    SuperSpace,
     build_Sh,
     hom_space,
     k_super,
@@ -430,6 +435,65 @@ def test_monomials_with_bigrade():
     choose2 = p * (p - 1) // 2
     for j in range(choose2):
         assert monomials_with_bigrade(sh, shbar, p, p, 0, j) == []
+
+
+def _piece_or_message(enumerate_piece, *args, **kwargs):
+    try:
+        return enumerate_piece(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _assert_matches_oracle(*args, **kwargs):
+    got = _piece_or_message(monomials_with_bigrade, *args, **kwargs)
+    assert got == _piece_or_message(monomials_with_bigrade_oracle, *args, **kwargs), (args, kwargs)
+    return got
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_monomials_with_bigrade_matches_recursive_oracle_r1(p):
+    # every bigrade of every Sh/Sh-bar pair: the same monomials in the same
+    # order as the unit-by-unit recursion
+    sh, shbar = _sh_pair(p, 1)
+    top = p * (p - 1)
+    found = 0
+    for source, target in itertools.product((sh, shbar), repeat=2):
+        for t in range(top + 1):
+            for s in range(top + 1):
+                found += len(_assert_matches_oracle(source, target, p, p, t, s))
+    assert found > 0
+
+
+def test_monomials_with_bigrade_matches_recursive_oracle_r2():
+    # a coarse grid at r = 2 under the default budget: pieces that fit, empty
+    # ones, and ones that stop at the budget with the same message
+    sh, shbar = _sh_pair(3, 2)
+    outcomes = set()
+    for target in (shbar, sh):
+        for t in range(0, 73, 24):
+            for s in range(0, 73, 24):
+                got = _assert_matches_oracle(sh, target, 9, 3, t, s, budget=20_000)
+                outcomes.add("budget" if isinstance(got, str) else bool(got))
+    assert outcomes == {"budget", True, False}
+
+
+def test_monomials_with_bigrade_budget_boundary():
+    # a piece of exactly the budget comes back whole; one past it raises
+    sh, shbar = _sh_pair(5, 1)
+    for source, target, t, s in ((sh, sh, 10, 5), (sh, shbar, 10, 10), (shbar, sh, 4, 3)):
+        size = len(monomials_with_bigrade(source, target, 5, 5, t, s))
+        assert size > 1
+        assert _assert_matches_oracle(source, target, 5, 5, t, s, budget=size) == monomials_with_bigrade(source, target, 5, 5, t, s)
+        want = f"bigraded piece: size {size} exceeds budget {size - 1}"
+        assert _assert_matches_oracle(source, target, 5, 5, t, s, budget=size - 1) == want
+
+
+def test_monomials_with_bigrade_past_the_recursion_limit():
+    # 1,200 units, more than the recursion limit; only the last one carries
+    # target z-degree, so the one monomial of bigrade (1, 0) sits at the end
+    source = k_super(1, 0)
+    target = SuperSpace(tuple(BasisElement(f"b{i}", int(i == 1199), EVEN) for i in range(1200)))
+    assert monomials_with_bigrade(source, target, 1, 3, 1, 0) == [((1199, 1),)]
 
 
 def _piece_elements(rng, source, target, n, p, f, count, terms):

@@ -350,12 +350,43 @@ def test_lifting_composes_once_per_block(monkeypatch):
     assert not any(len(g.terms) == 1 and next(iter(g.terms)) in monomials for g in singles)
 
 
+def test_d_element_is_built_once_per_differential(monkeypatch):
+    # d and d-bar, however barred is passed: two builds per (p, r)
+    build = resolutions.differential_element
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "differential_element", counting)
+    resolutions._d_element.cache_clear()
+    for p in (3, 5):
+        d, d_false, dbar_kw, dbar = d_element(p, 1), d_element(p, 1, False), d_element(p, 1, barred=True), d_element(p, 1, True)
+        assert d is d_false and dbar is dbar_kw and d is not dbar
+    assert built == [(3, 1), (3, 1), (5, 1), (5, 1)]
+
+
+def test_calculator_enumerates_each_piece_once(monkeypatch):
+    enumerate_piece = resolutions.monomials_with_bigrade
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_piece(*args)
+
+    monkeypatch.setattr(resolutions, "monomials_with_bigrade", counting)
+    ok, _ = ring_relation_report(3, 1)
+    assert ok
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_solve_epsilon_indexes_d_once(monkeypatch):
     indexed = _record_indexed(monkeypatch)
     made = []
 
     def fresh_d(p, r, barred=False):
-        made.append(d_element.__wrapped__(p, r, barred))
+        made.append(resolutions._d_element.__wrapped__(p, r, barred))
         return made[-1]
 
     monkeypatch.setattr(resolutions, "d_element", fresh_d)
