@@ -302,7 +302,10 @@ def compose_each(gs, f):
                         exps[c] = exps.get(c, 0) + t
                     if signed and any(e > 1 and out_par[c] == ODD for c, e in exps.items()):
                         continue
-                    coeff = cg * cf * (math.prod([fact[e] for e in exps.values()]) // math.prod([fact[cell[2]] for cell in cells]))
+                    coeff = cg * cf
+                    if len(exps) < len(cells):
+                        # two cells share a unit; otherwise the ratio is 1
+                        coeff *= math.prod([fact[e] for e in exps.values()]) // math.prod([fact[cell[2]] for cell in cells])
                     if coeff % p:
                         if signed:
                             # odd units have exponent 1, so a cell with t > 1

@@ -26,12 +26,14 @@ entries are sorted by position once, the repeats summed in int64 with
 ``np.add.reduceat``, and only those sums are written, reduced mod p.
 
 Products are the one place floating point appears.  ``_mod_p_product``
-multiplies in float64 so that numpy hands the work to BLAS (dgemm), which
-integer ``@`` never does.  This is exact because it first checks that the
-largest possible dot product, inner * (p-1)**2, is at most 2**53: float64
-holds every integer up to 2**53, so every partial sum is an exact integer
-in whatever order BLAS adds.  The result is reduced mod p and returned as
-int8 residues, identical to ``(a @ b) % p`` computed in int64.
+multiplies in floating point so that numpy hands the work to BLAS (sgemm or
+dgemm), which integer ``@`` never does.  This is exact because it first
+bounds the largest possible dot product, inner * (p-1)**2, and multiplies
+in the narrowest float type that holds every integer up to that bound:
+float32 up to 2**24, float64 up to 2**53, and nothing beyond.  Every partial
+sum is then an exact integer in whatever order BLAS adds.  The result is
+reduced mod p in int32 or int64, and returned as int8 residues, identical
+to ``(a @ b) % p`` computed in int64.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ _FIRST = np.zeros(1, dtype=np.intp)
 
 # the working dtypes of elimination, narrowest first, with their maxima
 _WORK_DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
+
+# the dtypes of products, narrowest first: a float dtype, the integer up to
+# which it holds every integer exactly, and an integer dtype that holds that
+# integer too
+_PRODUCT_DTYPES = ((np.float32, 2**24, np.int32), (np.float64, 2**53, np.int64))
 
 # Cells of one batch in ``FpMatrix.eliminate``: 4 MB as int16, so that all
 # (degree, parity) blocks of d (6,431 rows, 289 columns) in the
@@ -208,7 +215,7 @@ class FpMatrix:
         if len(vec) != self.cols:
             raise ShapeMismatchError("apply", self.shape, (len(vec), 1))
         col = np.array(vec, dtype=np.int64).reshape(self.cols, 1) % self.p
-        # _mod_p_product widens both operands to float64 before it multiplies
+        # _mod_p_product widens both operands to floats before it multiplies
         return _mod_p_product(self.data, col, self.p)[:, 0].tolist()
 
     # ------------------------------------------------------------------
@@ -433,25 +440,39 @@ def _lockstep(p, a, shapes, cols, reduce_above):
     return pivots
 
 
+def _product_dtypes(bound):
+    """The narrowest float dtype that holds every integer up to bound, with
+    its integer dtype, or None when none does."""
+    for dtype, top, int_dtype in _PRODUCT_DTYPES:
+        if bound <= top:
+            return dtype, int_dtype
+    return None
+
+
 def _mod_p_product(a, b, p):
     """a @ b mod p for integer arrays of residues in [0, p), as int8
     residues, one byte per cell of the result.
 
-    Both operands are widened to float64 for BLAS, so the int8 storage
-    never takes part in the arithmetic.
+    Both operands are widened to the float dtype of ``_product_dtypes`` for
+    the bound inner * (p-1)**2 on a dot product, so the int8 storage never
+    takes part in the arithmetic.  The exact product is reduced mod p in
+    the matching integer dtype: integer remainder is an order of magnitude
+    faster than ``np.fmod`` on floats.
 
     Raises ValueError, before converting anything, when a dot product could
     exceed 2**53, the largest integer range float64 holds exactly.
     """
     inner = a.shape[1]
-    if inner * (p - 1) ** 2 > 2**53:
+    dtypes = _product_dtypes(inner * (p - 1) ** 2)
+    if dtypes is None:
         raise ValueError(
             f"matmul: {inner} inner columns at p = {p} break the exact bound "
             f"inner * (p-1)**2 <= 2**53"
         )
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    # in place: a second float64 result array would raise peak memory
-    np.fmod(prod, p, out=prod)
+    dtype, int_dtype = dtypes
+    prod = (a.astype(dtype) @ b.astype(dtype)).astype(int_dtype)
+    # in place: a second integer result array would raise peak memory
+    np.remainder(prod, p, out=prod)
     return prod.astype(np.int8)
 
 

@@ -84,11 +84,6 @@ class PowerMonomial:
         return f"<{self.kind.value}:{self.label()}>"
 
 
-def monomial_from_counts(kind, space, counts):
-    exps = tuple(sorted((i, e) for i, e in counts.items() if e))
-    return PowerMonomial(kind, space, exps)
-
-
 def power_exponents(kind, n, space):
     """Exponent rows of all admissible degree-n monomials, one row per
     monomial, in descending lexicographic order.
@@ -191,55 +186,64 @@ def sort_with_sign(kind, seq, parities):
 # products
 
 
-def power_product(m1, m2, p):
-    """Product of two monomials as {monomial: coeff}; empty dict means zero."""
-    if m1.kind is not m2.kind or m1.space != m2.space:
-        raise ValueError("kind/space mismatch in product")
-    kind = m1.kind
-    par = m1.space.parities()
-    e1 = dict(m1.exps)
-    e2 = dict(m2.exps)
-    bounded = kind.bounded_parity
-    merged = dict(e1)
-    coeff = 1
-    for i, e in e2.items():
-        tot = merged.get(i, 0) + e
-        if par[i] == bounded and tot > 1:
-            return {}
-        if not kind.is_quotient and i in e1:
-            coeff = (coeff * binom_mod(tot, e, p)) % p
-        merged[i] = tot
-    if coeff == 0:
-        return {}
-    # crossing sign: factors of m2 move left past larger-index factors of m1
-    s = 0
-    for i, a in e1.items():
-        for j, b in e2.items():
-            if i > j:
-                cross = par[i] * par[j]
-                if kind.is_signed:
-                    cross += 1
-                s += a * b * cross
-    coeff = (coeff * (-1) ** s) % p
-    if coeff == 0:
-        return {}
-    return {monomial_from_counts(kind, m1.space, merged): coeff}
-
-
 def multiply_out(kind, space, factors, p, budget=None, stage=None):
-    """Product of the factors, in order, each a {exps: coeff} combination.
+    """Product of the factors, in order, each a {exps: coeff} combination of
+    exponent tuples ((index, exponent >= 1), ...).
 
-    Returns {exps: coeff}.  With a budget, the running product may hold at
-    most that many monomials after each factor; the error names the stage.
+    Two monomials multiply by the product rule of the kind, on the tuples
+    themselves.  A generator of the bounded parity that the right factor
+    brings to exponent two or more kills the product.  Where indices
+    overlap, the divided-power kinds multiply by the binomial
+    C(a + b, b) mod p.  Moving the right factor's generators left past the
+    larger indices of the left factor gives the Koszul sign, a factor
+    (-1)^(a*b) for each crossing of two odd generators, and for each
+    crossing of generators that are not both odd in the signed kinds.
+
+    Returns {exps: coeff}, its terms in the order the pairs are met: the
+    running product outer, the factor inner.  With a budget, the running
+    product may hold at most that many monomials after each factor; the
+    error names the stage.
     """
+    par = space.parities()
+    bounded = kind.bounded_parity
+    binomial = not kind.is_quotient
+    signed = kind.is_signed
+
+    def sign_part(exps):
+        # the generators that can change the sign of a crossing
+        return exps if signed else tuple(ie for ie in exps if par[ie[0]] == ODD)
+
     combo = {(): 1}
     for fac in factors:
+        rights = [
+            (e2, c2, dict(e2), [j for j, _ in e2 if par[j] == bounded], sign_part(e2))
+            for e2, c2 in fac.items()
+            # a bounded generator squared dies against every left monomial
+            if all(b == 1 or par[j] != bounded for j, b in e2)
+        ]
         nxt = {}
         for e1, c1 in combo.items():
-            m1 = PowerMonomial(kind, space, e1)
-            for e2, c2 in fac.items():
-                for m, c in power_product(m1, PowerMonomial(kind, space, e2), p).items():
-                    add_mod_p(nxt, m.exps, c1 * c2 * c, p)
+            d1 = dict(e1)
+            sg1 = sign_part(e1)
+            for e2, c2, d2, bounded2, sg2 in rights:
+                c = c1 * c2
+                if d2.keys().isdisjoint(d1):
+                    key = tuple(sorted(e1 + e2))
+                else:
+                    if any(j in d1 for j in bounded2):
+                        continue
+                    merged = dict(d1)
+                    for j, b in e2:
+                        a = merged.get(j, 0)
+                        merged[j] = a + b
+                        if binomial:
+                            c *= math.comb(a + b, b)
+                    if c % p == 0:
+                        continue
+                    key = tuple(sorted(merged.items()))
+                if sg1 and sg2 and sum(a * b * (par[i] * par[j] + signed) for i, a in sg1 for j, b in sg2 if i > j) % 2:
+                    c = -c
+                add_mod_p(nxt, key, c, p)
         combo = nxt
         if budget is not None and len(combo) > budget:
             raise BudgetExceededError(stage, len(combo), budget)

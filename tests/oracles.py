@@ -24,7 +24,6 @@ from supertroesch.powers import (
     add_mod_p,
     binom_mod,
     koszul_sign_of_arrangement,
-    monomial_from_counts,
     multiply_out,
     power_basis,
     sort_with_sign,
@@ -228,6 +227,75 @@ def factor_sequence(m):
 def is_admissible(m):
     bounded = m.kind.bounded_parity
     return all(e == 1 for i, e in m.exps if m.space.basis[i].parity == bounded)
+
+
+def monomial_from_counts(kind, space, counts):
+    exps = tuple(sorted((i, e) for i, e in counts.items() if e))
+    return PowerMonomial(kind, space, exps)
+
+
+def power_product(m1, m2, p):
+    """Product of two monomials as {monomial: coeff}; empty dict means zero.
+
+    The reference for ``powers.multiply_out``: the same product rule, one
+    pair of PowerMonomials at a time, with the crossing sign summed over
+    every pair of generators.
+    """
+    if m1.kind is not m2.kind or m1.space != m2.space:
+        raise ValueError("kind/space mismatch in product")
+    kind = m1.kind
+    par = m1.space.parities()
+    e1 = dict(m1.exps)
+    e2 = dict(m2.exps)
+    bounded = kind.bounded_parity
+    merged = dict(e1)
+    coeff = 1
+    for i, e in e2.items():
+        tot = merged.get(i, 0) + e
+        if par[i] == bounded and tot > 1:
+            return {}
+        if not kind.is_quotient and i in e1:
+            coeff = (coeff * binom_mod(tot, e, p)) % p
+        merged[i] = tot
+    if coeff == 0:
+        return {}
+    # crossing sign: factors of m2 move left past larger-index factors of m1
+    s = 0
+    for i, a in e1.items():
+        for j, b in e2.items():
+            if i > j:
+                cross = par[i] * par[j]
+                if kind.is_signed:
+                    cross += 1
+                s += a * b * cross
+    coeff = (coeff * (-1) ** s) % p
+    if coeff == 0:
+        return {}
+    return {monomial_from_counts(kind, m1.space, merged): coeff}
+
+
+def multiply_out_oracle(kind, space, factors, p, budget=None, stage=None):
+    """``powers.multiply_out`` as it was built on ``power_product``: two
+    PowerMonomials and a power_product call for every pair of monomials."""
+    combo = {(): 1}
+    for fac in factors:
+        nxt = {}
+        for e1, c1 in combo.items():
+            m1 = PowerMonomial(kind, space, e1)
+            for e2, c2 in fac.items():
+                for m, c in power_product(m1, PowerMonomial(kind, space, e2), p).items():
+                    add_mod_p(nxt, m.exps, c1 * c2 * c, p)
+        combo = nxt
+        if budget is not None and len(combo) > budget:
+            raise BudgetExceededError(stage, len(combo), budget)
+    return combo
+
+
+def multiply_monomials(m1, m2, p):
+    """The library's product of two monomials, ``powers.multiply_out`` on
+    their exponent tuples, keyed by PowerMonomial as power_product keys it."""
+    terms = multiply_out(m1.kind, m1.space, [{m1.exps: 1}, {m2.exps: 1}], p)
+    return {PowerMonomial(m1.kind, m1.space, exps): c for exps, c in terms.items()}
 
 
 def monomial_from_sequence(kind, space, seq):

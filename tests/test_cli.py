@@ -96,6 +96,16 @@ def test_ring_past_the_differential_cap_exits_on_budget(p, r, size):
     assert res.stderr == f"budget exceeded: formal differential expansion: size {size} exceeds budget 1000000\n"
 
 
+def test_ring_p3_r2_exits_on_the_differential_power():
+    # d(3, 2) fits the term cap and is built (245,388 terms); the odd-step
+    # block d^(p-1) of the splice is then refused on its estimate
+    env = {k: v for k, v in os.environ.items() if k != "SUPERTROESCH_BUDGET"}
+    res = subprocess.run(RUN + ["ring", "--p", "3", "--r", "2"], capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "mu: not computed (budget)\n"
+    assert res.stderr == "budget exceeded: formal differential power: size 60215270544 exceeds budget 20000\n"
+
+
 def test_verify_suite_kunneth():
     res = run_cli("verify", "--p", "3", "--suite", "kunneth")
     assert res.returncode == 0

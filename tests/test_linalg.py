@@ -119,6 +119,42 @@ def test_product_matches_int64_reference():
         assert a.apply([p - 1] * n) == ref[:, 0].tolist()
 
 
+def test_product_dtypes_are_the_narrowest_exact_ones():
+    # float32 holds every integer up to 2**24, float64 up to 2**53; the
+    # reduction runs in an integer dtype that holds the same range
+    assert linalg._product_dtypes(0) == (np.float32, np.int32)
+    assert linalg._product_dtypes(2**24) == (np.float32, np.int32)
+    assert linalg._product_dtypes(2**24 + 1) == (np.float64, np.int64)
+    assert linalg._product_dtypes(2**53) == (np.float64, np.int64)
+    assert linalg._product_dtypes(2**53 + 1) is None
+
+
+def test_products_either_side_of_the_float32_bound(monkeypatch):
+    """At p = 7 a dot product is at most 36 per inner column: 466,033
+    columns stay within 2**24 and multiply in float32, one more column
+    multiplies in float64.  Both against int64 ``(a @ b) % p``, bit for bit,
+    with every dot product at its largest and with random residues."""
+    p = 7
+    rng = np.random.default_rng(7)
+    chosen = []
+    narrowest = linalg._product_dtypes
+
+    def recording(bound):
+        chosen.append(narrowest(bound)[0])
+        return narrowest(bound)
+
+    monkeypatch.setattr(linalg, "_product_dtypes", recording)
+    for inner in (2**24 // 36, 2**24 // 36 + 1):
+        for a, b in (
+            (np.full((2, inner), p - 1), np.full((inner, 3), p - 1)),
+            (rng.integers(0, p, (2, inner)), rng.integers(0, p, (inner, 3))),
+        ):
+            ref = (a @ b) % p
+            got = matmul(FpMatrix(p, a), FpMatrix(p, b)).data
+            assert got.dtype == np.int8 and got.astype(np.int64).tobytes() == ref.tobytes()
+    assert chosen == [np.float32, np.float32, np.float64, np.float64]
+
+
 def test_product_bound_checked_before_conversion():
     # zero-stride int8 views, taken as residues without a copy: 2**48
     # columns and nothing allocated; at p = 7 the largest dot product

@@ -2,6 +2,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from oracles import (
     SignedTensor,
@@ -9,21 +10,25 @@ from oracles import (
     coproduct_component,
     degree,
     lift_from_power,
+    monomial_from_counts,
+    multiply_monomials,
+    multiply_out_oracle,
     power_basis_oracle,
+    power_product,
     project_checked,
     project_to_power,
     shuffle_product_via_reps,
     yoneda_hom_dim,
 )
+from supertroesch.errors import BudgetExceededError
 from supertroesch.powers import (
     PowerKind,
     add_mod_p,
     dim_formula_sym,
-    monomial_from_counts,
+    multiply_out,
     multiset_coeff,
     power_basis,
     power_exponents,
-    power_product,
 )
 from supertroesch.superspace import build_Sh, hom_space, k_super, tensor
 
@@ -161,16 +166,16 @@ def test_gamma_product_binomial_vanishes():
     v = k_super(1, 0)
     g1 = monomial_from_counts(DIV, v, {0: 1})
     g2 = monomial_from_counts(DIV, v, {0: 2})
-    assert power_product(g1, g2, 3) == {}  # 3 * gamma_3 = 0 mod 3
-    assert power_product(g1, g2, 5) == {monomial_from_counts(DIV, v, {0: 3}): 3}
+    assert multiply_monomials(g1, g2, 3) == {}  # 3 * gamma_3 = 0 mod 3
+    assert multiply_monomials(g1, g2, 5) == {monomial_from_counts(DIV, v, {0: 3}): 3}
 
 
 def test_sym_odd_anticommute():
     v = k_super(0, 2)
     t1 = monomial_from_counts(SYM, v, {0: 1})
     t2 = monomial_from_counts(SYM, v, {1: 1})
-    ab = power_product(t1, t2, 3)
-    ba = power_product(t2, t1, 3)
+    ab = multiply_monomials(t1, t2, 3)
+    ba = multiply_monomials(t2, t1, 3)
     m = monomial_from_counts(SYM, v, {0: 1, 1: 1})
     assert ab == {m: 1}
     assert ba == {m: 2}
@@ -183,7 +188,7 @@ def test_alt_gamma_binomial():
             for b in range(1, 4):
                 ga = monomial_from_counts(ALT, v, {0: a})
                 gb = monomial_from_counts(ALT, v, {0: b})
-                got = power_product(ga, gb, p)
+                got = multiply_monomials(ga, gb, p)
                 want = math.comb(a + b, a) % p
                 target = monomial_from_counts(ALT, v, {0: a + b})
                 assert got == ({target: want} if want else {})
@@ -209,7 +214,7 @@ def test_shuffle_representative_independence():
         p = rng.choice((3, 5))
         lex = shuffle_product_via_reps(m1, m2, p)
         rev = shuffle_product_via_reps(m1, m2, p, reverse_reps=True)
-        fast = power_product(m1, m2, p)
+        fast = multiply_monomials(m1, m2, p)
         assert lex == rev == fast
         cases += 1
 
@@ -270,8 +275,8 @@ def _pair_product(kind, c1, c2, space, p):
             s = b.parity * c.parity
             if kind.is_signed:
                 s += degree(b) * degree(c)
-            for m1, z1 in power_product(a, c, p).items():
-                for m2, z2 in power_product(b, d, p).items():
+            for m1, z1 in multiply_monomials(a, c, p).items():
+                for m2, z2 in multiply_monomials(b, d, p).items():
                     key = (m1, m2)
                     v = (out.get(key, 0) + (-1) ** s * x * y * z1 * z2) % p
                     if v:
@@ -295,7 +300,7 @@ def test_hopf_compatibility():
             continue
         m1 = rng.choice(ba)
         m2 = rng.choice(bb)
-        prod = power_product(m1, m2, p)
+        prod = multiply_monomials(m1, m2, p)
         n = na + nb
         a = rng.randrange(0, n + 1)
         lhs = {}
@@ -328,3 +333,73 @@ def test_yoneda_hom_dims():
     for n in range(4):
         assert sum(yoneda_hom_dim(SYM, n, v)) == len(power_basis(DIV, n, v))
     assert yoneda_hom_dim(SYM, 1, k_super(1, 0)) == (1, 0)
+
+
+def _random_exps(rng, space, top):
+    """A random exponent tuple: indices ascending, exponents 1..top, so
+    bounded generators are sometimes squared."""
+    picks = sorted(rng.sample(range(space.dim), rng.randrange(0, space.dim + 1)))
+    return tuple((i, rng.randrange(1, top + 1)) for i in picks)
+
+
+def _outcome(fn, *args):
+    try:
+        return list(fn(*args).items())
+    except BudgetExceededError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("kind", list(PowerKind))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_multiply_out_matches_the_power_monomial_rule(kind, p):
+    rng = random.Random(f"{kind.value}{p}")
+    for space in (k_super(1, 1), k_super(2, 1), k_super(1, 2), k_super(2, 2)):
+        # every pair of admissible monomials of degree at most 2
+        basis = [m for n in range(3) for m in power_basis(kind, n, space)]
+        for m1 in basis:
+            for m2 in basis:
+                assert multiply_monomials(m1, m2, p) == power_product(m1, m2, p)
+        # random factors, in order, with any exponents up to p, so that odd
+        # squares die and binomials vanish mod p
+        for _ in range(40):
+            factors = [
+                {_random_exps(rng, space, p): rng.randrange(1, p) for _ in range(rng.randrange(1, 5))}
+                for _ in range(rng.randrange(1, 4))
+            ]
+            budget = rng.choice((None, None, None, 3, 6))
+            args = (kind, space, factors, p, budget, "test stage")
+            assert _outcome(multiply_out, *args) == _outcome(multiply_out_oracle, *args)
+
+
+def test_multiply_out_edge_cases():
+    v = k_super(1, 1)  # e0 even, o0 odd
+    g1, g2 = {((0, 1),): 1}, {((0, 2),): 1}
+    # gamma_1 gamma_2 = 3 gamma_3: zero at p = 3, 3 gamma_3 at p = 5
+    assert multiply_out(DIV, v, [g1, g2], 3) == {}
+    assert multiply_out(DIV, v, [g1, g2], 5) == {((0, 3),): 3}
+    # symmetric powers multiply without binomials
+    assert multiply_out(SYM, v, [g1, g2], 3) == {((0, 3),): 1}
+    # an odd generator squared dies in S and Gamma, lives in Lambda and A
+    odd = {((1, 1),): 1}
+    for kind in (SYM, DIV):
+        assert multiply_out(kind, v, [odd, odd], 5) == {}
+        assert multiply_out(kind, v, [{((1, 2),): 1}], 5) == {}
+    assert multiply_out(EXT, v, [odd, odd], 5) == {((1, 2),): 1}
+    assert multiply_out(ALT, v, [odd, odd], 5) == {((1, 2),): 2}
+    # the odd generators of k^{0|2} anticommute in S; in Lambda they commute
+    w = k_super(0, 2)
+    a, b = {((0, 1),): 1}, {((1, 1),): 1}
+    assert multiply_out(SYM, w, [b, a], 3) == {((0, 1), (1, 1)): 2}
+    assert multiply_out(EXT, w, [b, a], 3) == {((0, 1), (1, 1)): 1}
+    # (e + o)(2e + o) = 2e^2 + eo + 2oe at p = 3: e and o commute, so the
+    # eo terms cancel mod p, and the odd square dies
+    assert list(multiply_out(SYM, v, [{((0, 1),): 1, ((1, 1),): 1}, {((0, 1),): 2, ((1, 1),): 1}], 3).items()) == [
+        (((0, 2),), 2)
+    ]
+    # terms come out in the order the pairs are met
+    assert list(multiply_out(DIV, v, [{((1, 1),): 1, ((0, 1),): 1}, {((0, 1),): 1}], 5).items()) == [
+        (((0, 1), (1, 1)), 1),
+        (((0, 2),), 2),
+    ]
+    with pytest.raises(BudgetExceededError, match="^stage: size 2 exceeds budget 1$"):
+        multiply_out(SYM, v, [{((0, 1),): 1, ((1, 1),): 1}], 3, 1, "stage")

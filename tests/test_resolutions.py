@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from types import SimpleNamespace
 
 from oracles import d_power_element, element_bigrades, split_by_source_degree_oracle
-from supertroesch import gamma, resolutions
+from supertroesch import gamma, powers, resolutions
 from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
     compose,
@@ -14,9 +15,11 @@ from supertroesch.gamma import (
     element_product,
     gamma_monomial,
     monomials_with_bigrade,
+    tensor_with_identity,
 )
 from supertroesch.linalg import FpMatrix
 from supertroesch.superspace import build_Sh, k_super, parity_shift, rho
+from supertroesch.troesch import eta_images
 from supertroesch.resolutions import (
     ExtClassRef,
     FormalTerm,
@@ -584,3 +587,71 @@ def test_J_exactness_eliminates_each_parity_block_once(monkeypatch):
     monkeypatch.setattr(FpMatrix, "eliminate", staticmethod(counting_eliminate))
     assert verify_J_exactness(1, k_super(1, 1), 2, 3).ok
     assert len(blocks) <= 2 * len(built[0].diffs)
+
+
+def _insertion_digest(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# sha256 of each element's terms in insertion order, recorded while
+# multiply_out still built a PowerMonomial pair for every product
+MULTIPLY_OUT_ORDER_DIGESTS = {
+    "d(3, 1)": (12, "2597b2fb475f0caaf5eca7583d41299b54e2f842e0580b961f87da87445e3ba7"),
+    "dbar(3, 1)": (12, "2597b2fb475f0caaf5eca7583d41299b54e2f842e0580b961f87da87445e3ba7"),
+    "d(5, 1)": (280, "49068418bd55856eaccab8aef024789ef15bb9d1ae8816799f40e0f481bd9445"),
+    "dbar(5, 1)": (280, "49068418bd55856eaccab8aef024789ef15bb9d1ae8816799f40e0f481bd9445"),
+    "d(3, 2)": (245388, "ae089f5131a6c1ad376435bfed695e2694c82312475b7fb61ef452dc2d58b181"),
+    "epsilon'(3)": (6, "1f7136478b1b4016d3a68f6df1eb2ac624bb00473e5343b83f5785a509cc3c2d"),
+    "epsilon'(5)": (120, "cbe54983e90534c3a698975287cf68e14ad8944069bf38d0af4e18f42c6a4c52"),
+    "seam T 8, p = 5": (32, "9e681c4332a37c9f63d50eab4b49518c6e039732d51b21964c5a3b9031b39fde"),
+    "seam Tbar 5, p = 5": (128, "ae8b350ae6db01ade95a4401c07eab2e7f2d4886260c51e4fbaa6851803ff1cc"),
+    "eta_images(3, 1, k^{1|1})": (2, "33470fb514125f1d38bb604b8cd39bcb7309b631e12ad3976bf7896bb929836f"),
+    "eta_images(3, 1, k^{2|1})": (7, "966bba8f340bd0750ba5ac3e54aff787d6265633e56ade59781016051985d30a"),
+}
+
+
+def _order_digests(names, d_el):
+    """The (term count, insertion digest) of each named element; d_el(p, r,
+    barred) builds the differentials."""
+
+    def seam(kind, local):
+        # a splice block of J(1) over k^{1|1} at p = 5, as build_J forms it
+        return tensor_with_identity(SplicedResolution(5, 1).eps_element(kind, local), k_super(1, 1))
+
+    def eta(u):
+        return [(list(c.items()), z, par) for c, z, par in eta_images(3, 1, u, 3)]
+
+    build = {
+        "d(3, 1)": lambda: d_el(3, 1, False),
+        "dbar(3, 1)": lambda: d_el(3, 1, True),
+        "d(5, 1)": lambda: d_el(5, 1, False),
+        "dbar(5, 1)": lambda: d_el(5, 1, True),
+        "d(3, 2)": lambda: d_el(3, 2, False),
+        "epsilon'(3)": lambda: epsilon_prime_full(3),
+        "epsilon'(5)": lambda: epsilon_prime_full(5),
+        "seam T 8, p = 5": lambda: seam("T", 8),
+        "seam Tbar 5, p = 5": lambda: seam("Tbar", 5),
+        "eta_images(3, 1, k^{1|1})": lambda: eta(k_super(1, 1)),
+        "eta_images(3, 1, k^{2|1})": lambda: eta(k_super(2, 1)),
+    }
+    out = {}
+    for name in names:
+        got = build[name]()
+        items = got if isinstance(got, list) else list(got.terms.items())
+        out[name] = (len(items), _insertion_digest(items))
+    return out
+
+
+def test_multiply_out_term_order_is_locked():
+    assert _order_digests(MULTIPLY_OUT_ORDER_DIGESTS, d_element) == MULTIPLY_OUT_ORDER_DIGESTS
+
+
+def test_product_rule_builds_no_power_monomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PowerMonomial was built")
+
+    monkeypatch.setattr(powers, "PowerMonomial", refuse)
+    names = ["d(5, 1)", "seam Tbar 5, p = 5"]
+    # a fresh d, past the cache, so that its products run under the patch
+    got = _order_digests(names, resolutions._d_element.__wrapped__)
+    assert got == {name: MULTIPLY_OUT_ORDER_DIGESTS[name] for name in names}
