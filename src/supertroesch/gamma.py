@@ -15,10 +15,12 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .linalg import FpMatrix
-from .powers import PowerKind, add_mod_p, koszul_sign_of_arrangement, multiply_out, sort_with_sign
-from .superspace import EVEN, ODD, hom_space, tensor
+from .powers import PowerKind, add_mod_p, koszul_sign_of_arrangement, multiply_out, multiset_coeff, nonzero_entries, power_exponents
+from .superspace import EVEN, ODD, hom_space, k_super, tensor
 
 hom_space = lru_cache(maxsize=128)(hom_space)
 
@@ -28,9 +30,9 @@ class GammaElement:
 
     terms maps an exponent tuple ((unit index, exponent), ...) to a nonzero
     residue mod p.  Unit index i*dim(V)+j encodes the map sending the j-th
-    basis vector of V to the i-th basis vector of W.  The terms change only
-    through add_term, which drops the target-profile index that compose
-    builds the first time the element is its right factor.
+    basis vector of V to the i-th basis vector of W.  Once made, its terms
+    change only through add_term, which drops the target-profile index that
+    compose builds the first time the element is its right factor.
     """
 
     __slots__ = ("source", "target", "n", "p", "terms", "_profile_index")
@@ -74,7 +76,7 @@ class GammaElement:
             raise ValueError("cannot add elements of different morphism spaces")
         out = self.copy()
         for k, v in other.terms.items():
-            out.add_term(k, v)
+            add_mod_p(out.terms, k, v, self.p)
         return out
 
     def __sub__(self, other):
@@ -136,56 +138,40 @@ def gamma_monomial(source, target, n, p, unit_exps, coeff=1):
     return out
 
 
-def _even_multiset_expansion(n, items, p, budget=None):
-    """gamma_n of a sum of even generators: all exponent assignments.
+def _even_power_terms(n, items, p, budget=None):
+    """gamma_n of a combination of even units: {exps: coeff}.
 
-    items is a list of (unit index, scalar).  Returns {exps: coeff}.
+    items lists (unit index, scalar) in ascending index order.  An exponent
+    row e of the degree-n symmetric power on one even generator per nonzero
+    scalar gives the monomial prod gamma_{e_i}(u_i) with the coefficient
+    prod c_i^(e_i) mod p; the rows are read in ascending lexicographic order.
+    With a budget, more than that many terms raise before any is made.
     """
-    out = {}
-    k = len(items)
-
-    def rec(pos, rem, acc, coeff):
-        if budget is not None and len(out) > budget:
-            raise BudgetExceededError("divided power expansion", len(out), budget)
-        if pos == k:
-            if rem == 0:
-                add_mod_p(out, tuple(sorted(acc)), coeff, p)
-            return
-        idx, scal = items[pos]
-        if pos == k - 1:
-            es = [rem]
-        else:
-            es = range(rem + 1)
-        for e in es:
-            c = coeff * pow(scal, e, p) % p
-            if c:
-                rec(pos + 1, rem - e, acc + [(idx, e)] if e else acc, c)
-
-    rec(0, n, [], 1)
-    return out
+    items = [(idx, c % p) for idx, c in items if c % p]
+    if budget is not None and multiset_coeff(len(items), n) > budget:
+        raise BudgetExceededError("divided power expansion", budget + 1, budget)
+    rows = power_exponents(PowerKind.SYM, n, k_super(len(items), 0))[::-1]
+    pairs = np.empty((len(items), n + 1), dtype=object)  # pairs[g, e] = (index of item g, e)
+    coeffs = np.ones(len(rows), dtype=np.int64)
+    for g, (idx, c) in enumerate(items):
+        for e in range(n + 1):
+            pairs[g, e] = (idx, e)
+        coeffs = coeffs * np.array([pow(c, e, p) for e in range(n + 1)])[rows[:, g]] % p
+    return dict(zip(map(tuple, nonzero_entries(rows, pairs)), coeffs.tolist()))
 
 
 def identity_element(space, n, p, budget=None):
     """gamma_n of the identity map of the space."""
     d = space.dim
-    items = [(i * d + i, 1) for i in range(d)]
-    el = GammaElement(space, space, n, p)
-    for exps, c in _even_multiset_expansion(n, items, p, budget).items():
-        el.add_term(exps, c)
-    return el
+    return GammaElement(space, space, n, p, _even_power_terms(n, [(i * d + i, 1) for i in range(d)], p, budget))
 
 
 def element_from_map(f, n, p, budget=None):
     """gamma_n(f) for an even linear map f, expanded over its matrix units."""
     if f.parity != EVEN:
         raise ValueError("divided powers of odd maps are not defined here")
-    items = []
-    for (i, j), v in sorted(f.matrix.nonzero_items()):
-        items.append((i * f.source.dim + j, v))
-    el = GammaElement(f.source, f.target, n, p)
-    for exps, c in _even_multiset_expansion(n, items, p, budget).items():
-        el.add_term(exps, c)
-    return el
+    items = [(i * f.source.dim + j, v) for (i, j), v in sorted(f.matrix.nonzero_items())]
+    return GammaElement(f.source, f.target, n, p, _even_power_terms(n, items, p, budget))
 
 
 def element_product(a, b, budget=None):
@@ -211,11 +197,12 @@ def phi_d(f, d, n, p, budget=None):
 
 def differential_element(p, r, n, rho_maps, budget=None):
     """The degree-n component of the p-differential: sum of (rho_{r-1-s})_{p^s}."""
-    out = None
-    for s in range(r):
-        term = phi_d(rho_maps[r - 1 - s], p ** s, n, p, budget)
-        out = term if out is None else out + term
-    return out
+    parts = [phi_d(rho_maps[r - 1 - s], p ** s, n, p, budget).terms for s in range(r)]
+    terms = parts[0]
+    for part in parts[1:]:
+        for exps, c in part.items():
+            add_mod_p(terms, exps, c, p)
+    return GammaElement(rho_maps[0].source, rho_maps[0].target, n, p, terms)
 
 
 def group_by_target_profile(f):
@@ -348,11 +335,6 @@ def _bounded_compositions(a, caps):
     return [(x,) + t for x in range(min(a, caps[0]) + 1) for t in _bounded_compositions(a - x, caps[1:])]
 
 
-def _multinomial(top, bottom):
-    """prod of top! over prod of bottom!, for exponents where it is an integer."""
-    return math.prod(map(math.factorial, top)) // math.prod(map(math.factorial, bottom))
-
-
 def _koszul_exponent(t_seq, t_par, s_seq, s_par):
     """(-1)-exponent of composing the tensors t_seq and s_seq factorwise.
 
@@ -391,11 +373,14 @@ def apply_sym_block(el, src_pos, tgt_pos, rows):
     sum_w A[w, v] = b_v for every v; then the image is x^c, with
     c_w = sum_v A[w, v], times prod_v b_v! / prod A[w, v]! and the sign of
     one assignment of A's factors to x^b: w ascending inside each v block.
+    The image dies when an odd generator of W reaches exponent two;
+    otherwise sorting it adds the Koszul sign of its odd generators.
     """
     dim_v = el.source.dim
     src_par = el.source.parities()
     tgt_par = el.target.parities()
     g_par = el.hom.parities()
+    fact = _factorials(el.n)
     entries = []
     for g_exps, cg in el.terms.items():
         t_seq = [idx for idx, e in sorted(g_exps, key=lambda ie: (ie[0] % dim_v, ie[0])) for _ in range(e)]
@@ -403,11 +388,14 @@ def apply_sym_block(el, src_pos, tgt_pos, rows):
         b_exps = _seq_to_exps(rep)
         if b_exps not in src_pos:
             continue
-        img, sign = sort_with_sign(PowerKind.SYM, [idx // dim_v for idx in t_seq], tgt_par)
-        row = None if img is None else tgt_pos.get(_seq_to_exps(img))
-        if row is not None:
-            coeff = cg * sign * _multinomial([b for _, b in b_exps], [e for _, e in g_exps])
-            entries.append(((row, src_pos[b_exps]), coeff * (-1) ** _koszul_exponent(t_seq, g_par, rep, src_par)))
+        img = [idx // dim_v for idx in t_seq]
+        c_exps = _seq_to_exps(img)
+        row = tgt_pos.get(c_exps)
+        if row is None or any(e > 1 and tgt_par[w] == ODD for w, e in c_exps):
+            continue
+        coeff = cg * (math.prod([fact[b] for _, b in b_exps]) // math.prod([fact[e] for _, e in g_exps]))
+        sign = koszul_sign_of_arrangement(img, tgt_par) + _koszul_exponent(t_seq, g_par, rep, src_par)
+        entries.append(((row, src_pos[b_exps]), coeff * (-1) ** sign))
     return FpMatrix.from_coords(el.p, rows, len(src_pos), entries)
 
 
@@ -444,7 +432,7 @@ def tensor_with_identity(el, u, budget=None):
             i, j = el.unit_pair(idx)
             images = [((i * du + k) * new_dim + (j * du + k), 1) for k in range(du)]
             if hom.basis[idx].parity == EVEN:
-                factors.append(_even_multiset_expansion(e, images, p, budget))
+                factors.append(_even_power_terms(e, images, p, budget))
             else:
                 # odd units occur with exponent one; gamma_1 is linear
                 factors.append({((new_idx, 1),): 1 for new_idx, _ in images})

@@ -44,6 +44,7 @@ class PComplex:
     _rank_cache: dict = field(default_factory=dict, repr=False)  # m -> {(degree, parity): pivots}
     # (degree, m) -> d^m on the pivot columns of d^(m-1), for m >= 2
     _power_cache: dict = field(default_factory=dict, repr=False)
+    # (degree, N-1) -> d^(N-1); lower powers are only steps of its chain
     _iter_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -88,7 +89,7 @@ class PComplex:
         return m
 
     def iterated_diff(self, i, m):
-        """Matrix of d^m restricted to the degree-i term."""
+        """Matrix of d^m restricted to the degree-i term; only d^(N-1) is kept."""
         if m == 0:
             return FpMatrix.identity(self.p, self.dim(i))
         if m == 1:
@@ -97,7 +98,8 @@ class PComplex:
         got = self._iter_cache.get(key)
         if got is None:
             got = matmul(self.iterated_diff(i + self.alpha, m - 1), self.diff(i))
-            self._iter_cache[key] = got
+            if m == self.order - 1:
+                self._iter_cache[key] = got
         return got
 
     def validate_p_differential(self):

@@ -156,32 +156,6 @@ def koszul_sign_of_arrangement(indices, parities):
     return s
 
 
-def sort_with_sign(kind, seq, parities):
-    """Stable-sort a factor sequence, returning (sorted tuple, sign) or (None, 0).
-
-    The sign is the product of adjacent-swap signs of the kind; None means the
-    monomial dies (repeated generator of the bounded parity).
-    """
-    seq = list(seq)
-    sign = 1
-    signed = kind.is_signed
-    # insertion sort; n stays small
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            s = parities[seq[j - 1]] * parities[seq[j]]
-            if signed:
-                s += 1
-            sign *= (-1) ** s
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            j -= 1
-    bounded = kind.bounded_parity
-    for a in range(1, len(seq)):
-        if seq[a] == seq[a - 1] and parities[seq[a]] == bounded:
-            return None, 0
-    return tuple(seq), sign
-
-
 # ---------------------------------------------------------------------------
 # products
 

@@ -379,7 +379,7 @@ class VerificationReport:
                 self.first_failure = f"{name}: {detail}"
 
 
-def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET, slices=None):
+def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET):
     """Check normality, concentration, dimensions, and generator spanning
     for the degree-n complex on the test space u."""
     report = VerificationReport(ok=True)
@@ -391,8 +391,7 @@ def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET, slices=None):
     dec = decompose_cyclic(cx)
     report.add("normal", dec.is_normal(), f"block lengths {sorted({ln for (_, ln, _) in dec.blocks})}")
     expected = expected_theorem_dims(n, r, u, p)
-    slices = list(range(1, p)) if slices is None else list(slices)
-    for s in slices:
+    for s in range(1, p):
         row = cohomology(cx, s)
         for deg in sorted(set(row) | set(expected)):
             got = row.get(deg, (0, 0))

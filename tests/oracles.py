@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from supertroesch.errors import BudgetExceededError
-from supertroesch.gamma import GammaElement, _even_multiset_expansion, apply_sym_block, compose, hom_space
+from supertroesch.gamma import GammaElement, apply_sym_block, compose, hom_space
 from supertroesch.linalg import FpMatrix, ShapeMismatchError, hstack, matmul
 from supertroesch.pcomplex import CyclicDecomposition, PComplex, PDifferentialError, cohomology, contraction_degree
 from supertroesch.powers import (
@@ -26,7 +26,6 @@ from supertroesch.powers import (
     koszul_sign_of_arrangement,
     multiply_out,
     power_basis,
-    sort_with_sign,
 )
 from supertroesch.resolutions import d_element
 from supertroesch.superspace import EVEN, ODD, BasisElement, LinearMapSS, SuperSpace, k_super, tensor
@@ -396,6 +395,32 @@ def _distinct_arrangements(seq):
 
     rec()
     return out
+
+
+def sort_with_sign(kind, seq, parities):
+    """Stable-sort a factor sequence, returning (sorted tuple, sign) or (None, 0).
+
+    The sign is the product of adjacent-swap signs of the kind; None means the
+    monomial dies (repeated generator of the bounded parity).
+    """
+    seq = list(seq)
+    sign = 1
+    signed = kind.is_signed
+    # insertion sort; n stays small
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and seq[j - 1] > seq[j]:
+            s = parities[seq[j - 1]] * parities[seq[j]]
+            if signed:
+                s += 1
+            sign *= (-1) ** s
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            j -= 1
+    bounded = kind.bounded_parity
+    for a in range(1, len(seq)):
+        if seq[a] == seq[a - 1] and parities[seq[a]] == bounded:
+            return None, 0
+    return tuple(seq), sign
 
 
 def arrangement_sign(kind, arrangement, parities):
@@ -778,6 +803,35 @@ def apply_sym_slow(el):
     return FpMatrix.from_coords(el.p, len(tgt_index), len(src_basis), entries)
 
 
+def even_multiset_expansion(n, items, p, budget=None):
+    """gamma_n of a sum of even generators, by recursion over the items:
+    every exponent assignment, the first item's exponent outermost and
+    ascending.  items is a list of (unit index, scalar).  Returns
+    {exps: coeff}; with a budget, more than that many terms raise."""
+    out = {}
+    k = len(items)
+
+    def rec(pos, rem, acc, coeff):
+        if pos == k:
+            if rem == 0:
+                add_mod_p(out, tuple(sorted(acc)), coeff, p)
+                if budget is not None and len(out) > budget:
+                    raise BudgetExceededError("divided power expansion", len(out), budget)
+            return
+        idx, scal = items[pos]
+        if pos == k - 1:
+            es = [rem]
+        else:
+            es = range(rem + 1)
+        for e in es:
+            c = coeff * pow(scal, e, p) % p
+            if c:
+                rec(pos + 1, rem - e, acc + [(idx, e)] if e else acc, c)
+
+    rec(0, n, [], 1)
+    return out
+
+
 def tensor_identity_left(el, w, budget=None):
     """Extend each matrix unit by the identity of w on the left.
 
@@ -802,7 +856,7 @@ def tensor_identity_left(el, w, budget=None):
                 for k in range(w.dim)
             ]
             if unit_parity == EVEN:
-                factors.append(_even_multiset_expansion(e, images, p, budget))
+                factors.append(even_multiset_expansion(e, images, p, budget))
             else:
                 # odd units occur with exponent one; gamma_1 is linear
                 factors.append({((new_idx, 1),): coeff for new_idx, coeff in images})

@@ -66,7 +66,7 @@ def test_criterion_01_theorem_r1():
     p = 3
     for n in (1, 2, 3):
         for name, u in SPACES.items():
-            rep = verify_theorem_B(3 * n, 1, u, p, slices=(1, 2))
+            rep = verify_theorem_B(3 * n, 1, u, p)
             assert rep.ok, f"n={n} U={name}: {rep.first_failure}"
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s"

@@ -10,6 +10,7 @@ from oracles import (
     apply_sym_slow,
     compose_slow,
     element_bigrades,
+    even_multiset_expansion,
     expand_to_invariant_tensor,
     monomials_with_bigrade_oracle,
     recognize_invariant_tensor,
@@ -17,6 +18,7 @@ from oracles import (
 from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
     GammaElement,
+    _even_power_terms,
     _tables,
     apply_frobenius,
     compose,
@@ -404,6 +406,57 @@ def test_tensor_with_identity_matches_direct_matrix():
         for exps, c in convolution_apply(images, p, m, par, p).items():
             want.data[idx[exps], col] = c % p
     assert mat == want
+
+
+def _expansion_or_message(expand, n, items, p, budget=None):
+    try:
+        return list(expand(n, items, p, budget).items())
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_even_power_terms_match_recursive_oracle(p):
+    # the exponent rows of power_exponents, read in reverse, give the terms
+    # of the item-by-item recursion in its order, scalars included
+    rng = random.Random(p)
+    for _ in range(60):
+        k = rng.randrange(0, 6)
+        indices = sorted(rng.sample(range(40), k))
+        items = [(idx, rng.randrange(1, p)) for idx in indices]
+        n = rng.randrange(0, 6)
+        want = list(even_multiset_expansion(n, items, p).items())
+        assert list(_even_power_terms(n, items, p).items()) == want, (n, items)
+    for n in range(4):
+        # no items: only gamma_0 = 1 survives; one item: one monomial
+        assert list(_even_power_terms(n, [], p).items()) == ([((), 1)] if n == 0 else [])
+        want = list(even_multiset_expansion(n, [(7, 2)], p).items())
+        assert list(_even_power_terms(n, [(7, 2)], p).items()) == want == [(((7, n),) if n else (), pow(2, n, p))]
+        # a scalar 0 mod p takes no exponent, as the recursion prunes it
+        items = [(1, 2), (3, p), (5, 1)]
+        assert list(_even_power_terms(n, items, p).items()) == list(even_multiset_expansion(n, items, p).items())
+
+
+def test_even_power_terms_budget_messages_match_the_oracle():
+    # at size budget the terms come back; at budget + 1 and budget + 2 the
+    # same message as the recursion's, which stops one term past the budget
+    items = [(0, 1), (4, 2), (8, 1), (12, 2)]
+    for n in (1, 2, 3):
+        size = len(_even_power_terms(n, items, 5))
+        for budget in (size, size - 1, size - 2):
+            got = _expansion_or_message(_even_power_terms, n, items, 5, budget)
+            assert got == _expansion_or_message(even_multiset_expansion, n, items, 5, budget)
+            if budget < size:
+                assert got == f"divided power expansion: size {budget + 1} exceeds budget {budget}"
+
+
+def test_identity_element_budget_boundary():
+    # gamma_2 of the identity of k^{4|0} has 10 terms: budget 10 returns
+    # them, budget 9 raises
+    space = k_super(4, 0)
+    assert len(identity_element(space, 2, 3, budget=10).terms) == 10
+    with pytest.raises(BudgetExceededError, match="divided power expansion: size 10 exceeds budget 9"):
+        identity_element(space, 2, 3, budget=9)
 
 
 def test_relabel_preserves_composition():

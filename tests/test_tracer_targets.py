@@ -1,12 +1,16 @@
 """perfbench/tracer.py patches library functions by module and attribute
 name, so a renamed or moved function would silently drop out of every trace.
-Each of its targets must resolve against the package as it is."""
+Each of its targets must resolve against the package as it is, and the
+harness's own self-test must pass on it."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_every_tracer_target_resolves():
@@ -20,3 +24,10 @@ def test_every_tracer_target_resolves():
         # the tracer reads a method from its class dict and a function from the module
         target = owner.__dict__.get(leaf) if isinstance(owner, type) else getattr(owner, leaf, None)
         assert callable(target), f"{mod_name}.{path}"
+
+
+def test_perfbench_selftest_passes():
+    # among its checks: build_B's validation calls iterated_diff both with
+    # and without a matmul child, which the hit-ratio metric needs
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

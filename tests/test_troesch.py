@@ -485,6 +485,14 @@ def test_built_complex_and_its_powers_are_int8():
         assert m.data.dtype == np.int8
 
 
+def test_validation_keeps_only_the_top_power():
+    # the d^N check multiplies out d^(N-1) through d^(N-2), ..., d^2; only
+    # d^(N-1) is kept, the lower powers being steps of its chain
+    cx = build_B(5, 1, k_super(1, 1), p=5).complex
+    assert cx._iter_cache
+    assert {m for _, m in cx._iter_cache} == {cx.order - 1}
+
+
 def test_r2_concentration_peak_memory():
     # the int64 differentials (10.3 MB) and cached d^2 products (6.7 MB)
     # alone would pass this bound
