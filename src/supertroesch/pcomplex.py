@@ -59,8 +59,10 @@ class PComplex:
                 raise ValueError(f"differential at {i} has shape {m.shape}, expected {(tgt.dim, src.dim)}")
             even_rows, odd_rows = tgt.indices_of_parity(EVEN), tgt.indices_of_parity(ODD)
             even_cols, odd_cols = src.indices_of_parity(EVEN), src.indices_of_parity(ODD)
-            if m.data[np.ix_(odd_rows, even_cols)].any() or m.data[np.ix_(even_rows, odd_cols)].any():
-                raise ValueError(f"differential at {i} is not even")
+            # a purely even or purely odd side has no off-parity block
+            for rows, cols in ((odd_rows, even_cols), (even_rows, odd_cols)):
+                if rows and cols and m.data[np.ix_(rows, cols)].any():
+                    raise ValueError(f"differential at {i} is not even")
 
     @property
     def order(self):

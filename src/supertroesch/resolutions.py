@@ -574,6 +574,8 @@ def ext_table(r, max_degree, p=3, source_parity=0, target_parity=0, budget=DEFAU
     """Dimensions of the derived Hom between twist functors, from the formal
     resolution: the Hom complex has vanishing differentials, so dimensions
     are term counts."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be >= 0, got {max_degree}")
     # the premise check below builds dense p^r x p^r maps on Sh_r
     check_sh_budget(p, r, budget, "shift space Sh_r")
     flavor = "J" if target_parity == 0 else "Jbar"

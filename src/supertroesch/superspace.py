@@ -29,14 +29,19 @@ class BasisElement:
             raise ValueError(f"parity must be 0 or 1, got {self.parity}")
 
 
+def check_unique_names(basis):
+    """Raise ValueError unless the basis elements have distinct names."""
+    names = [b.name for b in basis]
+    if len(set(names)) != len(names):
+        raise ValueError("basis names must be unique")
+
+
 @dataclass(frozen=True)
 class SuperSpace:
     basis: tuple
 
     def __post_init__(self):
-        names = [b.name for b in self.basis]
-        if len(set(names)) != len(names):
-            raise ValueError("basis names must be unique")
+        check_unique_names(self.basis)
 
     @cached_property
     def _hash(self):

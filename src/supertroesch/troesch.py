@@ -6,11 +6,12 @@ concentration theorem for their cohomology and its contraction corollary.
 A complex is built in one array pass with no object per monomial: every
 degree-n monomial of W = Sh_r tensor U is a row of one exponent array from
 ``power_exponents``, one stable sort by Z-degree cuts the rows into graded
-pieces and names their basis elements, ``convolution_terms`` expands all
-rows at once into the terms of each component, an exact byte-string lookup
-finds each target's row, and one fill writes every differential.  The
-position of each exponent tuple in its piece (``index``) is made only when
-a caller asks for it.
+pieces, ``convolution_terms`` expands all rows at once into the terms of
+each component, an exact byte-string lookup finds each target's row, and
+one fill writes every differential.  Each piece is a ``PieceSpace`` that
+keeps its rows and their parities; its basis names and ``BasisElement``s
+are derived on first read, and the position of each exponent tuple in its
+piece (``index``) is made only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .superspace import (
     BasisElement,
     SuperSpace,
     build_Sh,
+    check_unique_names,
     parity_shift,
     relabel_map,
     rho,
@@ -179,12 +181,61 @@ def convolution_apply(images, d, mono, par, p):
 # building the complexes
 
 
+class PieceSpace(SuperSpace):
+    """One graded piece of a built complex: a basis element per exponent
+    row, its name read off the row.
+
+    The rows (shared with ``PowerComplexData.rows``), the generator names,
+    the Z-degree and the parity of each row are all a piece keeps.  Its
+    dimension, parities, Z-degrees and parity indices are read from these
+    arrays; ``basis`` writes the names and makes the ``BasisElement``s on
+    first read, with the name check every ``SuperSpace`` runs.  It equals,
+    and hashes like, any ``SuperSpace`` with the same basis.
+    """
+
+    def __init__(self, rows, names, zdeg, parity):
+        # SuperSpace is frozen: set the fields past its __setattr__
+        for attr, value in (("rows", rows), ("names", names), ("zdeg", zdeg), ("parity", parity)):
+            object.__setattr__(self, attr, value)
+
+    @cached_property
+    def basis(self):
+        n = len(self.rows)
+        basis = tuple(map(BasisElement, _labels(self.rows, self.names), [self.zdeg] * n, self.parity.tolist()))
+        check_unique_names(basis)
+        return basis
+
+    def __eq__(self, other):
+        if not isinstance(other, SuperSpace):
+            return NotImplemented
+        return self is other or self.basis == other.basis
+
+    __hash__ = SuperSpace.__hash__
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @cached_property
+    def _by_parity(self):
+        return tuple(tuple(np.flatnonzero(self.parity == parity).tolist()) for parity in (EVEN, ODD))
+
+    @cached_property
+    def _parities(self):
+        return tuple(self.parity.tolist())
+
+    @cached_property
+    def _zdegs(self):
+        return (self.zdeg,) * len(self.rows)
+
+
 @dataclass(eq=False)
 class PowerComplexData:
     """A built p-complex of symmetric powers plus its monomial bookkeeping.
 
-    ``rows`` holds the exponent rows of each graded piece in basis order;
-    ``index`` is made from them on first access.
+    ``rows`` holds the exponent rows of each graded piece in basis order,
+    the same arrays its ``PieceSpace`` holds; ``index`` is made from them
+    on first access.
     """
 
     p: int
@@ -260,14 +311,13 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
             raise BudgetExceededError(f"graded piece at degree {z}", size, budget)
     local = np.empty(len(exps), dtype=np.int64)  # each row's position in its piece
     local[order] = np.arange(len(exps)) - np.repeat(begin, sizes)
-    ordered = exps[order]
-    labels = _labels(ordered, [b.name for b in w.basis])
-    parity = parity[order].tolist()
+    ordered, parity = exps[order], parity[order]
+    names = [b.name for b in w.basis]
     rows, spaces = {}, {}
     for k in seen.tolist():
         z, at = int(pieces[k]), slice(int(begin[k]), int(begin[k] + sizes[k]))
         rows[z] = ordered[at]
-        spaces[z] = SuperSpace(tuple(map(BasisElement, labels[at], [z] * len(rows[z]), parity[at])))
+        spaces[z] = PieceSpace(rows[z], names, z, parity[at])
     alpha = p ** (r - 1)
     components = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
     src, row, coef = _differential_terms(exps, zdeg, alpha, components, w.parities(), p)

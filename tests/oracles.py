@@ -29,7 +29,7 @@ from supertroesch.powers import (
 )
 from supertroesch.resolutions import d_element
 from supertroesch.superspace import EVEN, ODD, BasisElement, LinearMapSS, SuperSpace, k_super, tensor
-from supertroesch.troesch import build_B
+from supertroesch.troesch import _labels, build_B
 
 # ---------------------------------------------------------------------------
 # dense linear algebra
@@ -212,6 +212,25 @@ def monomials_of(data):
     """zdeg -> the PowerMonomials of a built complex's piece, in basis order,
     made from the keys of its ``index``."""
     return {z: [PowerMonomial(PowerKind.SYM, data.space, exps) for exps in pos] for z, pos in data.index.items()}
+
+
+def eager_piece_spaces(data):
+    """zdeg -> each graded piece of a built complex as an ordinary
+    SuperSpace, made eagerly: a label for every row of every piece at once,
+    then a BasisElement per row, its grading computed from the generators'."""
+    w = data.space
+    if not data.rows:
+        return {}
+    ordered = np.concatenate(list(data.rows.values())).astype(np.int64)
+    labels = _labels(ordered, [b.name for b in w.basis])
+    zdeg = (ordered @ np.array(w.zdegs(), dtype=np.int64)).tolist()
+    parity = (ordered @ np.array(w.parities(), dtype=np.int64) % 2).tolist()
+    spaces, at = {}, 0
+    for z, rows in data.rows.items():
+        end = at + len(rows)
+        spaces[z] = SuperSpace(tuple(map(BasisElement, labels[at:end], zdeg[at:end], parity[at:end])))
+        at = end
+    return spaces
 
 
 def degree(m):

@@ -70,6 +70,13 @@ def test_ext_table_json():
     assert [dims[s] for s in range(8)] == [1, 0, 1, 0, 1, 0, 1, 0]
 
 
+def test_ext_table_negative_max_degree_is_a_usage_error():
+    res = run_cli("ext-table", "--p", "3", "--r", "1", "--max-deg", "-1")
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert res.stderr == "error: max degree must be >= 0, got -1\n"
+
+
 def test_ring_output_contains_sign_line():
     res = run_cli("ring", "--p", "3", "--r", "1")
     assert res.returncode == 0

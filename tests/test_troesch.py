@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -9,6 +10,7 @@ from oracles import (
     apply_sym_matrix,
     convolution_apply_oracle,
     d_oracle_maps,
+    eager_piece_spaces,
     monomial_from_counts,
     monomials_of,
     multiply_monomials,
@@ -17,9 +19,9 @@ from oracles import (
 )
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.linalg import FpMatrix, matmul
-from supertroesch.pcomplex import cohomology, cohomology_table, decompose_cyclic
+from supertroesch.pcomplex import PComplex, cohomology, cohomology_table, decompose_cyclic, tensor_pcomplex
 from supertroesch.powers import PowerKind, PowerMonomial, power_basis
-from supertroesch.superspace import ZERO_SPACE, k_super, tensor, build_Sh
+from supertroesch.superspace import ZERO_SPACE, BasisElement, k_super, tensor, build_Sh
 from supertroesch.troesch import (
     build_B,
     build_B_bar,
@@ -443,6 +445,78 @@ def test_theorem_B_off_multiples_makes_no_monomials(monkeypatch):
     # r = 1, n = 3 does look the eta classes up, by exponents only
     assert verify_theorem_B(3, 1, k_super(1, 1), p=3).ok
     assert "index" in vars(built[1])
+
+
+# every (builder, n, r, U, p) that the verify suites, the golden fixtures and
+# the matrix and pivot digests build, plus k^{2|1} and k^{1|2} at p = 3 and 5
+_SUITE_SPACES = [(1, 0), (0, 1), (1, 1)]
+PIECE_CASES = sorted(
+    # vanishing
+    {("B", n, 1, u, p) for p in (3, 5) for n in range(1, 6) if n % p for u in _SUITE_SPACES}
+    # theoremB, corollaryT and kunneth
+    | {("B", k * p, 1, u, p) for p in (3, 5) for k in (1, 2, 3) for u in _SUITE_SPACES}
+    # the two complexes behind J(1) in jexact
+    | {("Bbar", p, 1, (1, 1), p) for p in (3, 5)}
+    | {("B", p, 1, u, p) for p in (3, 5) for u in [(2, 1), (1, 2)]}
+    | {("B", 9, 2, (0, 1), 3), ("B", 7, 2, (1, 0), 3), ("B", 5, 2, (0, 2), 3), ("B", 6, 1, (2, 1), 3)}
+    | {("B", 4, 1, (1, 1), 3), ("Bbar", 5, 1, (2, 1), 5)}
+)
+
+
+@pytest.mark.parametrize(
+    "builder, n, r, u, p", PIECE_CASES, ids=[f"{b}_{n}({r}) k^{{{u[0]}|{u[1]}}} p={p}" for b, n, r, u, p in PIECE_CASES]
+)
+def test_built_pieces_match_the_eager_oracle(builder, n, r, u, p):
+    if builder == "B":
+        data = build_B(n, r, k_super(*u), p, validate=False)
+    else:
+        data = build_B_bar(n, r, k_super(*u), p)
+    eager = eager_piece_spaces(data)
+    assert list(data.complex.terms) == list(eager)
+    others = list(eager.values())[1:] + list(eager.values())[:1]
+    for (z, piece), want, other in zip(data.complex.terms.items(), eager.values(), others):
+        # read off the arrays, before any basis is made
+        assert piece.dim == want.dim
+        assert piece.parities() == want.parities() and piece.zdegs() == want.zdegs()
+        for parity in (EVEN, ODD):
+            assert piece.indices_of_parity(parity) == want.indices_of_parity(parity)
+        assert piece.dims_by_parity() == want.dims_by_parity()
+        assert "basis" not in vars(piece)
+        assert piece == want and want == piece and not (piece != want) and not (want != piece)
+        assert hash(piece) == hash(want)
+        if other is not want:
+            assert piece != other and other != piece
+        assert type(piece.basis) is tuple and piece.basis == want.basis
+        assert [type(v) for b in piece.basis for v in (b.zdeg, b.parity)] == [int] * 2 * piece.dim
+
+
+def test_r2_concentration_makes_no_basis_element_per_monomial(monkeypatch):
+    built = _keep_built(monkeypatch)
+    made = []
+    check = BasisElement.__post_init__
+
+    def counting_post_init(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(BasisElement, "__post_init__", counting_post_init)
+    assert verify_theorem_B(7, 2, k_super(1, 0), p=3).ok
+    cx = built[0].complex
+    # the pieces hold 6,435 monomials; Sh_2 and Sh_2 (x) U make the rest
+    assert sum(cx.dim(z) for z in cx.degrees()) == 6435
+    assert all("basis" not in vars(cx.term(z)) for z in cx.degrees())
+    assert len(made) < 100
+
+
+def test_tensor_of_built_complexes_names_like_the_eager_pieces():
+    built = [build_B(n, 1, k_super(*u), 3) for n, u in [(1, (1, 0)), (3, (0, 1)), (2, (1, 1))]]
+    eager = [PComplex(d.p, d.complex.alpha, eager_piece_spaces(d), d.complex.diffs) for d in built]
+    for (c1, e1), (c2, e2) in itertools.product(zip([d.complex for d in built], eager), repeat=2):
+        got, got_offsets = tensor_pcomplex(c1, c2)
+        want, want_offsets = tensor_pcomplex(e1, e2)
+        assert got_offsets == want_offsets and list(got.terms) == list(want.terms)
+        for z, space in got.terms.items():
+            assert space.basis == want.terms[z].basis
 
 
 @pytest.mark.parametrize("barred", [False, True])
