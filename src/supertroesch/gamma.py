@@ -128,9 +128,9 @@ def gamma_monomial(source, target, n, p, unit_exps, coeff=1):
         counts[idx] = counts.get(idx, 0) + e
     exps = tuple(sorted(counts.items()))
     out = GammaElement(source, target, n, p)
-    hom = out.hom
+    par = out.hom.parities()
     for idx, e in exps:
-        if hom.basis[idx].parity == ODD and e > 1:
+        if par[idx] == ODD and e > 1:
             return out  # dies by admissibility
     if sum(e for _, e in exps) != n:
         raise ValueError("total exponent does not match degree")
@@ -407,10 +407,10 @@ def apply_frobenius(el, r):
     p = el.p
     if el.n != p ** r:
         raise ValueError(f"degree {el.n} is not p^r = {p ** r}")
-    hom = el.hom
+    par = el.hom.parities()
     entries = []
     for exps, c in el.terms.items():
-        if len(exps) == 1 and exps[0][1] == p ** r and hom.basis[exps[0][0]].parity == EVEN:
+        if len(exps) == 1 and exps[0][1] == p ** r and par[exps[0][0]] == EVEN:
             entries.append((el.unit_pair(exps[0][0]), c))
     return FpMatrix.from_coords(p, el.target.dim, el.source.dim, entries)
 
@@ -422,7 +422,7 @@ def tensor_with_identity(el, u, budget=None):
     and each monomial is multiplied out; budget errors name this function.
     """
     p = el.p
-    hom = el.hom
+    par = el.hom.parities()
     du = u.dim
     out = GammaElement(tensor(el.source, u), tensor(el.target, u), el.n, p)
     new_dim = out.source.dim
@@ -431,7 +431,7 @@ def tensor_with_identity(el, u, budget=None):
         for idx, e in exps:
             i, j = el.unit_pair(idx)
             images = [((i * du + k) * new_dim + (j * du + k), 1) for k in range(du)]
-            if hom.basis[idx].parity == EVEN:
+            if par[idx] == EVEN:
                 factors.append(_even_power_terms(e, images, p, budget))
             else:
                 # odd units occur with exponent one; gamma_1 is linear

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import FpMatrix, hstack, matmul
-from .superspace import EVEN, ODD, ZERO_SPACE, BasisElement, SuperSpace
+from .superspace import EVEN, ODD, ZERO_SPACE, SuperSpace, tensor
 
 
 class PDifferentialError(ValueError):
@@ -331,7 +331,7 @@ def contract(cx, s, t):
     diffs = {}
     ell = 0
     while True:
-        src_deg = contraction_degree(cx, s, t, ell)
+        src_deg = contraction_degree(cx.order, cx.alpha, s, t, ell)
         if src_deg > maxdeg:
             break
         terms[ell] = cx.term(src_deg)
@@ -340,10 +340,11 @@ def contract(cx, s, t):
     return ChainComplex(cx.p, terms, diffs)
 
 
-def contraction_degree(cx, s, t, ell):
-    """Degree in the p-complex of the contraction's degree-ell term."""
+def contraction_degree(order, alpha, s, t, ell):
+    """Degree, in a p-complex of nilpotency order N = order and step alpha,
+    of the degree-ell term of its (s, t) contraction."""
     i, odd = divmod(ell, 2)
-    return t + (cx.order * i + (s if odd else 0)) * cx.alpha
+    return t + (order * i + (s if odd else 0)) * alpha
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +354,31 @@ def contraction_degree(cx, s, t, ell):
 def tensor_pcomplex(c1, c2):
     """Tensor product complex with the Leibniz differential (d is even: no
     sign), and the offset of the (i, j) block of basis products in degree
-    i + j, its basis in c1-major order."""
+    i + j, its basis in c1-major order.  A product space is built from its
+    factors' grading columns; its names, a(*)b@i,j, are written only when
+    read."""
     if c1.p != c2.p:
         raise ValueError("modulus mismatch")
     if c1.alpha != c2.alpha:
         raise ValueError(f"alpha mismatch: {c1.alpha} vs {c2.alpha}")
     p, alpha = c1.p, c1.alpha
-    raw = {}
+    columns = {}  # degree -> (zdegs, parities, the (i, j) blocks in order)
     offsets = {}
     for i in c1.degrees():
         for j in c2.degrees():
-            elems = raw.setdefault(i + j, [])
-            offsets[(i, j)] = len(elems)
-            elems.extend(
-                BasisElement(f"{a.name}(*){b.name}@{i},{j}", a.zdeg + b.zdeg, (a.parity + b.parity) % 2)
-                for a in c1.term(i).basis
-                for b in c2.term(j).basis
-            )
-    spaces = {z: SuperSpace(tuple(elems)) for z, elems in raw.items()}
+            zdegs, parities, blocks = columns.setdefault(i + j, ([], [], []))
+            offsets[(i, j)] = len(zdegs)
+            product = tensor(c1.term(i), c2.term(j))
+            zdegs += product.zdegs()
+            parities += product.parities()
+            blocks.append((i, j))
+
+    def names(blocks):
+        return lambda: [
+            f"{a}(*){b}@{i},{j}" for i, j in blocks for a in c1.term(i).names() for b in c2.term(j).names()
+        ]
+
+    spaces = {z: SuperSpace.from_columns(zd, par, names(blocks)) for z, (zd, par, blocks) in columns.items()}
     diffs = {}
     for (i, j), off in offsets.items():
         z, d1, d2 = i + j, c1.dim(i), c2.dim(j)

@@ -67,16 +67,19 @@ class PowerMonomial:
 
     @property
     def zdeg(self):
-        return sum(e * self.space.basis[i].zdeg for i, e in self.exps)
+        zdegs = self.space.zdegs()
+        return sum(e * zdegs[i] for i, e in self.exps)
 
     @property
     def parity(self):
-        return sum(e * self.space.basis[i].parity for i, e in self.exps) % 2
+        parities = self.space.parities()
+        return sum(e * parities[i] for i, e in self.exps) % 2
 
     def label(self):
+        names = self.space.names()
         parts = []
         for i, e in self.exps:
-            nm = self.space.basis[i].name
+            nm = names[i]
             parts.append(nm if e == 1 else f"{nm}^{e}")
         return "1" if not parts else ".".join(parts)
 

@@ -28,11 +28,10 @@ from .gamma import (
     zero_element,
 )
 from .linalg import FpMatrix
-from .pcomplex import ChainComplex
+from .pcomplex import ChainComplex, contraction_degree
 from .powers import add_mod_p
 from .superspace import (
     ODD,
-    BasisElement,
     SuperSpace,
     build_Sh,
     check_sh_budget,
@@ -50,12 +49,6 @@ from .troesch import DEFAULT_BUDGET, build_B, build_B_bar
 def _sh_pair(p, r):
     sh = build_Sh(p, r)
     return sh, parity_shift(sh)
-
-
-def zdeg_of_local(p, r, local):
-    """Z-degree inside the p-complex of the contraction's local degree."""
-    i, odd = divmod(local, 2)
-    return p ** r * i + (p ** (r - 1) if odd else 0)
 
 
 def phi_j_element(p, j):
@@ -145,7 +138,7 @@ def epsilon_prime_1(p):
     by_src = full.split_by_source_degree()
     out = {}
     for local in range(p - 1, 2 * p - 1):
-        z = zdeg_of_local(p, 1, local)
+        z = contraction_degree(p, 1, 1, 0, local)
         comp = by_src.get(z)
         if comp is None:
             comp = zero_element(full.source, full.target, p, p)
@@ -304,6 +297,8 @@ class SplicedResolution:
     def __init__(self, p, r, flavor="J", budget=DEFAULT_BUDGET):
         if flavor not in ("J", "Jbar"):
             raise ValueError(f"unknown flavor {flavor!r}")
+        if r < 1:
+            raise ValueError("r must be >= 1")
         self.p = p
         self.r = r
         self.flavor = flavor
@@ -350,14 +345,12 @@ class SplicedResolution:
                 base = len(d_element(p, r, barred).terms)
                 raise BudgetExceededError("formal differential power", base * base, self.budget)
             k = p - 1
-        return d_component(p, r, zdeg_of_local(p, r, local), k, barred)
+        return d_component(p, r, contraction_degree(p, p ** (r - 1), 1, 0, local), k, barred)
 
     def eps_element(self, kind, local):
         """The splice block out of a local degree, with its alternating sign."""
         p, r = self.p, self.r
-        comps = self.eps_components()
-        z = zdeg_of_local(p, r, local)
-        comp = comps.get(z)
+        comp = self.eps_components().get(contraction_degree(p, p ** (r - 1), 1, 0, local))
         sh, shbar = _sh_pair(p, r)
         if comp is None:
             comp = zero_element(sh, shbar, self.q, p)
@@ -450,14 +443,15 @@ def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=Fals
     data_for = {"T": build_B(q, r, u, p, budget), "Tbar": build_B_bar(q, r, u, p, budget)}
 
     def piece(kind, local):
-        return data_for[kind], zdeg_of_local(p, r, local)
+        return data_for[kind], contraction_degree(p, p ** (r - 1), 1, 0, local)
 
-    def term_basis(t):
-        # the piece's own basis, named after the term; T-bar flips parity
+    def term_space(t):
         data, z = piece(t.kind, t.local)
-        flip = t.kind == "Tbar"
-        prefix = f"[{t.kind}{t.local}+{t.shift}]"
-        return [BasisElement(prefix + b.name, b.zdeg, b.parity ^ flip) for b in data.complex.term(z).basis]
+        return data.complex.term(z)
+
+    def names(ts):
+        # each piece's own names, prefixed by its term
+        return lambda: [f"[{t.kind}{t.local}+{t.shift}]{a}" for t in ts for a in term_space(t).names()]
 
     @lru_cache(maxsize=None)
     def block(src_kind, local, tgt_kind):
@@ -471,12 +465,15 @@ def build_J(r, u, n_splices, p=3, budget=DEFAULT_BUDGET, flavor="J", closed=Fals
     terms = {}
     offsets = {}  # term -> (offset in its degree, dim)
     for m in range(max_degree + 2):
-        elems = []
-        for t in res.terms(m, max_q):
-            basis = term_basis(t)
-            offsets[t] = (len(elems), len(basis))
-            elems += basis
-        terms[m] = SuperSpace(tuple(elems))
+        ts = res.terms(m, max_q)
+        zdegs, parities = [], []
+        for t in ts:
+            space = term_space(t)
+            offsets[t] = (len(zdegs), space.dim)
+            zdegs += space.zdegs()
+            # T-bar flips parity
+            parities += [par ^ (t.kind == "Tbar") for par in space.parities()]
+        terms[m] = SuperSpace.from_columns(zdegs, parities, names(ts))
     diffs = {}
     for m in range(max_degree + 1):
         data = np.zeros((terms[m + 1].dim, terms[m].dim), dtype=np.int8)
@@ -693,14 +690,14 @@ class YonedaCalculator:
     """Computes Yoneda products of canonical classes by lifting chain maps."""
 
     def __init__(self, p, r, budget=DEFAULT_BUDGET):
-        # every lifting step composes with d, so a d past the cap fails here,
-        # before any piece is enumerated
+        # the resolutions check r >= 1; every lifting step composes with d,
+        # so a d past the cap fails next, before any piece is enumerated
+        self.res = {f: SplicedResolution(p, r, f, budget) for f in ("J", "Jbar")}
         _check_d_estimate(p, r)
         self.p = p
         self.r = r
         self.q = p ** r
         self.budget = budget
-        self.res = {f: SplicedResolution(p, r, f, budget) for f in ("J", "Jbar")}
         self._lifts = {}  # class -> {source degree: blocks}
         self._pieces = {}  # (source kind, target kind, target z-sum, source z-sum) -> piece
 
@@ -711,7 +708,8 @@ class YonedaCalculator:
         p, r = self.p, self.r
         sh, shbar = _sh_pair(p, r)
         spaces = {"T": sh, "Tbar": shbar}
-        grade = (src.kind, tgt.kind, zdeg_of_local(p, r, tgt.local), zdeg_of_local(p, r, src.local))
+        tz, sz = (contraction_degree(p, p ** (r - 1), 1, 0, t.local) for t in (tgt, src))
+        grade = (src.kind, tgt.kind, tz, sz)
         piece = self._pieces.get(grade)
         if piece is None:
             piece = self._pieces[grade] = monomials_with_bigrade(

@@ -36,51 +36,86 @@ def check_unique_names(basis):
         raise ValueError("basis names must be unique")
 
 
-@dataclass(frozen=True)
 class SuperSpace:
-    basis: tuple
+    """A graded space: the Z-degree, the parity and the name of each basis
+    vector, kept as three columns.
 
-    def __post_init__(self):
-        check_unique_names(self.basis)
+    ``SuperSpace(basis)`` reads the columns off the ``BasisElement``s;
+    ``SuperSpace.from_columns`` takes the gradings and a function that
+    writes the names, called when the names are first needed.  The
+    dimension and every grading query read the grading columns alone;
+    ``==`` and ``hash`` compare the gradings first, then the names.
+    ``basis`` is made on first read, with the name check.
+    """
+
+    def __init__(self, basis):
+        basis = tuple(basis)
+        check_unique_names(basis)
+        self.basis = basis
+        self._zdegs = tuple(b.zdeg for b in basis)
+        self._parities = tuple(b.parity for b in basis)
+        self._names = tuple(b.name for b in basis)
+
+    @classmethod
+    def from_columns(cls, zdegs, parities, names):
+        """The space whose basis vector i has Z-degree zdegs[i] and parity
+        parities[i]; names() writes the basis names in the same order."""
+        space = cls.__new__(cls)
+        space._zdegs, space._parities, space._write_names = tuple(zdegs), tuple(parities), names
+        return space
+
+    @cached_property
+    def _names(self):
+        return tuple(self._write_names())
+
+    @cached_property
+    def basis(self):
+        basis = tuple(map(BasisElement, self._names, self._zdegs, self._parities))
+        check_unique_names(basis)
+        return basis
+
+    def __eq__(self, other):
+        if not isinstance(other, SuperSpace):
+            return NotImplemented
+        return self is other or (
+            self._zdegs == other._zdegs and self._parities == other._parities and self._names == other._names
+        )
 
     @cached_property
     def _hash(self):
-        # the value the generated __hash__ would give, computed on first use
-        # and kept: power monomials key dicts and hash their space on every
-        # lookup
-        return hash((self.basis,))
+        # hash((basis,)), computed on first use and kept: a BasisElement
+        # hashes as the tuple of its fields, so no basis is made.  Power
+        # monomials key dicts and hash their space on every lookup
+        return hash((tuple(zip(self._names, self._zdegs, self._parities)),))
 
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return f"SuperSpace(basis={self.basis!r})"
+
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._parities)
 
     @cached_property
     def _by_parity(self):
-        even = tuple(i for i, b in enumerate(self.basis) if b.parity == EVEN)
-        odd = tuple(i for i, b in enumerate(self.basis) if b.parity == ODD)
-        return even, odd
+        return tuple(tuple(i for i, q in enumerate(self._parities) if q == parity) for parity in (EVEN, ODD))
 
     def dims_by_parity(self):
         even, odd = self._by_parity
         return (len(even), len(odd))
 
-    @cached_property
-    def _parities(self):
-        return tuple(b.parity for b in self.basis)
-
-    @cached_property
-    def _zdegs(self):
-        return tuple(b.zdeg for b in self.basis)
+    def names(self):
+        """The name of each basis vector, as a tuple written once."""
+        return self._names
 
     def parities(self):
-        """The parity of each basis element, as a tuple computed once."""
+        """The parity of each basis vector, as a tuple."""
         return self._parities
 
     def zdegs(self):
-        """The Z-degree of each basis element, as a tuple computed once."""
+        """The Z-degree of each basis vector, as a tuple."""
         return self._zdegs
 
     def indices_of_parity(self, parity):
@@ -96,23 +131,23 @@ ZERO_SPACE = SuperSpace(())
 
 def k_super(m, n):
     """k^{m|n}: m even and n odd generators, all in Z-degree 0."""
-    elems = [BasisElement(f"e{i}", 0, EVEN) for i in range(m)]
-    elems += [BasisElement(f"o{i}", 0, ODD) for i in range(n)]
-    return SuperSpace(tuple(elems))
+    return SuperSpace.from_columns(
+        [0] * (m + n), [EVEN] * m + [ODD] * n, lambda: [f"e{i}" for i in range(m)] + [f"o{i}" for i in range(n)]
+    )
 
 
 def tensor(v, w):
     """Graded tensor product; basis ordered with the V index major."""
-    elems = []
-    for a in v.basis:
-        for b in w.basis:
-            elems.append(BasisElement(f"{a.name}*{b.name}", a.zdeg + b.zdeg, (a.parity + b.parity) % 2))
-    return SuperSpace(tuple(elems))
+    return SuperSpace.from_columns(
+        [a + b for a in v.zdegs() for b in w.zdegs()],
+        [(a + b) % 2 for a in v.parities() for b in w.parities()],
+        lambda: [f"{a}*{b}" for a in v.names() for b in w.names()],
+    )
 
 
 def parity_shift(v):
     """The parity change Pi applied to objects: flip parities, mark names."""
-    return SuperSpace(tuple(BasisElement(f"pi({b.name})", b.zdeg, 1 - b.parity) for b in v.basis))
+    return SuperSpace.from_columns(v.zdegs(), [1 - q for q in v.parities()], lambda: [f"pi({a})" for a in v.names()])
 
 
 def frobenius_twist_space(v, r, p):
@@ -125,25 +160,23 @@ def frobenius_twist_space(v, r, p):
     if r == 0:
         return v
     q = p ** r
-    return SuperSpace(tuple(BasisElement(f"{b.name}^({r})", b.zdeg * q, b.parity) for b in v.basis))
+    return SuperSpace.from_columns([z * q for z in v.zdegs()], v.parities(), lambda: [f"{a}^({r})" for a in v.names()])
 
 
 def dual_space(v):
     """The graded dual: Z-degrees negated, parities kept.
 
     Public API, one of the README's standard constructions."""
-    return SuperSpace(tuple(BasisElement(f"{b.name}^*", -b.zdeg, b.parity) for b in v.basis))
+    return SuperSpace.from_columns([-z for z in v.zdegs()], v.parities(), lambda: [f"{a}^*" for a in v.names()])
 
 
 def hom_space(v, w):
     """Hom_k(V, W) with matrix-unit basis E(i,j), (target, source) lexicographic."""
-    elems = []
-    for i, bw in enumerate(w.basis):
-        for j, bv in enumerate(v.basis):
-            elems.append(
-                BasisElement(f"E({i},{j})", bw.zdeg - bv.zdeg, (bw.parity + bv.parity) % 2)
-            )
-    return SuperSpace(tuple(elems))
+    return SuperSpace.from_columns(
+        [b - a for b in w.zdegs() for a in v.zdegs()],
+        [(b + a) % 2 for b in w.parities() for a in v.parities()],
+        lambda: [f"E({i},{j})" for i in range(w.dim) for j in range(v.dim)],
+    )
 
 
 def check_sh_budget(p, r, budget, stage):
@@ -162,7 +195,8 @@ def build_Sh(p, r):
     check_prime(p)
     if r < 1:
         raise ValueError("r must be >= 1")
-    return SuperSpace(tuple(BasisElement(f"sh_{i}", i, EVEN) for i in range(p ** r)))
+    q = p ** r
+    return SuperSpace.from_columns(range(q), [EVEN] * q, lambda: [f"sh_{i}" for i in range(q)])
 
 
 def base_p_digit(i, s, p):
@@ -188,12 +222,12 @@ class LinearMapSS:
         self.validate()
 
     def validate(self):
+        tp, sp = self.target.parities(), self.source.parities()
+        tz, sz = self.target.zdegs(), self.source.zdegs()
         for (i, j), _ in self.matrix.nonzero_items():
-            bt = self.target.basis[i]
-            bs = self.source.basis[j]
-            if (bt.parity - bs.parity) % 2 != self.parity:
+            if (tp[i] - sp[j]) % 2 != self.parity:
                 raise ValueError(f"entry ({i},{j}) violates parity {self.parity}")
-            if bt.zdeg - bs.zdeg != self.zshift:
+            if tz[i] - sz[j] != self.zshift:
                 raise ValueError(f"entry ({i},{j}) violates zshift {self.zshift}")
 
 
@@ -216,8 +250,8 @@ def relabel_map(f, new_source, new_target):
     if first is None:
         return LinearMapSS(new_source, new_target, f.matrix, f.parity, f.zshift)
     (i, j), _ = first
-    bt, bs = new_target.basis[i], new_source.basis[j]
-    return LinearMapSS(new_source, new_target, f.matrix, (bt.parity - bs.parity) % 2, bt.zdeg - bs.zdeg)
+    parity = (new_target.parities()[i] - new_source.parities()[j]) % 2
+    return LinearMapSS(new_source, new_target, f.matrix, parity, new_target.zdegs()[i] - new_source.zdegs()[j])
 
 
 _SPACE_RE = re.compile(r"^k\^\{(\d+)\|(\d+)\}$")

@@ -8,10 +8,10 @@ degree-n monomial of W = Sh_r tensor U is a row of one exponent array from
 ``power_exponents``, one stable sort by Z-degree cuts the rows into graded
 pieces, ``convolution_terms`` expands all rows at once into the terms of
 each component, an exact byte-string lookup finds each target's row, and
-one fill writes every differential.  Each piece is a ``PieceSpace`` that
-keeps its rows and their parities; its basis names and ``BasisElement``s
-are derived on first read, and the position of each exponent tuple in its
-piece (``index``) is made only when a caller asks for it.
+one fill writes every differential.  Each piece is a ``SuperSpace`` built
+from its grading columns; its basis names are written from its exponent
+rows on first read, and the position of each exponent tuple in its piece
+(``index``) is made only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ from .powers import (
 from .superspace import (
     EVEN,
     ODD,
-    BasisElement,
     SuperSpace,
     build_Sh,
-    check_unique_names,
     parity_shift,
     relabel_map,
     rho,
@@ -181,61 +179,13 @@ def convolution_apply(images, d, mono, par, p):
 # building the complexes
 
 
-class PieceSpace(SuperSpace):
-    """One graded piece of a built complex: a basis element per exponent
-    row, its name read off the row.
-
-    The rows (shared with ``PowerComplexData.rows``), the generator names,
-    the Z-degree and the parity of each row are all a piece keeps.  Its
-    dimension, parities, Z-degrees and parity indices are read from these
-    arrays; ``basis`` writes the names and makes the ``BasisElement``s on
-    first read, with the name check every ``SuperSpace`` runs.  It equals,
-    and hashes like, any ``SuperSpace`` with the same basis.
-    """
-
-    def __init__(self, rows, names, zdeg, parity):
-        # SuperSpace is frozen: set the fields past its __setattr__
-        for attr, value in (("rows", rows), ("names", names), ("zdeg", zdeg), ("parity", parity)):
-            object.__setattr__(self, attr, value)
-
-    @cached_property
-    def basis(self):
-        n = len(self.rows)
-        basis = tuple(map(BasisElement, _labels(self.rows, self.names), [self.zdeg] * n, self.parity.tolist()))
-        check_unique_names(basis)
-        return basis
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperSpace):
-            return NotImplemented
-        return self is other or self.basis == other.basis
-
-    __hash__ = SuperSpace.__hash__
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    @cached_property
-    def _by_parity(self):
-        return tuple(tuple(np.flatnonzero(self.parity == parity).tolist()) for parity in (EVEN, ODD))
-
-    @cached_property
-    def _parities(self):
-        return tuple(self.parity.tolist())
-
-    @cached_property
-    def _zdegs(self):
-        return (self.zdeg,) * len(self.rows)
-
-
 @dataclass(eq=False)
 class PowerComplexData:
     """A built p-complex of symmetric powers plus its monomial bookkeeping.
 
-    ``rows`` holds the exponent rows of each graded piece in basis order,
-    the same arrays its ``PieceSpace`` holds; ``index`` is made from them
-    on first access.
+    ``rows`` holds the exponent rows of each graded piece in basis order;
+    the piece names its basis from them on first read, and ``index`` is
+    made from them on first access.
     """
 
     p: int
@@ -292,7 +242,7 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     # must exceed the budget once the total dimension is large enough
     ev, od = w.dims_by_parity()
     total = dim_formula_sym(n, ev, od)
-    n_degrees = n * max((b.zdeg for b in w.basis), default=0) + 1
+    n_degrees = n * max(w.zdegs(), default=0) + 1
     if total > budget * n_degrees:
         raise BudgetExceededError("total symmetric power dimension", total, budget * n_degrees)
     exps = power_exponents(PowerKind.SYM, n, w)
@@ -312,12 +262,15 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     local = np.empty(len(exps), dtype=np.int64)  # each row's position in its piece
     local[order] = np.arange(len(exps)) - np.repeat(begin, sizes)
     ordered, parity = exps[order], parity[order]
-    names = [b.name for b in w.basis]
     rows, spaces = {}, {}
+
+    def names(z):
+        return lambda: _labels(rows[z], w.names())
+
     for k in seen.tolist():
         z, at = int(pieces[k]), slice(int(begin[k]), int(begin[k] + sizes[k]))
         rows[z] = ordered[at]
-        spaces[z] = PieceSpace(rows[z], names, z, parity[at])
+        spaces[z] = SuperSpace.from_columns([z] * len(rows[z]), parity[at].tolist(), names(z))
     alpha = p ** (r - 1)
     components = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
     src, row, coef = _differential_terms(exps, zdeg, alpha, components, w.parities(), p)
@@ -376,16 +329,14 @@ def eta_images(n, r, u, p=3, space=None):
     sh = build_Sh(p, r)
     w = space if space is not None else tensor(sh, u)
     q = p ** r
-    u_tw_elems = tuple(
-        BasisElement(f"{b.name}^({r})", 0 if b.parity == EVEN else q * (q - 1) // 2, b.parity)
-        for b in u.basis
-    )
-    u_tw = SuperSpace(u_tw_elems)
+    par = u.parities()
+    zdegs = [0 if parity == EVEN else q * (q - 1) // 2 for parity in par]
+    u_tw = SuperSpace.from_columns(zdegs, par, lambda: [f"{a}^({r})" for a in u.names()])
     out = []
     for m in power_basis(PowerKind.SYM, n, u_tw):
         factors = []
         for uidx, e in m.exps:
-            if u.basis[uidx].parity == EVEN:
+            if par[uidx] == EVEN:
                 factors.append({((0 * u.dim + uidx, q * e),): 1})
             else:
                 factors.append({tuple((i * u.dim + uidx, 1) for i in range(q)): 1})

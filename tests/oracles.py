@@ -1101,7 +1101,7 @@ def validate_p_differential_oracle(cx):
 
 def contraction_prediction(cx, s, t, ell):
     """Expected H^ell of the contraction from the slice cohomology of cx."""
-    deg = contraction_degree(cx, s, t, ell)
+    deg = contraction_degree(cx.order, cx.alpha, s, t, ell)
     slice_ = s if ell % 2 == 0 else cx.p - s
     row = cohomology(cx, slice_)
     return row.get(deg, (0, 0))

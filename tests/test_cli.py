@@ -77,6 +77,15 @@ def test_ext_table_negative_max_degree_is_a_usage_error():
     assert res.stderr == "error: max degree must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("r", ["0", "-1", "-2"])
+def test_ring_r_below_one_is_a_usage_error(r):
+    # r is checked before any p ** r, which is a float for r < 0
+    res = run_cli("ring", "--p", "3", "--r", r)
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert res.stderr == "error: r must be >= 1\n"
+
+
 def test_ring_output_contains_sign_line():
     res = run_cli("ring", "--p", "3", "--r", "1")
     assert res.returncode == 0

@@ -34,8 +34,9 @@ from supertroesch.gamma import (
     zero_element,
 )
 from supertroesch.linalg import FpMatrix, matmul
+from supertroesch.pcomplex import contraction_degree
 from supertroesch.powers import PowerKind, power_basis
-from supertroesch.resolutions import _sh_pair, d_component, zdeg_of_local
+from supertroesch.resolutions import _sh_pair, d_component
 from supertroesch.superspace import (
     EVEN,
     BasisElement,
@@ -602,7 +603,7 @@ def test_compose_term_order_is_locked():
     for p, barred in ((3, False), (5, True)):
         # the d^(p-1) component out of the largest odd local degree
         z = max(
-            (zdeg_of_local(p, 1, local) for local in range(1, 2 * p - 1, 2)),
+            (contraction_degree(p, 1, 1, 0, local) for local in range(1, 2 * p - 1, 2)),
             key=lambda z: len(d_component(p, 1, z, p - 1, barred).terms),
         )
         pairs[f"d^{p - 1}"] = (d_component(p, 1, z + p - 2, 1, barred), d_component(p, 1, z, p - 2, barred))

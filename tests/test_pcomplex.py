@@ -317,10 +317,10 @@ def test_tensor_and_kunneth_at_p7_match_int64_oracle():
 
 def test_contraction_degree_layout():
     cx = build_from_blocks(3, 2, [(0, 3, EVEN)])
-    assert contraction_degree(cx, 1, 0, 0) == 0
-    assert contraction_degree(cx, 1, 0, 1) == 2
-    assert contraction_degree(cx, 1, 0, 2) == 6
-    assert contraction_degree(cx, 2, 1, 1) == 5
+    assert contraction_degree(cx.order, cx.alpha, 1, 0, 0) == 0
+    assert contraction_degree(cx.order, cx.alpha, 1, 0, 1) == 2
+    assert contraction_degree(cx.order, cx.alpha, 1, 0, 2) == 6
+    assert contraction_degree(cx.order, cx.alpha, 2, 1, 1) == 5
 
 
 @pytest.mark.parametrize("n, u, p", [(5, (1, 2), 5), (6, (2, 1), 3)])

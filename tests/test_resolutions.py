@@ -18,6 +18,7 @@ from supertroesch.gamma import (
     tensor_with_identity,
 )
 from supertroesch.linalg import FpMatrix
+from supertroesch.pcomplex import contraction_degree
 from supertroesch.superspace import build_Sh, k_super, parity_shift, rho
 from supertroesch.troesch import eta_images
 from supertroesch.resolutions import (
@@ -41,7 +42,6 @@ from supertroesch.resolutions import (
     ring_relation_report,
     solve_epsilon,
     verify_J_exactness,
-    zdeg_of_local,
 )
 
 
@@ -447,7 +447,7 @@ def test_contraction_blocks_are_powers_of_the_built_differential(p, u):
     nonzero = 0
     for kind, data in (("T", build_B(p, 1, u, p)), ("Tbar", build_B_bar(p, 1, u, p))):
         for local in range(2 * p - 2):
-            zs, zt = zdeg_of_local(p, 1, local), zdeg_of_local(p, 1, local + 1)
+            zs, zt = contraction_degree(p, 1, 1, 0, local), contraction_degree(p, 1, 1, 0, local + 1)
             el = tensor_with_identity(res.partial_element(kind, local), u)
             formal = apply_sym_block(el, data.index.get(zs, {}), data.index.get(zt, {}), data.complex.dim(zt))
             assert formal == data.complex.iterated_diff(zs, 1 if local % 2 == 0 else p - 1), (kind, local)
@@ -558,12 +558,14 @@ def test_lifting_at_p5_never_forms_a_whole_power(monkeypatch):
 
 
 def test_zdeg_of_local():
-    assert zdeg_of_local(3, 1, 0) == 0
-    assert zdeg_of_local(3, 1, 1) == 1
-    assert zdeg_of_local(3, 1, 2) == 3
-    assert zdeg_of_local(3, 1, 4) == 6
-    assert zdeg_of_local(3, 2, 2) == 9
-    assert zdeg_of_local(3, 2, 3) == 12
+    # a local degree of J(r) is a degree of the (1, 0) contraction of B(r),
+    # whose step is p^(r-1)
+    assert contraction_degree(3, 3 ** 0, 1, 0, 0) == 0
+    assert contraction_degree(3, 3 ** 0, 1, 0, 1) == 1
+    assert contraction_degree(3, 3 ** 0, 1, 0, 2) == 3
+    assert contraction_degree(3, 3 ** 0, 1, 0, 4) == 6
+    assert contraction_degree(3, 3 ** 1, 1, 0, 2) == 9
+    assert contraction_degree(3, 3 ** 1, 1, 0, 3) == 12
 
 
 def test_J_exactness_eliminates_each_parity_block_once(monkeypatch):

@@ -6,7 +6,9 @@ from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.superspace import (
     EVEN,
     ODD,
+    BasisElement,
     LinearMapSS,
+    SuperSpace,
     ZERO_SPACE,
     build_Sh,
     dual_space,
@@ -171,3 +173,60 @@ def test_superspace_hash_is_lazy_and_equals_the_field_hash():
     w = tensor(build_Sh(3, 1), k_super(1, 1))
     assert v == w and hash(v) == hash(w)
     assert len({v, w, k_super(1, 1)}) == 2
+
+
+def test_columns_with_repeated_names_fail_the_name_check_on_first_read():
+    written = []
+
+    def names():
+        written.append(1)
+        return ["x", "x"]
+
+    v = SuperSpace.from_columns([0, 1], [EVEN, ODD], names)
+    # the grading queries read the columns alone
+    assert (v.dim, v.dims_by_parity(), v.parities(), v.zdegs()) == (2, (1, 1), (EVEN, ODD), (0, 1))
+    assert v.indices_of_parity(ODD) == (1,) and not written
+    with pytest.raises(ValueError, match="basis names must be unique"):
+        v.basis
+    assert "basis" not in vars(v)
+    with pytest.raises(ValueError, match="basis names must be unique"):
+        SuperSpace((BasisElement("x", 0, EVEN), BasisElement("x", 1, ODD)))
+
+
+def test_space_from_columns_equals_and_hashes_like_the_eager_space():
+    eager = SuperSpace((BasisElement("a", 0, EVEN), BasisElement("b", 2, ODD)))
+    lazy = SuperSpace.from_columns([0, 2], [EVEN, ODD], lambda: ["a", "b"])
+    assert lazy == eager and eager == lazy and not (lazy != eager) and not (eager != lazy)
+    assert hash(lazy) == hash(eager) == hash((eager.basis,))
+    assert {eager: 1}[lazy] == {lazy: 1}[eager] == 1
+    # a name, a Z-degree or a parity apart
+    for zdegs, parities, names in (([0, 2], [EVEN, ODD], ["a", "c"]), ([0, 1], [EVEN, ODD], ["a", "b"]), ([0, 2], [EVEN, EVEN], ["a", "b"])):
+        other = SuperSpace.from_columns(zdegs, parities, lambda names=names: names)
+        assert other != eager and eager != other and other != lazy and lazy != other
+    assert "basis" not in vars(lazy)
+    assert lazy.basis == eager.basis and lazy.names() == ("a", "b")
+
+
+def test_constructions_name_their_bases_on_first_read():
+    sh = build_Sh(3, 1)
+    v = k_super(1, 1)
+    spaces = {
+        "k": v,
+        "sh": sh,
+        "tensor": tensor(v, sh),
+        "pi": parity_shift(v),
+        "twist": frobenius_twist_space(sh, 1, 3),
+        "dual": dual_space(sh),
+        "hom": hom_space(v, k_super(1, 0)),
+    }
+    assert not any("basis" in vars(w) for w in spaces.values())
+    got = {key: [(b.name, b.zdeg, b.parity) for b in w.basis] for key, w in spaces.items()}
+    assert got == {
+        "k": [("e0", 0, EVEN), ("o0", 0, ODD)],
+        "sh": [("sh_0", 0, EVEN), ("sh_1", 1, EVEN), ("sh_2", 2, EVEN)],
+        "tensor": [(f"{a}*sh_{i}", i, q) for a, q in (("e0", EVEN), ("o0", ODD)) for i in range(3)],
+        "pi": [("pi(e0)", 0, ODD), ("pi(o0)", 0, EVEN)],
+        "twist": [("sh_0^(1)", 0, EVEN), ("sh_1^(1)", 3, EVEN), ("sh_2^(1)", 6, EVEN)],
+        "dual": [("sh_0^*", 0, EVEN), ("sh_1^*", -1, EVEN), ("sh_2^*", -2, EVEN)],
+        "hom": [("E(0,0)", 0, EVEN), ("E(0,1)", 0, ODD)],
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -34,7 +35,7 @@ from supertroesch.troesch import (
     verify_theorem_B,
 )
 from supertroesch.superspace import EVEN, ODD, rho
-from supertroesch import troesch
+from supertroesch import cli, pcomplex, resolutions, troesch
 
 
 def test_build_B_examples():
@@ -490,8 +491,8 @@ def test_built_pieces_match_the_eager_oracle(builder, n, r, u, p):
         assert [type(v) for b in piece.basis for v in (b.zdeg, b.parity)] == [int] * 2 * piece.dim
 
 
-def test_r2_concentration_makes_no_basis_element_per_monomial(monkeypatch):
-    built = _keep_built(monkeypatch)
+def _count_basis_elements(monkeypatch):
+    """The list of every BasisElement made from here on."""
     made = []
     check = BasisElement.__post_init__
 
@@ -500,6 +501,12 @@ def test_r2_concentration_makes_no_basis_element_per_monomial(monkeypatch):
         check(self)
 
     monkeypatch.setattr(BasisElement, "__post_init__", counting_post_init)
+    return made
+
+
+def test_r2_concentration_makes_no_basis_element_per_monomial(monkeypatch):
+    built = _keep_built(monkeypatch)
+    made = _count_basis_elements(monkeypatch)
     assert verify_theorem_B(7, 2, k_super(1, 0), p=3).ok
     cx = built[0].complex
     # the pieces hold 6,435 monomials; Sh_2 and Sh_2 (x) U make the rest
@@ -517,6 +524,54 @@ def test_tensor_of_built_complexes_names_like_the_eager_pieces():
         assert got_offsets == want_offsets and list(got.terms) == list(want.terms)
         for z, space in got.terms.items():
             assert space.basis == want.terms[z].basis
+
+
+def _names_digest(complexes):
+    """(count, sha256) of the (name, Z-degree, parity) of every basis element
+    of the complexes, degree by degree."""
+    items = [[(z, [(b.name, b.zdeg, b.parity) for b in cx.term(z).basis]) for z in cx.degrees()] for cx in complexes]
+    return sum(cx.dim(z) for cx in complexes for z in cx.degrees()), hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# recorded while every product and J term was made with its basis
+KUNNETH_P5_NAMES = (400, "4751e07516888af17854a026edbf9a09c2f463d8437cb72c9daf16cb1c0b3e40")
+J_P3_NAMES = (110, "237a93821c836746fbd81994e9af00eb407453e35b6c8dd40a26f4fbf328f31d")
+
+
+def test_kunneth_suite_names_no_product_until_read(monkeypatch, capsys):
+    # kunneth_check reads dimensions, parities and offsets only
+    products = []
+    tensor_of = pcomplex.tensor_pcomplex
+
+    def keeping_tensor(c1, c2):
+        products.append(tensor_of(c1, c2))
+        return products[-1]
+
+    monkeypatch.setattr(pcomplex, "tensor_pcomplex", keeping_tensor)
+    made = _count_basis_elements(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--p", "5", "--suite", "kunneth"])
+    assert exc.value.code == 0 and "FAIL" not in capsys.readouterr().out
+    assert len(products) == 9 and made == []
+    assert _names_digest([t for t, _ in products]) == KUNNETH_P5_NAMES
+    assert sum("(*)" in b.name for b in made) == KUNNETH_P5_NAMES[0]
+
+
+def test_J_exactness_names_no_term_until_read(monkeypatch):
+    # the exactness check reads dimensions and parities only
+    built = []
+    build_J = resolutions.build_J
+
+    def keeping_build_J(*args, **kwargs):
+        built.append(build_J(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(resolutions, "build_J", keeping_build_J)
+    made = _count_basis_elements(monkeypatch)
+    assert resolutions.verify_J_exactness(1, k_super(1, 1), 2, 3).ok
+    assert len(built) == 1 and made == []
+    assert _names_digest(built) == J_P3_NAMES
+    assert sum(b.name.startswith("[T") for b in made) == J_P3_NAMES[0]
 
 
 @pytest.mark.parametrize("barred", [False, True])
