@@ -52,66 +52,67 @@ def _budget(args):
     return value
 
 
-def _emit(payload, fmt, text_lines):
+def _emit(fmt, payload, header, rows, lines):
+    """Write one command's result in the chosen format: the JSON payload with
+    the schema version, the CSV header and rows, or the text lines."""
     if fmt == "json":
-        clean = {k: v for k, v in payload.items() if k != "csv"}
-        print(json.dumps(clean, sort_keys=True, ensure_ascii=False))
+        print(json.dumps({**payload, "schema": 1}, sort_keys=True, ensure_ascii=False))
     elif fmt == "csv":
-        for row in payload.get("csv", []):
+        for row in (header, *rows):
             print(",".join(str(x) for x in row))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
+def _power_complex(args):
+    """B_n(r) on the --space test space and its cyclic decomposition.
+
+    decompose_cyclic validates after the ranks, so d is applied only to the
+    pivot columns of d^(p-1)."""
+    u = parse_space(args.space, args.p, args.budget)
+    data = build_B(args.n * args.p ** args.r, args.r, u, args.p, args.budget, validate=False)
+    return data.complex, decompose_cyclic(data.complex)
+
+
 def cmd_cohomology(args):
-    p = args.p
-    u = parse_space(args.space, p, args.budget)
-    n_poly = args.n * p ** args.r
-    # decompose_cyclic validates after the ranks, so d is applied only to
-    # the pivot columns of d^(p-1)
-    data = build_B(n_poly, args.r, u, p, args.budget, validate=False)
-    dec = decompose_cyclic(data.complex)
-    table = cohomology_table(data.complex)
+    cx, dec = _power_complex(args)
+    table = cohomology_table(cx)
     normal = dec.is_normal()
-    payload = table.to_jsonable()
-    payload["normal"] = normal
-    payload["n"] = args.n
-    payload["r"] = args.r
-    payload["space"] = args.space
-    payload["csv"] = [["s", "degree", "even", "odd"]] + [
-        [s, i, eo[0], eo[1]]
+    header = ("s", "degree", "even", "odd")
+    rows = [
+        (s, i, even, odd)
         for s in sorted(table.rows)
-        for i, eo in sorted(table.rows[s].items())
-        if eo != (0, 0)
+        for i, (even, odd) in sorted(table.rows[s].items())
+        if (even, odd) != (0, 0)
     ]
-    lines = []
-    for s in sorted(table.rows):
-        for i, eo in sorted(table.rows[s].items()):
-            if eo != (0, 0):
-                lines.append(f"H_[{s}]^{i} = ({eo[0]}, {eo[1]})")
+    tables = {str(s): [] for s in table.rows}
+    for row in rows:
+        tables[str(row[0])].append(dict(zip(header[1:], row[1:])))
+    payload = {
+        "p": table.p,
+        "alpha": table.alpha,
+        "tables": tables,
+        "normal": normal,
+        "n": args.n,
+        "r": args.r,
+        "space": args.space,
+    }
+    lines = [f"H_[{s}]^{i} = ({even}, {odd})" for s, i, even, odd in rows]
     lines.append(f"normal: {normal}")
-    _emit(payload, args.format, lines)
+    _emit(args.format, payload, header, rows, lines)
     return EXIT_OK
 
 
 def cmd_decompose(args):
-    p = args.p
-    u = parse_space(args.space, p, args.budget)
-    n_poly = args.n * p ** args.r
-    data = build_B(n_poly, args.r, u, p, args.budget, validate=False)
-    dec = decompose_cyclic(data.complex)
-    payload = dec.to_jsonable()
-    payload["normal"] = dec.is_normal()
-    payload["csv"] = [["shift", "length", "parity", "multiplicity"]] + [
-        [s, ln, par, m] for (s, ln, par), m in sorted(dec.blocks.items())
-    ]
-    lines = [
-        f"block shift={s} length={ln} parity={par} x{m}"
-        for (s, ln, par), m in sorted(dec.blocks.items())
-    ]
-    lines.append(f"normal: {dec.is_normal()}")
-    _emit(payload, args.format, lines)
+    _, dec = _power_complex(args)
+    normal = dec.is_normal()
+    header = ("shift", "length", "parity", "multiplicity")
+    rows = [(s, ln, par, m) for (s, ln, par), m in sorted(dec.blocks.items())]
+    payload = {"p": dec.p, "alpha": dec.alpha, "blocks": [dict(zip(header, row)) for row in rows], "normal": normal}
+    lines = [f"block shift={s} length={ln} parity={par} x{m}" for s, ln, par, m in rows]
+    lines.append(f"normal: {normal}")
+    _emit(args.format, payload, header, rows, lines)
     return EXIT_OK
 
 
@@ -119,12 +120,18 @@ def cmd_ext_table(args):
     table = ext_table(
         args.r, args.max_deg, args.p, args.source_parity, args.target_parity, args.budget
     )
-    payload = table.to_jsonable()
-    payload["csv"] = [["s", "dim"]] + [[s, table.dims.get(s, 0)] for s in range(args.max_deg + 1)]
-    lines = [
-        f"Ext^{s} = {table.dims.get(s, 0)}" for s in range(args.max_deg + 1)
-    ] + [f"class @{s}: {name}" for s, name in table.classes]
-    _emit(payload, args.format, lines)
+    header = ("s", "dim")
+    rows = [(s, table.dims.get(s, 0)) for s in range(table.max_degree + 1)]
+    payload = {
+        "p": table.p,
+        "r": table.r,
+        "source_parity": table.source_parity,
+        "target_parity": table.target_parity,
+        "dims": [dict(zip(header, row)) for row in rows],
+        "classes": [{"s": s, "name": name} for s, name in table.classes],
+    }
+    lines = [f"Ext^{s} = {dim}" for s, dim in rows] + [f"class @{s}: {name}" for s, name in table.classes]
+    _emit(args.format, payload, header, rows, lines)
     return EXIT_OK
 
 
@@ -139,22 +146,19 @@ def cmd_ring(args):
         print(f"budget exceeded: {exc}", file=sys.stderr)
         sys.exit(EXIT_BUDGET)
     payload = {
-        "schema": 1,
         "p": args.p,
         "r": args.r,
         "relations": [
             {"relation": name, "holds": good, "computed": detail} for name, good, detail in lines
         ],
     }
-    if args.r > 1:
-        note = "mu (top p-th power scalar) not computed: splice solve above budget"
-        payload["mu"] = None
-        payload["note"] = note
     text = [f"{'PASS' if good else 'FAIL'}  {name}   [{detail}]" for name, good, detail in lines]
     if args.r > 1:
+        payload["mu"] = None
+        payload["note"] = "mu (top p-th power scalar) not computed: splice solve above budget"
         text.append("mu: not computed (budget)")
-    payload["csv"] = [["relation", "holds"]] + [[name, good] for name, good, _ in lines]
-    _emit(payload, args.format, text)
+    rows = [(name, good) for name, good, _ in lines]
+    _emit(args.format, payload, ("relation", "holds"), rows, text)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -258,15 +262,12 @@ def cmd_verify(args):
         for item, ok, detail in SUITES[name](args):
             all_ok &= ok
             rows.append((item, ok, detail))
-    payload = {
-        "schema": 1,
-        "p": args.p,
-        "results": [{"check": i, "pass": ok} for i, ok, _ in rows],
-    }
-    payload["csv"] = [["check", "pass"]] + [[i, ok] for i, ok, _ in rows]
+    header = ("check", "pass")
+    checks = [(item, ok) for item, ok, _ in rows]
+    payload = {"p": args.p, "results": [dict(zip(header, check)) for check in checks]}
     text = [f"{'PASS' if ok else 'FAIL'}  {item}" + (f"  ({d})" if d and not ok else "") for item, ok, d in rows]
     text.append("PASS" if all_ok else "FAIL")
-    _emit(payload, args.format, text)
+    _emit(args.format, payload, header, checks, text)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 

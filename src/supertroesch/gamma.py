@@ -89,9 +89,6 @@ class GammaElement:
             and self.terms == other.terms
         )
 
-    def items(self):
-        return sorted(self.terms.items())
-
     def split_by_source_degree(self):
         """Components keyed by total source z-degree, each with its terms in
         this element's order.

@@ -226,21 +226,6 @@ class CohomologyTable:
     def is_zero(self):
         return all(not any(e or o for e, o in row.values()) for row in self.rows.values())
 
-    def to_jsonable(self):
-        return {
-            "schema": 1,
-            "p": self.p,
-            "alpha": self.alpha,
-            "tables": {
-                str(s): [
-                    {"degree": i, "even": eo[0], "odd": eo[1]}
-                    for i, eo in sorted(self.rows[s].items())
-                    if eo != (0, 0)
-                ]
-                for s in sorted(self.rows)
-            },
-        }
-
 
 def _slice_dims(cx, s, i):
     """(even, odd) dimension of H_[s] in degree i: ker d^s modulo im d^(N-s)."""
@@ -276,17 +261,6 @@ class CyclicDecomposition:
 
     def is_normal(self):
         return all(length in (1, self.p) for (_, length, _) in self.blocks)
-
-    def to_jsonable(self):
-        return {
-            "schema": 1,
-            "p": self.p,
-            "alpha": self.alpha,
-            "blocks": [
-                {"shift": s, "length": ln, "parity": par, "multiplicity": m}
-                for (s, ln, par), m in sorted(self.blocks.items())
-            ],
-        }
 
 
 def decompose_cyclic(cx):

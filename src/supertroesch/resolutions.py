@@ -36,7 +36,6 @@ from .superspace import (
     build_Sh,
     check_sh_budget,
     parity_shift,
-    relabel_map,
     rho,
 )
 from .troesch import DEFAULT_BUDGET, build_B, build_B_bar
@@ -87,12 +86,13 @@ def d_element(p, r, barred=False):
 
 @lru_cache(maxsize=16)
 def _d_element(p, r, barred):
-    sh, shbar = _sh_pair(p, r)
-    maps = [rho(p, r, s) for s in range(r)]
     if barred:
-        maps = [relabel_map(f, shbar, shbar) for f in maps]
+        # d-bar has d's terms over Pi Sh: every unit of Hom(Pi Sh, Pi Sh) has
+        # the parity of the same unit of Hom(Sh, Sh)
+        shbar = _sh_pair(p, r)[1]
+        return relabel_element(_d_element(p, r, False), shbar, shbar)
     _check_d_estimate(p, r)
-    return differential_element(p, r, p ** r, maps, ELEMENT_TERM_CAP)
+    return differential_element(p, r, p ** r, [rho(p, r, s) for s in range(r)], ELEMENT_TERM_CAP)
 
 
 @lru_cache(maxsize=16)
@@ -282,9 +282,6 @@ class FormalTerm:
     kind: str  # "T" or "Tbar"
     local: int
 
-    def degree(self):
-        return self.shift + self.local
-
 
 class SplicedResolution:
     """Formal description of the injective resolution built by splicing.
@@ -315,14 +312,14 @@ class SplicedResolution:
         return base if qidx % 2 == 0 else conj
 
     def terms(self, m, max_shift_index=None):
-        out = []
-        for qidx in range(0, m // self.q + 1):
-            if max_shift_index is not None and qidx >= max_shift_index:
-                continue
-            local = m - qidx * self.q
-            if 0 <= local <= self.top_local:
-                out.append(FormalTerm(qidx * self.q, self.kind_for_q(qidx), local))
-        return sorted(out)
+        """The terms of degree m in shift order: the copies qidx below
+        max_shift_index whose local degree m - qidx*q lies in 0..top_local,
+        at most two."""
+        first = max(0, -((self.top_local - m) // self.q))  # ceil((m - top_local) / q)
+        stop = m // self.q + 1
+        if max_shift_index is not None:
+            stop = min(stop, max_shift_index)
+        return [FormalTerm(k * self.q, self.kind_for_q(k), m - k * self.q) for k in range(first, stop)]
 
     # block elements ---------------------------------------------------
 
@@ -539,17 +536,6 @@ class ExtTable:
     max_degree: int
     dims: dict  # s -> dim
     classes: list  # (s, name)
-
-    def to_jsonable(self):
-        return {
-            "schema": 1,
-            "p": self.p,
-            "r": self.r,
-            "source_parity": self.source_parity,
-            "target_parity": self.target_parity,
-            "dims": [{"s": s, "dim": self.dims.get(s, 0)} for s in range(self.max_degree + 1)],
-            "classes": [{"s": s, "name": name} for s, name in self.classes],
-        }
 
 
 def _matching_kind(source_parity):

@@ -122,9 +122,6 @@ class SuperSpace:
         """The basis indices of the given parity, as a tuple computed once."""
         return self._by_parity[parity]
 
-    def is_zero(self):
-        return self.dim == 0
-
 
 ZERO_SPACE = SuperSpace(())
 

@@ -221,6 +221,21 @@ def test_verify_epsilon_fails_on_a_zero_component(monkeypatch, capsys):
     assert "PASS  epsilon chain p=3" in out and out[-1] == "FAIL"
 
 
+def _limit_cpu_time():
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+
+def test_ext_table_time_is_linear_in_max_degree():
+    # a degree holds at most two terms of the resolution; scanning every
+    # shift index per degree took minutes here, and the CPU cap kills that
+    argv = RUN + ["ext-table", "--p", "3", "--r", "1", "--max-deg", "100000", "--format", "csv"]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=120, preexec_fn=_limit_cpu_time)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "s,dim" and len(lines) == 100_002
+    assert lines[-2:] == ["99999,0", "100000,1"]
+
+
 def _limit_address_space():
     limit = 2 * 1024**3
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

@@ -7,6 +7,10 @@ name is loaded or imported somewhere in ``src/`` outside its own body, a
 method when its name is read as an attribute, and a class or nested function
 when either happens.  An attribute read such as ``dec.is_normal()`` therefore
 keeps a method alive but never a module-level function of the same name.
+The attribute check does not know the receiver's type: any read of the name
+counts, so ``dict.items()`` keeps a method ``items`` alive and
+``FpMatrix.is_zero()`` keeps every ``is_zero``.  A method whose name some
+other object also has can be dead without this test failing.
 Exempt are the functions ``perfbench/tracer.py`` patches, the console entry
 point, and the public API listed below.
 """

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 from oracles import d_power_element, element_bigrades, split_by_source_degree_oracle
 from supertroesch import gamma, powers, resolutions
+from supertroesch.cli import main
 from supertroesch.errors import BudgetExceededError
 from supertroesch.gamma import (
     compose,
@@ -165,6 +166,26 @@ def test_terms_layout():
     assert resbar.terms(0) == [FormalTerm(0, "Tbar", 0)]
 
 
+def _terms_by_scan(res, m, max_shift_index):
+    # every shift index up to m // q, kept when it is below the cap and its
+    # local degree lies in the contraction
+    out = []
+    for qidx in range(m // res.q + 1):
+        local = m - qidx * res.q
+        if (max_shift_index is None or qidx < max_shift_index) and 0 <= local <= res.top_local:
+            out.append(FormalTerm(qidx * res.q, res.kind_for_q(qidx), local))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (5, 1), (3, 2)])
+def test_terms_match_a_scan_of_every_shift(p, r):
+    for flavor in ("J", "Jbar"):
+        res = SplicedResolution(p, r, flavor)
+        for m in range(8 * res.q):
+            for cap in (None, 0, 1, 2, 3, 5):
+                assert res.terms(m, cap) == _terms_by_scan(res, m, cap), (flavor, m, cap)
+
+
 def test_Q_cohomology():
     p = 3
     q = build_Q(1, k_super(1, 0), p)
@@ -199,9 +220,11 @@ def test_ext_tables_all_sectors():
                     assert table.dims.get(s, 0) == expected_ext_dim(p, r, sp, tp, s)
 
 
-def test_ext_table_json_schema():
-    table = ext_table(1, 6, 3, 1, 0)
-    payload = table.to_jsonable()
+def test_ext_table_json_schema(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ext-table", "--p", "3", "--r", "1", "--max-deg", "6", "--source-parity", "1", "--target-parity", "0", "--format", "json"])
+    assert exc.value.code == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
     assert payload["p"] == 3 and payload["r"] == 1
     assert payload["source_parity"] == 1 and payload["target_parity"] == 0
@@ -354,7 +377,8 @@ def test_lifting_composes_once_per_block(monkeypatch):
 
 
 def test_d_element_is_built_once_per_differential(monkeypatch):
-    # d and d-bar, however barred is passed: two builds per (p, r)
+    # d and d-bar together, however barred is passed: one build per (p, r),
+    # since d-bar is d relabelled onto Pi Sh with d's terms in d's order
     build = resolutions.differential_element
     built = []
 
@@ -365,9 +389,13 @@ def test_d_element_is_built_once_per_differential(monkeypatch):
     monkeypatch.setattr(resolutions, "differential_element", counting)
     resolutions._d_element.cache_clear()
     for p in (3, 5):
-        d, d_false, dbar_kw, dbar = d_element(p, 1), d_element(p, 1, False), d_element(p, 1, barred=True), d_element(p, 1, True)
+        # d-bar first: it builds d on the way
+        dbar, dbar_kw, d, d_false = d_element(p, 1, True), d_element(p, 1, barred=True), d_element(p, 1), d_element(p, 1, False)
         assert d is d_false and dbar is dbar_kw and d is not dbar
-    assert built == [(3, 1), (3, 1), (5, 1), (5, 1)]
+        shbar = parity_shift(build_Sh(p, 1))
+        assert dbar.source == dbar.target == shbar and (dbar.n, dbar.p) == (d.n, d.p)
+        assert list(dbar.terms.items()) == list(d.terms.items())
+    assert built == [(3, 1), (5, 1)]
 
 
 def test_calculator_enumerates_each_piece_once(monkeypatch):
