@@ -13,17 +13,20 @@ One kernel, ``FpMatrix.eliminate``, does every elimination.  It takes a
 list of arrays, stacks them in order of width, each at its own height, and
 steps batches of them through their columns in lockstep, so the fixed cost
 of a numpy call is paid once per column of a batch; a single matrix is a
-list of one.  Each array ends at its batch's last column, so a step scans
+list of one.  It has one mode: ``solve`` eliminates ``[A | b]`` whole, and
+b is outside the column space of A exactly when the last column takes a
+pivot.  Each array ends at its batch's last column, so a step scans
 and updates only the arrays that reach its column, in their own columns.
 Residues are lazy: row updates are not reduced mod p.  Each batch is held
 in the narrowest of int16, int32 and int64 that holds the checked bound on
 how far entries can grow, and the reduced arrays come back as int8
 residues.
 
-Every matrix filled entry by entry goes through ``FpMatrix.from_arrays``,
-or, for many matrices in one pass, ``FpMatrix.batch_from_arrays``: the
-entries are sorted by position once, the repeats summed in int64 with
-``np.add.reduceat``, and only those sums are written, reduced mod p.
+Every matrix filled entry by entry goes through
+``FpMatrix.batch_from_arrays``, many matrices in one pass (``from_arrays``
+is its call for one): the entries are sorted by position once, the repeats
+summed in int64 with ``np.add.reduceat``, and only those sums are written,
+reduced mod p.
 
 Products are the one place floating point appears.  ``_mod_p_product``
 multiplies in floating point so that numpy hands the work to BLAS (sgemm or
@@ -134,47 +137,37 @@ class FpMatrix:
 
     @staticmethod
     def from_arrays(p, rows, cols, i, j, values):
-        """``from_coords`` with the rows, columns and values as three arrays.
-
-        The entries are sorted by position, the values at each position are
-        summed in int64 with one ``np.add.reduceat``, and only those sums are
-        reduced and written into an int8 array.
-        """
-        i = np.asarray(i, dtype=np.int64).ravel()
-        j = np.asarray(j, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=np.int64).ravel()
-        if not i.size == j.size == values.size:
-            raise ValueError(f"from_arrays: {i.size} rows, {j.size} columns and {values.size} values")
-        data = np.zeros((rows, cols), dtype=np.int8)
-        if values.size:
-            if min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols:
-                raise IndexError(f"from_arrays: an entry lies outside the {rows} x {cols} matrix")
-            _sum_into(data.reshape(-1), i * cols + j, values, p)
-        return FpMatrix(p, data)
+        """``from_coords`` with the rows, columns and values as three arrays:
+        ``batch_from_arrays`` for one matrix."""
+        i = np.asarray(i).ravel()
+        (m,) = FpMatrix.batch_from_arrays(p, [(rows, cols)], np.zeros(i.size, dtype=np.int64), i, j, values)
+        return m
 
     @staticmethod
     def batch_from_arrays(p, shapes, k, i, j, values):
         """One matrix of each of the given shapes, from the matrix, row,
         column and value of every entry as four arrays.
 
-        The matrices are laid out one after another in one flat array, and
-        its entries are summed as in ``from_arrays``, in one pass for all
-        the matrices.  Each matrix is a view of its part.
+        The matrices are laid out one after another in one flat array.  Its
+        entries are sorted by position, the values at each position are
+        summed in int64 with one ``np.add.reduceat``, and only those sums
+        are reduced and written, in one pass for all the matrices.  Each
+        matrix is a view of its part.
         """
         k, i, j, values = (np.asarray(x, dtype=np.int64).ravel() for x in (k, i, j, values))
         if not k.size == i.size == j.size == values.size:
             raise ValueError(f"batch_from_arrays: {k.size} matrices, {i.size} rows, {j.size} columns and {values.size} values")
-        rows = np.array([r for r, c in shapes], dtype=np.int64)
-        cols = np.array([c for r, c in shapes], dtype=np.int64)
+        rows, cols = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
         start = np.zeros(len(shapes) + 1, dtype=np.int64)
         np.cumsum(rows * cols, out=start[1:])
         flat = np.zeros(start[-1], dtype=np.int8)
         if values.size:
             if k.min() < 0 or k.max() >= len(shapes):
                 raise IndexError(f"batch_from_arrays: an entry names no matrix of the {len(shapes)} given")
-            if min(i.min(), j.min()) < 0 or (i >= rows[k]).any() or (j >= cols[k]).any():
+            width = cols[k]
+            if min(i.min(), j.min()) < 0 or (i >= rows[k]).any() or (j >= width).any():
                 raise IndexError("batch_from_arrays: an entry lies outside its matrix")
-            _sum_into(flat, start[k] + i * cols[k] + j, values, p)
+            _sum_into(flat, start[k] + i * width + j, values, p)
         return [FpMatrix(p, flat[start[n] : start[n + 1]].reshape(shape)) for n, shape in enumerate(shapes)]
 
     # ------------------------------------------------------------------
@@ -222,7 +215,7 @@ class FpMatrix:
     # elimination
 
     @staticmethod
-    def eliminate(p, arrays, reduce_above, augs=None, out=None):
+    def eliminate(p, arrays, reduce_above, out=None):
         """Row-reduce a list of arrays of residues in [0, p), all in lockstep,
         and return the pivot columns of each.
 
@@ -230,11 +223,9 @@ class FpMatrix:
         column is the first row at or below that array's current row with a
         nonzero entry.  Each pivot row is scaled to 1 and its column cleared
         below it, and above it too when ``reduce_above`` is set, which gives
-        the unique reduced row echelon form.  ``augs``, when given, holds one
-        augmented column per array (any integers), carried along as its last
-        column and never scanned.  When ``out`` is a list, the reduced arrays
-        are appended to it in the order of ``arrays``, as int8 residues with
-        the augmented column last.
+        the unique reduced row echelon form.  When ``out`` is a list, the
+        reduced arrays are appended to it in the order of ``arrays``, as int8
+        residues.
 
         The arrays are sorted by shape and stacked, each at its own height,
         into batches of at most ``BATCH_CELLS`` cells (an array larger than
@@ -257,19 +248,16 @@ class FpMatrix:
         """
         check_prime(p)
         shapes = [x.shape for x in arrays]
-        extra = int(augs is not None)
         pivots = [None] * len(arrays)
         reduced = [None] * len(arrays)
-        for members, cols in _batches(shapes, extra):
+        for members, cols in _batches(shapes):
             sizes = [shapes[b] for b in members]
             worst = (p - 1) + (p - 1) ** 2 * max(min(size) for size in sizes)
             dtype = next(t for t, top in _WORK_DTYPES if worst <= top)
             tops = list(accumulate((r for r, c in sizes), initial=0))
-            a = np.zeros((tops[-1], cols + extra), dtype=dtype)
+            a = np.zeros((tops[-1], cols), dtype=dtype)
             for b, t, (r, c) in zip(members, tops, sizes):
-                a[t : t + r, cols - c : cols] = arrays[b]
-                if extra:
-                    a[t : t + r, cols] = np.asarray(augs[b], dtype=np.int64) % p
+                a[t : t + r, cols - c :] = arrays[b]
             found = _lockstep(p, a, sizes, cols, reduce_above)
             for b, t, (r, c), piv in zip(members, tops, sizes, found):
                 pivots[b] = piv
@@ -308,15 +296,20 @@ class FpMatrix:
         """A particular solution x of self @ x = b, or None if inconsistent.
 
         Free variables are set to 0, which makes the solution the
-        lexicographically-first one for the pivot ordering.
+        lexicographically-first one for the pivot ordering.  ``[A | b]`` is
+        eliminated whole: its last column takes a pivot exactly when b lies
+        outside the column space of A.
         """
         if len(b) != self.rows:
             raise ShapeMismatchError("solve", self.shape, (len(b), 1))
+        ab = np.empty((self.rows, self.cols + 1), dtype=np.int8)
+        ab[:, :-1] = self.data
+        ab[:, -1] = np.asarray(b, dtype=np.int64) % self.p
         reduced = []
-        (pivots,) = FpMatrix.eliminate(self.p, [self.data], reduce_above=True, augs=[b], out=reduced)
-        a = reduced[0]
-        if a[len(pivots):, -1].any():
+        (pivots,) = FpMatrix.eliminate(self.p, [ab], reduce_above=True, out=reduced)
+        if pivots and pivots[-1] == self.cols:
             return None
+        a = reduced[0]
         x = np.zeros(self.cols, dtype=np.int64)
         x[pivots] = a[: len(pivots), -1]
         return x.tolist()
@@ -331,15 +324,14 @@ def _sum_into(flat, at, values, p):
     flat[at[first]] = np.add.reduceat(values[order], first) % p
 
 
-def _batches(shapes, extra):
+def _batches(shapes):
     """(indices, columns) of each batch: the arrays sorted by column count,
     then row count, and cut where stacking them at their own heights, all
-    as wide as the widest plus ``extra`` columns, would pass ``BATCH_CELLS``
-    cells."""
+    as wide as the widest, would pass ``BATCH_CELLS`` cells."""
     batch, rows, cols = [], 0, 0
     for b in sorted(range(len(shapes)), key=lambda b: shapes[b][::-1]):
         r, c = shapes[b]
-        if batch and (rows + r) * (c + extra) > BATCH_CELLS:
+        if batch and (rows + r) * c > BATCH_CELLS:
             yield batch, cols
             batch, rows = [], 0
         batch.append(b)
@@ -351,9 +343,8 @@ def _batches(shapes, extra):
 def _lockstep(p, a, shapes, cols, reduce_above):
     """Eliminate the arrays stacked in the rows of a, each at its own height
     and in order of width, in place and in lockstep; returns the pivot
-    columns of each in its own numbering.  An array c wide fills columns
-    cols - c to cols of its rows, and the columns from cols on are carried
-    along unscanned."""
+    columns of each in its own numbering.  An array c wide fills the last c
+    of the cols columns of its rows."""
     count = len(shapes)
     heights = [r for r, c in shapes]
     widths = [c for r, c in shapes]

@@ -8,14 +8,15 @@ check and the cached parity-block ranks, and its H^i is the slice H_[1].
 Whether given cocycles span H_[1] is decided in one place,
 ``cocycles_span``.
 
-The first rank asked of a power d^m eliminates all (degree, parity) blocks
-of d^m in one call to the batched kernel ``FpMatrix.eliminate``.  For
-m >= 2, d^m is formed and kept only on the pivot columns of d^(m-1), as d
-times d^(m-1) there: those columns span the image of d^(m-1), so the
-pivots are those of the whole d^m.  d^m on its own pivot columns
-(``image_of_power``) is a basis of its image; it feeds the next power, the
-check d^N = 0 once the ranks are known, and every span check against the
-image of d^(N-1).
+Every power of d is one recursion, d^m = d times d^(m-1), and d^0 is the
+identity, whose pivot columns are every column.  The first rank asked of a
+power d^m eliminates all (degree, parity) blocks of d^m in one call to the
+batched kernel ``FpMatrix.eliminate``.  d^m is formed and kept only on the
+pivot columns of d^(m-1), as d times d^(m-1) there: those columns span the
+image of d^(m-1), so the pivots are those of the whole d^m, and d^1 is d
+itself.  d^m on its own pivot columns (``image_of_power``) is a basis of
+its image; it feeds the next power, the check d^N = 0 once the ranks are
+known, and every span check against the image of d^(N-1).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class PComplex:
     terms: dict
     diffs: dict
     _rank_cache: dict = field(default_factory=dict, repr=False)  # m -> {(degree, parity): pivots}
-    # (degree, m) -> d^m on the pivot columns of d^(m-1), for m >= 2
+    # (degree, m) -> d^m on the pivot columns of d^(m-1); d^1 is d itself
     _power_cache: dict = field(default_factory=dict, repr=False)
     # (degree, N-1) -> d^(N-1); lower powers are only steps of its chain
     _iter_cache: dict = field(default_factory=dict, repr=False)
@@ -52,6 +53,7 @@ class PComplex:
             raise ValueError("alpha must be positive")
         self.terms = {i: t for i, t in self.terms.items() if t.dim > 0}
         self.diffs = {i: m for i, m in self.diffs.items() if not m.is_zero()}
+        self._power_cache.update(((i, 1), m) for i, m in self.diffs.items())
         for i, m in self.diffs.items():
             src = self.term(i)
             tgt = self.term(i + self.alpha)
@@ -91,7 +93,8 @@ class PComplex:
         return m
 
     def iterated_diff(self, i, m):
-        """Matrix of d^m restricted to the degree-i term; only d^(N-1) is kept."""
+        """Matrix of d^m restricted to the degree-i term, as d times
+        d^(m-1)(i); only d^(N-1) is kept."""
         if m == 0:
             return FpMatrix.identity(self.p, self.dim(i))
         if m == 1:
@@ -99,7 +102,7 @@ class PComplex:
         key = (i, m)
         got = self._iter_cache.get(key)
         if got is None:
-            got = matmul(self.iterated_diff(i + self.alpha, m - 1), self.diff(i))
+            got = matmul(self.diff(i + (m - 1) * self.alpha), self.iterated_diff(i, m - 1))
             if m == self.order - 1:
                 self._iter_cache[key] = got
         return got
@@ -107,35 +110,32 @@ class PComplex:
     def validate_p_differential(self):
         """Raise PDifferentialError naming the first degree where d^N != 0.
 
-        Once the ranks of d^(N-1) are cached, d is applied only to
-        ``image_of_power(i, N-1)``, whose columns span the image of
-        d^(N-1)(i), so the same degrees fail.  Before, d^(N-1)(i + alpha)
-        is multiplied out and applied to d(i).
+        d is applied to columns spanning the image of d^(N-1)(i):
+        ``image_of_power(i, N-1)`` once the ranks of d^(N-1) are cached,
+        the whole ``iterated_diff(i, N-1)`` before, so the same degrees
+        fail either way.
         """
         top = self.order - 1
         for i in self.degrees():
-            if top in self._rank_cache:
-                d, image = self.diffs.get(i + top * self.alpha), self.image_of_power(i, top)
-                nonzero = d is not None and image.cols > 0 and not matmul(d, image).is_zero()
-            else:
-                # d^N is not cached: nothing reads it, and here it is zero
-                nonzero = not matmul(self.iterated_diff(i + self.alpha, top), self.diff(i)).is_zero()
-            if nonzero:
+            span = self.image_of_power(i, top) if top in self._rank_cache else self.iterated_diff(i, top)
+            d = self.diffs.get(i + top * self.alpha)
+            if d is not None and span.cols and not matmul(d, span).is_zero():
                 raise PDifferentialError(f"d^{self.order} is nonzero starting at degree {i}")
 
     # -- parity-aware ranks -------------------------------------------
 
     def rank_of_power(self, i, m, parity):
         """rank of d^m restricted to the parity part of the degree-i term."""
-        if m == 0:
-            return self.dim(i, parity)
         if m >= self.order:
             return 0
         return len(self._pivot_columns(i, m, parity))
 
     def _pivot_columns(self, i, m, parity):
         """Basis indices of the degree-i term whose images under d^m are a
-        basis of the image of its parity part."""
+        basis of the image of its parity part: every index of that parity
+        for d^0, the identity."""
+        if m == 0:
+            return self.term(i).indices_of_parity(parity)
         got = self._rank_cache.get(m)
         if got is None:
             got = self._rank_cache[m] = self._eliminate_power(m)
@@ -147,42 +147,36 @@ class PComplex:
         cols = self._image_columns(i, m)
         if not cols:
             return FpMatrix.zeros(self.p, self.dim(i + m * self.alpha), 0)
-        if m == 1:
-            on, power = range(self.dim(i)), self.diffs[i]
-        else:
-            on, power = self._image_columns(i, m - 1), self._power_cache[(i, m)]
+        on, power = self._image_columns(i, m - 1), self._power_cache[(i, m)]
         if len(cols) == len(on):
             return power
         return FpMatrix(self.p, power.data[:, np.searchsorted(on, cols)])
 
     def _image_columns(self, i, m):
         """The pivot columns of d^m(i) of both parities, in basis order."""
+        if m == 0:
+            return range(self.dim(i))
         return sorted(self._pivot_columns(i, m, EVEN) + self._pivot_columns(i, m, ODD))
 
     def _eliminate_power(self, m):
         """Pivot columns of every (degree, parity) block of d^m, from one
         call to the elimination kernel.
 
-        For m >= 2, d^m(i) is formed only on the pivot columns of
-        d^(m-1)(i), as d times ``image_of_power(i, m - 1)``, kept, and only
-        those columns are eliminated.  A block with no rows or no columns,
-        or of a zero d, has no pivots.
+        d^m(i) is formed only on the pivot columns of d^(m-1)(i), as d
+        times ``image_of_power(i, m - 1)``, kept, and only those columns
+        are eliminated; d^1 = d is kept from the start.  A block with no
+        rows or no columns, or of a zero d, has no pivots.
         """
         pivots, keys, columns, blocks = {}, [], [], []
         for i in self.degrees():
-            if m == 1:
-                # on is None: power is d(i) itself, on every column
-                on, power = None, self.diffs.get(i)
-                parts = [self.term(i).indices_of_parity(parity) if power is not None else () for parity in (EVEN, ODD)]
-            else:
-                on = self._image_columns(i, m - 1)
-                parts = [self._pivot_columns(i, m - 1, parity) for parity in (EVEN, ODD)]
-                d = self.diffs.get(i + (m - 1) * self.alpha)
-                power = None
-                if on and d is not None:
-                    power = self._power_cache[(i, m)] = matmul(d, self.image_of_power(i, m - 1))
-            for parity, cols in zip((EVEN, ODD), parts):
+            on = self._image_columns(i, m - 1)
+            d = self.diffs.get(i + (m - 1) * self.alpha)
+            if on and d is not None and (i, m) not in self._power_cache:
+                self._power_cache[(i, m)] = matmul(d, self.image_of_power(i, m - 1))
+            power = self._power_cache.get((i, m))
+            for parity in (EVEN, ODD):
                 rows = self.term(i + m * self.alpha).indices_of_parity(parity)
+                cols = self._pivot_columns(i, m - 1, parity)
                 if not (rows and cols):
                     continue
                 if power is None:
@@ -195,8 +189,7 @@ class PComplex:
                     # the block, and the kernel copies it into its batch
                     blocks.append(power.data)
                     continue
-                at = cols if on is None else np.searchsorted(on, cols)
-                blocks.append(power.data[np.ix_(rows, at)])
+                blocks.append(power.data[np.ix_(rows, np.searchsorted(on, cols))])
         for key, cols, piv in zip(keys, columns, FpMatrix.eliminate(self.p, blocks, reduce_above=False)):
             pivots[key] = [cols[k] for k in piv]
         return pivots

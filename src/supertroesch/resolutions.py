@@ -336,11 +336,11 @@ class SplicedResolution:
         barred = kind == "Tbar"
         k = 1
         if local % 2:
-            if p ** r > 5:
-                # the (p-1)-fold formal composite squares the monomial count of
-                # the one-step element; far past any desk-scale budget
-                base = len(d_element(p, r, barred).terms)
-                raise BudgetExceededError("formal differential power", base * base, self.budget)
+            # the (p-1)-fold formal composite squares the monomial count of
+            # the one-step element
+            size = len(d_element(p, r, barred).terms) ** 2
+            if size > ELEMENT_TERM_CAP:
+                raise BudgetExceededError("formal differential power", size, ELEMENT_TERM_CAP)
             k = p - 1
         return d_component(p, r, contraction_degree(p, p ** (r - 1), 1, 0, local), k, barred)
 

@@ -191,8 +191,7 @@ class PowerComplexData:
     p: int
     r: int
     n: int
-    param: SuperSpace
-    space: SuperSpace  # param tensor U
+    space: SuperSpace  # the parameter space tensor U
     complex: PComplex
     rows: dict  # zdeg -> exponent array, one row per basis element
 
@@ -283,7 +282,7 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
     mats = FpMatrix.batch_from_arrays(p, shapes, matrix_of[zdeg[src]], local[row], local[src], coef)
     diffs = {z: mat for z, mat in zip(sources, mats) if not mat.is_zero()}
     cx = PComplex(p, alpha, spaces, diffs)
-    return PowerComplexData(p, r, n, param, w, cx, rows)
+    return PowerComplexData(p, r, n, w, cx, rows)
 
 
 def build_B(n, r, u, p=3, budget=DEFAULT_BUDGET, validate=True):
@@ -318,7 +317,7 @@ def build_B_bar(n, r, u, p=3, budget=DEFAULT_BUDGET):
 # generator cocycles
 
 
-def eta_images(n, r, u, p=3, space=None):
+def eta_images(n, r, u, p=3):
     """All degree-n products of generator images: cocycles representing the
     cohomology of the built complex.
 
@@ -326,8 +325,7 @@ def eta_images(n, r, u, p=3, space=None):
     twisted generators, i.e. polynomial degree n * p^r downstairs.
     """
     _check_build_args(p, r)
-    sh = build_Sh(p, r)
-    w = space if space is not None else tensor(sh, u)
+    w = tensor(build_Sh(p, r), u)
     q = p ** r
     par = u.parities()
     zdegs = [0 if parity == EVEN else q * (q - 1) // 2 for parity in par]
@@ -403,7 +401,7 @@ def verify_theorem_B(n, r, u, p=3, budget=DEFAULT_BUDGET):
         report.add(f"H_[{s}] table", True)
     if n % q == 0:
         m = n // q
-        images = eta_images(m, r, u, p, space=data.space)
+        images = eta_images(m, r, u, p)
         by_deg = {}
         for combo, zdeg, parity in images:
             if combo:

@@ -119,7 +119,18 @@ def test_ring_p3_r2_exits_on_the_differential_power():
     res = subprocess.run(RUN + ["ring", "--p", "3", "--r", "2"], capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 2
     assert res.stdout == "mu: not computed (budget)\n"
-    assert res.stderr == "budget exceeded: formal differential power: size 60215270544 exceeds budget 20000\n"
+    assert res.stderr == "budget exceeded: formal differential power: size 60215270544 exceeds budget 1000000\n"
+
+
+def test_ring_differential_power_is_held_to_the_term_cap():
+    # the odd-step block is refused against ELEMENT_TERM_CAP, not --budget,
+    # so a budget above its size changes nothing
+    env = {k: v for k, v in os.environ.items() if k != "SUPERTROESCH_BUDGET"}
+    argv = RUN + ["ring", "--p", "3", "--r", "2", "--budget", "100000000000"]
+    res = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "mu: not computed (budget)\n"
+    assert res.stderr == "budget exceeded: formal differential power: size 60215270544 exceeds budget 1000000\n"
 
 
 def test_verify_suite_kunneth():

@@ -214,15 +214,13 @@ def test_elimination_matches_rref_oracle():
         assert sub.solve(c) == oracle_solve(sub, c)
 
 
-def _oracle_array(m, reduce_above, aug):
-    """rref_oracle's rows as a dense array, the augmented column last."""
-    rows, pivots, col = rref_oracle(m, reduce_above, aug)
-    out = np.zeros((m.rows, m.cols + (aug is not None)), dtype=np.int64)
+def _oracle_array(m, reduce_above):
+    """rref_oracle's rows as a dense array."""
+    rows, pivots, _ = rref_oracle(m, reduce_above)
+    out = np.zeros((m.rows, m.cols), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, v in row.items():
             out[i, j] = v
-    if aug is not None:
-        out[:, -1] = col
     return out, pivots
 
 
@@ -237,31 +235,28 @@ def test_batched_elimination_matches_single_and_oracle(monkeypatch, cells):
         shapes += [(rng.randrange(1, 12), rng.randrange(1, 12)) for _ in range(rng.randrange(8))]
         rng.shuffle(shapes)
         mats = [random_matrix(rng, p, r, c, density=rng.uniform(0.1, 0.9)) for r, c in shapes]
-        # residues in any integer dtype; augmented columns in any integers
+        # residues in any integer dtype
         arrays = [m.data.astype(rng.choice((np.int8, np.int64))) for m in mats]
-        augs = [[rng.randrange(-p, 2 * p) for _ in range(m.rows)] for m in mats]
         for reduce_above in (False, True):
-            for given in (None, augs):
-                out = []
-                pivots = FpMatrix.eliminate(p, arrays, reduce_above, given, out)
-                assert len(pivots) == len(out) == len(mats)
-                for b, m in enumerate(mats):
-                    aug = None if given is None else given[b]
-                    one = []
-                    one_pivots = FpMatrix.eliminate(p, [arrays[b]], reduce_above, None if aug is None else [aug], one)
-                    want, want_pivots = _oracle_array(m, reduce_above, None if aug is None else [x % p for x in aug])
-                    assert out[b].dtype == one[0].dtype == np.int8 and out[b].shape == want.shape
-                    assert pivots[b] == one_pivots[0] == want_pivots
-                    assert out[b].tobytes() == one[0].tobytes()
-                    assert out[b].astype(np.int64).tobytes() == want.tobytes()
-                # without out, the same pivots
-                assert FpMatrix.eliminate(p, arrays, reduce_above, given) == pivots
+            out = []
+            pivots = FpMatrix.eliminate(p, arrays, reduce_above, out)
+            assert len(pivots) == len(out) == len(mats)
+            for b, m in enumerate(mats):
+                one = []
+                one_pivots = FpMatrix.eliminate(p, [arrays[b]], reduce_above, one)
+                want, want_pivots = _oracle_array(m, reduce_above)
+                assert out[b].dtype == one[0].dtype == np.int8 and out[b].shape == want.shape
+                assert pivots[b] == one_pivots[0] == want_pivots
+                assert out[b].tobytes() == one[0].tobytes()
+                assert out[b].astype(np.int64).tobytes() == want.tobytes()
+            # without out, the same pivots
+            assert FpMatrix.eliminate(p, arrays, reduce_above) == pivots
 
 
 @pytest.mark.parametrize("cells", [linalg.BATCH_CELLS, 150])
 def test_batches_stack_arrays_at_their_own_heights(monkeypatch, cells):
     # no row padding: a batch has as many rows as its arrays together, and
-    # is as wide as its widest array plus the augmented column
+    # is as wide as its widest array
     monkeypatch.setattr(linalg, "BATCH_CELLS", cells)
     lockstep = linalg._lockstep
     batches = []
@@ -275,21 +270,20 @@ def test_batches_stack_arrays_at_their_own_heights(monkeypatch, cells):
     for _ in range(20):
         shapes = [(rng.randrange(12), rng.randrange(12)) for _ in range(rng.randrange(1, 10))]
         arrays = [random_matrix(rng, 3, r, c).data for r, c in shapes]
-        for augs in (None, [[1] * r for r, c in shapes]):
+        for reduce_above in (False, True):
             batches.clear()
-            FpMatrix.eliminate(3, arrays, augs is not None, augs)
+            FpMatrix.eliminate(3, arrays, reduce_above)
             assert sorted(s for _, batch in batches for s in batch) == sorted(shapes)
             for (rows, width), batch in batches:
                 assert rows == sum(r for r, c in batch)
-                assert width == max(c for r, c in batch) + (augs is not None)
+                assert width == max(c for r, c in batch)
                 # in order of width, so the arrays wider than a column are a suffix
                 assert [c for r, c in batch] == sorted(c for r, c in batch)
                 assert len(batch) == 1 or rows * width <= cells
 
 
-@pytest.mark.parametrize("augmented", [False, True])
 @pytest.mark.parametrize("reduce_above", [False, True])
-def test_lockstep_keeps_each_array_in_its_own_columns(augmented, reduce_above):
+def test_lockstep_keeps_each_array_in_its_own_columns(reduce_above):
     # a hand-stacked batch of mixed widths, each array ending at the batch's
     # last column: the sentinel in the padding left of an array is never
     # read (it would be taken as a pivot) or written, and every array comes
@@ -299,23 +293,20 @@ def test_lockstep_keeps_each_array_in_its_own_columns(augmented, reduce_above):
     shapes = [(3, 0), (4, 2), (0, 4), (6, 3), (3, 3), (5, 6), (2, 9)]
     cols = max(c for _, c in shapes)
     mats = [random_matrix(rng, p, r, c, density=0.6) for r, c in shapes]
-    augs = [[rng.randrange(p) for _ in range(r)] for r, _ in shapes]
     tops = [0]
     for r, _ in shapes:
         tops.append(tops[-1] + r)
-    a = np.full((tops[-1], cols + augmented), sentinel, dtype=np.int16)
-    for t, m, aug in zip(tops, mats, augs):
+    a = np.full((tops[-1], cols), sentinel, dtype=np.int16)
+    for t, m in zip(tops, mats):
         a[t : t + m.rows, cols - m.cols : cols] = m.data
-        if augmented:
-            a[t : t + m.rows, cols] = aug
     before = a.copy()
     pivots = linalg._lockstep(p, a, shapes, cols, reduce_above)
     assert sum(map(len, pivots)) > 0
-    for t, (r, c), m, aug, got in zip(tops, shapes, mats, augs, pivots):
+    for t, (r, c), m, got in zip(tops, shapes, mats, pivots):
         assert (a[t : t + r, : cols - c] == before[t : t + r, : cols - c]).all()
         assert (a[t : t + r, : cols - c] == sentinel).all()
         one = []
-        want = FpMatrix.eliminate(p, [m.data], reduce_above, [aug] if augmented else None, one)
+        want = FpMatrix.eliminate(p, [m.data], reduce_above, one)
         assert got == want[0]
         assert (a[t : t + r, cols - c :] % p).astype(np.int8).tobytes() == one[0].tobytes()
 
@@ -488,7 +479,7 @@ def test_every_constructor_stores_int8():
     ]
     assert all(m.data.dtype == np.int8 for m in made)
     out = []
-    FpMatrix.eliminate(p, [a.data, b.data], True, [[100] * 5, [-100] * 6], out)
+    FpMatrix.eliminate(p, [a.data, b.data], True, out)
     assert [x.dtype for x in out] == [np.int8, np.int8]
 
 

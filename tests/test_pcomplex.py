@@ -129,6 +129,27 @@ def test_validation_caches_no_power_at_or_past_the_order(n, r, u, p):
     assert cx._iter_cache and max(m for _, m in cx._iter_cache) == cx.order - 1
 
 
+# most: the products made when d^N(i) is d^(N-1)(i + alpha) times d(i),
+# which keeps d^(N-1) one degree past the top and not at degree 0
+@pytest.mark.parametrize("n, u, p, most", [(6, (1, 1), 3, 26), (10, (1, 1), 5, 164), (9, (2, 1), 3, 38)])
+def test_validation_before_ranks_keeps_d_top_at_the_complex_degrees(monkeypatch, n, u, p, most):
+    products = []
+
+    def counting_matmul(a, b):
+        products.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(pcomplex_module, "matmul", counting_matmul)
+    cx = build_B(n, 1, k_super(*u), p).complex
+    # d^(N-1) out of every degree of the complex, and of no other
+    assert sorted(cx._iter_cache) == [(i, cx.order - 1) for i in cx.degrees()]
+    assert 0 < len(products) <= most
+    # the contraction by d and d^(N-1) reads only kept powers
+    products.clear()
+    contract(cx, 1, 0)
+    assert products == []
+
+
 def test_odd_differential_entry_rejected():
     # on k^{2|1} one entry of the degree-1 map joining an even basis vector
     # to the odd one, in either direction, makes the differential odd

@@ -222,7 +222,7 @@ def test_eta_images_shape_and_cocycle():
     p = 3
     for u in (k_super(1, 0), k_super(0, 1), k_super(1, 1)):
         data = build_B(p, 1, u, p)
-        for combo, zdeg, parity in eta_images(1, 1, u, p, space=data.space):
+        for combo, zdeg, parity in eta_images(1, 1, u, p):
             if not combo:
                 continue
             # even generators at degree zero, odd at binom(p, 2)
