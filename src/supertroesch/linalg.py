@@ -35,8 +35,10 @@ bounds the largest possible dot product, inner * (p-1)**2, and multiplies
 in the narrowest float type that holds every integer up to that bound:
 float32 up to 2**24, float64 up to 2**53, and nothing beyond.  Every partial
 sum is then an exact integer in whatever order BLAS adds.  The result is
-reduced mod p in int32 or int64, and returned as int8 residues, identical
-to ``(a @ b) % p`` computed in int64.
+cast to the narrowest integer dtype that holds the bound and reduced mod p:
+below 2**15 as int16, by lookup in the same table of int16 residues that
+elimination reads, above it by remainder in int32 or int64.  It is
+returned as int8 residues, identical to ``(a @ b) % p`` computed in int64.
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ SUPPORTED_PRIMES = (3, 5, 7)
 # inverses mod p, indexed by residue (0 has none and maps to 0)
 _INVERSES = {p: np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int16) for p in SUPPORTED_PRIMES}
 
-# x mod p for every int16 x, indexed by the bits of x read as uint16.  On
-# an int16 batch of 256 rows or more, a lookup reduces a column about twice
-# as fast as numpy's int16 remainder; on fewer rows the remainder is
-# cheaper.  Filled on first use of each p.
+# x mod p for every int16 x, indexed by the bits of x read as uint16: see
+# _residues16.
 _RESIDUES16 = {}
 
 # the index of the pivot among the live rows of a column when they all lie
@@ -63,10 +63,10 @@ _FIRST = np.zeros(1, dtype=np.intp)
 # the working dtypes of elimination, narrowest first, with their maxima
 _WORK_DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
 
-# the dtypes of products, narrowest first: a float dtype, the integer up to
-# which it holds every integer exactly, and an integer dtype that holds that
-# integer too
-_PRODUCT_DTYPES = ((np.float32, 2**24, np.int32), (np.float64, 2**53, np.int64))
+# the dtypes of products, narrowest first: a float dtype, a bound up to
+# which it holds every integer exactly, and an integer dtype that holds the
+# bound too; an int16 product is reduced by lookup in _residues16
+_PRODUCT_DTYPES = ((np.float32, 2**15 - 1, np.int16), (np.float32, 2**24, np.int32), (np.float64, 2**53, np.int64))
 
 # Cells of one batch in ``FpMatrix.eliminate``: 4 MB as int16, so that all
 # (degree, parity) blocks of d (6,431 rows, 289 columns) in the
@@ -358,9 +358,7 @@ def _lockstep(p, a, shapes, cols, reduce_above):
     has = np.zeros(count, dtype=bool)
     inverse = _INVERSES[p]
     if a.dtype == np.int16 and len(a) >= 256:
-        table = _RESIDUES16.get(p)
-        if table is None:
-            table = _RESIDUES16[p] = np.arange(2**16, dtype=np.uint16).view(np.int16) % p
+        table = _residues16(p)
 
         def residues(x):
             return table.take(x.view(np.uint16))
@@ -431,9 +429,25 @@ def _lockstep(p, a, shapes, cols, reduce_above):
     return pivots
 
 
+def _residues16(p):
+    """The table of x mod p for every int16 x, indexed by the bits of x read
+    as uint16, filled on first use of each p.
+
+    On an int16 batch of 256 rows or more, a lookup reduces a column about
+    twice as fast as numpy's int16 remainder; on fewer rows the remainder
+    is cheaper.  An int16 product is cast and reduced by lookup in about
+    half the time of the int32 cast and remainder (300 x 200 and 2,000 x 300
+    products at p = 3, timeit).
+    """
+    table = _RESIDUES16.get(p)
+    if table is None:
+        table = _RESIDUES16[p] = np.arange(2**16, dtype=np.uint16).view(np.int16) % p
+    return table
+
+
 def _product_dtypes(bound):
     """The narrowest float dtype that holds every integer up to bound, with
-    its integer dtype, or None when none does."""
+    the narrowest integer dtype that holds bound, or None when none does."""
     for dtype, top, int_dtype in _PRODUCT_DTYPES:
         if bound <= top:
             return dtype, int_dtype
@@ -446,9 +460,10 @@ def _mod_p_product(a, b, p):
 
     Both operands are widened to the float dtype of ``_product_dtypes`` for
     the bound inner * (p-1)**2 on a dot product, so the int8 storage never
-    takes part in the arithmetic.  The exact product is reduced mod p in
-    the matching integer dtype: integer remainder is an order of magnitude
-    faster than ``np.fmod`` on floats.
+    takes part in the arithmetic.  The exact product is cast to the
+    matching integer dtype and reduced mod p: an int16 product by lookup in
+    ``_residues16``, a wider one by integer remainder, which is an order of
+    magnitude faster than ``np.fmod`` on floats.
 
     Raises ValueError, before converting anything, when a dot product could
     exceed 2**53, the largest integer range float64 holds exactly.
@@ -462,6 +477,8 @@ def _mod_p_product(a, b, p):
         )
     dtype, int_dtype = dtypes
     prod = (a.astype(dtype) @ b.astype(dtype)).astype(int_dtype)
+    if int_dtype is np.int16:
+        return _residues16(p).take(prod.view(np.uint16)).astype(np.int8)
     # in place: a second integer result array would raise peak memory
     np.remainder(prod, p, out=prod)
     return prod.astype(np.int8)

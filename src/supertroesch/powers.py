@@ -96,10 +96,10 @@ def power_exponents(kind, n, space):
     allowed when the generators after it can still take the rest of the
     degree.  Generators of the kind's bounded parity take at most 1.
     """
-    caps = [1 if q == kind.bounded_parity else n for q in space.parities()]
+    caps = _caps(kind, n, space)
     dtype = np.min_scalar_type(n)
     # after[j]: the most degree the generators from j on can take
-    after = np.cumsum([0] + caps[::-1])[::-1].tolist()
+    after = np.cumsum((0,) + caps[::-1])[::-1].tolist()
     if n > after[0]:
         return np.zeros((0, space.dim), dtype=dtype)
     rows = np.zeros((1, 0), dtype=dtype)
@@ -113,6 +113,50 @@ def power_exponents(kind, n, space):
         rows = np.concatenate([rows[parent], e[:, None].astype(dtype)], axis=1)
         rem = rem[parent] - e
     return rows
+
+
+def _caps(kind, n, space):
+    """The largest exponent each generator takes in a degree-n monomial."""
+    return tuple(1 if q == kind.bounded_parity else n for q in space.parities())
+
+
+@lru_cache(maxsize=64)
+def _rank_table(caps, n):
+    """above[j, m * (n+1) + e]: how many admissible rows share a row's
+    generators before j and give generator j more than e, when the
+    generators from j on take degree m.  A row's position in
+    ``power_exponents`` is the sum of these over its generators."""
+    dim, size = len(caps), n + 1
+    deg = np.arange(size)
+    left = deg[:, None] - deg  # [m, e]: the degree left after j when j takes e of m
+    count = (deg == 0).astype(np.int64)  # the ways the generators after j take each degree
+    above = np.zeros((dim, size, size), dtype=np.int64)
+    for j in range(dim - 1, -1, -1):
+        # ways[m, e]: the ways the generators from j on take degree m, j taking e
+        ways = np.where((left >= 0) & (deg <= caps[j]), count[left], 0)
+        count = ways.sum(axis=1)
+        above[j] = count[:, None] - np.cumsum(ways, axis=1)
+    return above.reshape(dim, size * size)
+
+
+def exponent_ranks(kind, n, space, rows):
+    """The position in ``power_exponents(kind, n, space)`` of each
+    admissible degree-n exponent row: its inverse, with no search.
+
+    The table of ``_rank_table`` is read once per generator column.  Any
+    other row of degree n gets some integer; callers that may pass one
+    compare the row at that position with it.
+    """
+    above = _rank_table(_caps(kind, n, space), n)
+    rank = np.zeros(len(rows), dtype=np.int64)
+    # m * (n+1) for the degree m the generators from j on take
+    at = np.full(len(rows), n * (n + 1), dtype=np.intp)
+    # the last generator takes what is left, and nothing lies above it
+    for j, e in enumerate(np.ascontiguousarray(rows[:, :-1].T, dtype=np.intp)):
+        at += e
+        rank += above[j].take(at)
+        at -= e * (n + 2)
+    return rank
 
 
 def nonzero_entries(rows, table):

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .linalg import FpMatrix, check_prime
 
@@ -100,7 +102,8 @@ class SuperSpace:
 
     @cached_property
     def _by_parity(self):
-        return tuple(tuple(i for i, q in enumerate(self._parities) if q == parity) for parity in (EVEN, ODD))
+        odd = np.array(self._parities, dtype=np.int8) == ODD
+        return tuple(tuple(np.flatnonzero(mask).tolist()) for mask in (~odd, odd))
 
     def dims_by_parity(self):
         even, odd = self._by_parity

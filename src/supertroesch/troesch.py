@@ -7,11 +7,12 @@ A complex is built in one array pass with no object per monomial: every
 degree-n monomial of W = Sh_r tensor U is a row of one exponent array from
 ``power_exponents``, one stable sort by Z-degree cuts the rows into graded
 pieces, ``convolution_terms`` expands all rows at once into the terms of
-each component, an exact byte-string lookup finds each target's row, and
-one fill writes every differential.  Each piece is a ``SuperSpace`` built
-from its grading columns; its basis names are written from its exponent
-rows on first read, and the position of each exponent tuple in its piece
-(``index``) is made only when a caller asks for it.
+each component, each target's row is read off its rank in the enumeration
+order (``exponent_ranks``), and one fill writes every differential.  Each
+piece is a ``SuperSpace`` built from its grading columns; its basis names
+are written from its exponent rows on first read, and the position of each
+exponent tuple in its piece (``index``) is made only when a caller asks
+for it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .powers import (
     add_mod_p,
     binom_mod,
     dim_formula_sym,
+    exponent_ranks,
     exponent_tuples,
     multiply_out,
     multiset_coeff,
@@ -210,23 +212,20 @@ def _labels(rows, names):
     return [".".join(part) or "1" for part in nonzero_entries(rows, tokens)]
 
 
-def _differential_terms(exps, zdeg, alpha, components, par, p):
+def _differential_terms(n, w, exps, zdeg, alpha, components, p):
     """Every term of the differential sum of the (images, d) components, as
     (source row, target row, coefficient) arrays.
 
-    Each target row is found by an exact binary search over the exponent
-    rows read as byte strings; a target missing from exps or outside degree
-    zdeg + alpha is an AssertionError.
+    exps is ``power_exponents(SYM, n, w)``, so each target row is found by
+    its rank in that order (``exponent_ranks``); a target whose row there
+    differs from it or lies outside degree zdeg + alpha is an
+    AssertionError.
     """
-    terms = [convolution_terms(exps, images, d, par, p) for images, d in components]
+    terms = [convolution_terms(exps, images, d, w.parities(), p) for images, d in components]
     src, tgt, coef = (np.concatenate(parts) for parts in zip(*terms))
     row = np.zeros(src.size, dtype=np.int64)
     if src.size:
-        key = np.dtype((np.void, exps.dtype.itemsize * exps.shape[1]))
-        keys = np.ascontiguousarray(exps).view(key).ravel()
-        order = np.argsort(keys, kind="stable")
-        at = np.searchsorted(keys[order], np.ascontiguousarray(tgt).view(key).ravel())
-        row = order[np.minimum(at, len(exps) - 1)]
+        row = np.clip(exponent_ranks(PowerKind.SYM, n, w, tgt), 0, len(exps) - 1)
         if (exps[row] != tgt).any() or (zdeg[row] != zdeg[src] + alpha).any():
             raise AssertionError("differential left the expected graded piece")
     return src, row, coef
@@ -272,7 +271,7 @@ def build_power_pcomplex(p, r, n, param, param_maps, u, budget=DEFAULT_BUDGET):
         spaces[z] = SuperSpace.from_columns([z] * len(rows[z]), parity[at].tolist(), names(z))
     alpha = p ** (r - 1)
     components = [(phi_images_on_tensor(param_maps[r - 1 - s], u.dim), p**s) for s in range(r)]
-    src, row, coef = _differential_terms(exps, zdeg, alpha, components, w.parities(), p)
+    src, row, coef = _differential_terms(n, w, exps, zdeg, alpha, components, p)
     # one fill for every differential: matrix n maps the piece at degree
     # sources[n] to the piece alpha above it
     sources = [z for z in pieces.tolist() if z + alpha in rows]

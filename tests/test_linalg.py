@@ -121,8 +121,10 @@ def test_product_matches_int64_reference():
 
 def test_product_dtypes_are_the_narrowest_exact_ones():
     # float32 holds every integer up to 2**24, float64 up to 2**53; the
-    # reduction runs in an integer dtype that holds the same range
-    assert linalg._product_dtypes(0) == (np.float32, np.int32)
+    # reduction runs in the narrowest integer dtype that holds the bound
+    assert linalg._product_dtypes(0) == (np.float32, np.int16)
+    assert linalg._product_dtypes(2**15 - 1) == (np.float32, np.int16)
+    assert linalg._product_dtypes(2**15) == (np.float32, np.int32)
     assert linalg._product_dtypes(2**24) == (np.float32, np.int32)
     assert linalg._product_dtypes(2**24 + 1) == (np.float64, np.int64)
     assert linalg._product_dtypes(2**53) == (np.float64, np.int64)
@@ -153,6 +155,33 @@ def test_products_either_side_of_the_float32_bound(monkeypatch):
             got = matmul(FpMatrix(p, a), FpMatrix(p, b)).data
             assert got.dtype == np.int8 and got.astype(np.int64).tobytes() == ref.tobytes()
     assert chosen == [np.float32, np.float32, np.float64, np.float64]
+
+
+@pytest.mark.parametrize("p, inner", [(3, 8191), (5, 2047), (7, 910)])
+def test_products_either_side_of_the_int16_bound(monkeypatch, p, inner):
+    """inner * (p-1)**2 is at most 2**15 - 1 at the given inner size, so the
+    product is reduced as int16 through the residue table; one more inner
+    column reduces as int32.  Both against int64 ``(a @ b) % p``, bit for
+    bit, with every dot product at its largest and with random residues."""
+    rng = np.random.default_rng(p)
+    chosen = []
+    narrowest = linalg._product_dtypes
+
+    def recording(bound):
+        chosen.append(narrowest(bound)[1])
+        return narrowest(bound)
+
+    monkeypatch.setattr(linalg, "_product_dtypes", recording)
+    for k in (inner, inner + 1):
+        for a, b in (
+            (np.full((3, k), p - 1), np.full((k, 4), p - 1)),
+            (rng.integers(0, p, (3, k)), rng.integers(0, p, (k, 4))),
+        ):
+            ref = (a @ b) % p
+            got = matmul(FpMatrix(p, a), FpMatrix(p, b)).data
+            assert got.dtype == np.int8 and got.astype(np.int64).tobytes() == ref.tobytes()
+    assert chosen == [np.int16, np.int16, np.int32, np.int32]
+    assert inner * (p - 1) ** 2 <= 2**15 - 1 < (inner + 1) * (p - 1) ** 2
 
 
 def test_product_bound_checked_before_conversion():

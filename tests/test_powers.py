@@ -25,6 +25,7 @@ from supertroesch.powers import (
     PowerKind,
     add_mod_p,
     dim_formula_sym,
+    exponent_ranks,
     multiply_out,
     multiset_coeff,
     power_basis,
@@ -67,6 +68,25 @@ def test_power_exponents_match_the_recursive_oracle():
                 if kind is SYM:
                     # the closed formula behind the build's pigeonhole budget check
                     assert len(rows) == dim_formula_sym(n, *v.dims_by_parity())
+
+
+def test_exponent_ranks_invert_the_enumeration():
+    # every row's rank is its position, whatever order the rows are asked in
+    rng = np.random.default_rng(0)
+    spaces = [
+        k_super(0, 0),
+        k_super(0, 3),
+        k_super(2, 1),
+        tensor(build_Sh(3, 1), k_super(1, 1)),
+        tensor(build_Sh(3, 2), k_super(1, 0)),
+    ]
+    for kind in PowerKind:
+        for v in spaces:
+            for n in range(9):
+                rows = power_exponents(kind, n, v)
+                assert exponent_ranks(kind, n, v, rows).tolist() == list(range(len(rows))), (kind, n, v)
+                order = rng.permutation(len(rows))
+                assert exponent_ranks(kind, n, v, rows[order]).tolist() == order.tolist()
 
 
 def closed_form_dim(kind, n, m_even, m_odd):

@@ -21,7 +21,7 @@ from oracles import (
 from supertroesch.gamma import tensor_with_identity
 from supertroesch.linalg import FpMatrix, matmul
 from supertroesch.pcomplex import PComplex, cohomology, cohomology_table, decompose_cyclic, tensor_pcomplex
-from supertroesch.powers import PowerKind, PowerMonomial, power_basis
+from supertroesch.powers import PowerKind, PowerMonomial, power_basis, power_exponents
 from supertroesch.superspace import ZERO_SPACE, BasisElement, k_super, tensor, build_Sh
 from supertroesch.troesch import (
     build_B,
@@ -599,6 +599,22 @@ def test_budget_names_the_first_piece_over_the_cap():
     with pytest.raises(BudgetExceededError) as exc:
         build_B(9, 2, k_super(1, 1), 3, budget=20000)
     assert str(exc.value) == "graded piece at degree 26: size 20732 exceeds budget 20000"
+
+
+def test_differential_terms_refuse_a_target_outside_its_piece():
+    # B_3(1)(k^{1|1}) at p = 3: d raises the degree by 1, so every target
+    # lies outside the piece 2 above its source, and outside a reordered
+    # enumeration
+    p, n = 3, 3
+    w = tensor(build_Sh(p, 1), k_super(1, 1))
+    exps = power_exponents(PowerKind.SYM, n, w)
+    zdeg = exps.astype(np.int64) @ np.array(w.zdegs(), dtype=np.int64)
+    components = [(phi_images_on_tensor(rho(p, 1, 0), 2), 1)]
+    src, row, coef = troesch._differential_terms(n, w, exps, zdeg, 1, components, p)
+    assert src.size and (exps[row].sum(axis=1) == n).all() and (zdeg[row] == zdeg[src] + 1).all()
+    for args in ((exps, zdeg, 2), (exps[::-1], zdeg[::-1], 1)):
+        with pytest.raises(AssertionError, match="differential left the expected graded piece"):
+            troesch._differential_terms(n, w, *args, components, p)
 
 
 def test_built_complex_and_its_powers_are_int8():
