@@ -102,9 +102,10 @@ def test_ring_output_contains_sign_line():
     ],
 )
 def test_ring_past_the_differential_cap_exits_on_budget(p, r, size):
-    # the closed-form term count of d is checked before any bigraded piece is
-    # enumerated; at p = 5, r = 3 the base step's piece enumeration would
-    # otherwise recurse once per unit of Hom(Sh_3, Sh_3) (15,625 units)
+    # an upper bound on the term count of d (not the count itself) is checked
+    # before any bigraded piece is enumerated; at p = 5, r = 3 the base
+    # step's piece enumeration would otherwise recurse once per unit of
+    # Hom(Sh_3, Sh_3) (15,625 units)
     env = {k: v for k, v in os.environ.items() if k != "SUPERTROESCH_BUDGET"}
     res = subprocess.run(RUN + ["ring", "--p", str(p), "--r", str(r)], capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 2

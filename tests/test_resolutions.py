@@ -569,20 +569,79 @@ def test_split_by_source_degree_matches_oracle(p, barred):
 
 
 def test_lifting_at_p5_never_forms_a_whole_power(monkeypatch):
-    # e(1) o e(1) at p = 5 composes with the components of d, d^4 and the
-    # splice, never with an element as large as the whole d; the cache is
-    # cleared so that the components are formed under the patch
+    # e(1) o e(1) at p = 5 composes with the components of d and the splice,
+    # never with an element as large as the whole d; the caches are cleared
+    # so that the components are formed under the patch
+    resolutions._d_by_source_degree.cache_clear()
     resolutions.d_component.cache_clear()
-    compose_ = resolutions.compose
+    compose_, d_component_ = resolutions.compose, resolutions.d_component
     largest = []
+    powers_asked = set()
 
     def sizing(g, f, *args, **kwargs):
         largest.append(max(len(g.terms), len(f.terms)))
         return compose_(g, f, *args, **kwargs)
 
+    def asking(p, r, z, k, barred):
+        if k == p - 1:
+            powers_asked.add((p, r, z, k, barred))
+        return d_component_(p, r, z, k, barred)
+
     monkeypatch.setattr(resolutions, "compose", sizing)
+    monkeypatch.setattr(resolutions, "d_component", asking)
     assert YonedaCalculator(5, 1).product(e_class(1), e_class(1)) == {e_class(2): 1}
-    assert largest and max(largest) < len(d_element(5, 1).terms) == 280
+    # the target's d^4 blocks are applied factor by factor; only the source
+    # block out of local degree 1 (z = 1) is formed, for the images
+    assert powers_asked == {(5, 1, 1, 4, False)}
+    # so no operand is larger than the largest component of d
+    d_parts = resolutions._d_by_source_degree(5, 1, False).values()
+    assert max(len(c.terms) for c in d_parts) == 29
+    assert largest and max(largest) <= 29 < len(d_element(5, 1).terms) == 280
+
+
+def _lifted_blocks(p):
+    calc = YonedaCalculator(p, 1)
+    lifted = []
+    for cls in (e_class(1), c_class(p, 1)):
+        lifted += [el for blocks in calc.lift(cls, 2).values() for el in blocks.values()]
+    return lifted
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("flavor", ["J", "Jbar"])
+def test_compose_block_is_compose_with_the_formed_block(p, flavor):
+    # applying a block factor by factor is composing with it formed whole
+    # (associativity), for every arrow of degrees 0..2p and every lifted
+    # block that lands where the arrow starts
+    res = SplicedResolution(p, 1, flavor)
+    lifted = _lifted_blocks(p)
+    odd_steps = 0
+    for m in range(2 * p + 1):
+        for (s, t), block in res.blocks(m).items():
+            for el in lifted:
+                if el.target == block.source:
+                    got = res.compose_block(s, t, el)
+                    assert got == compose(block, el), (m, s, t)
+                    odd_steps += s.kind == t.kind and s.local % 2 and not got.is_zero()
+    # some d^(p-1) block meets a lifted block with a nonzero composite
+    assert odd_steps
+
+
+def test_lift_step_refuses_an_odd_target_step_that_prev_does_not_reach():
+    # the c class at r = 2 has no base block into the target term of odd
+    # local degree 9 (shift 0), so its right-hand side never composes with
+    # that term's d^2; the step still refuses the block, as forming the
+    # target blocks did
+    with pytest.raises(BudgetExceededError, match="formal differential power"):
+        YonedaCalculator(3, 2).lift(c_class(3, 2), 1)
+
+
+@pytest.mark.parametrize("p, r, estimate, built", [(3, 1, 18, 12), (5, 1, 350, 280), (7, 1, 6468, 5544), (3, 2, 611325, 245388)])
+def test_d_estimate_bounds_the_built_differential(p, r, estimate, built):
+    # the refusal of d before it is built is sound only while the estimate
+    # is an upper bound on the built term count; it is not exact
+    assert resolutions._d_estimate(p, r) == estimate
+    assert len(d_element(p, r).terms) == built <= estimate
 
 
 def test_zdeg_of_local():
