@@ -6,21 +6,26 @@ since p <= 7 needs three bits: a 2,810-dimensional square piece takes
 before it narrows, so nothing wraps.  Arithmetic on stored residues widens
 first: sums and products of int8 residues pass 127 well below the sizes
 met here.
-All eliminations use first-nonzero pivoting so that ranks, kernel bases and
-particular solutions are reproducible bit for bit.
+Ranks, kernel bases and particular solutions are reproducible bit for bit
+whatever row takes each pivot: the pivot columns are the columns outside
+the span of those before them, and the reduced row echelon form of a
+matrix is unique.
 
 One kernel, ``FpMatrix.eliminate``, does every elimination.  It takes a
 list of arrays, stacks them in order of width, each at its own height, and
 steps batches of them through their columns in lockstep, so the fixed cost
 of a numpy call is paid once per column of a batch; a single matrix is a
-list of one.  It has one mode: ``solve`` eliminates ``[A | b]`` whole, and
-b is outside the column space of A exactly when the last column takes a
-pivot.  Each array ends at its batch's last column, so a step scans
-and updates only the arrays that reach its column, in their own columns.
-Residues are lazy: row updates are not reduced mod p.  Each batch is held
-in the narrowest of int16, int32 and int64 that holds the checked bound on
-how far entries can grow, and the reduced arrays come back as int8
-residues.
+list of one.  In each array a column's pivot is the last row without a
+pivot that is nonzero there, and pivot rows are never moved; with an
+``out`` list the reduced row echelon forms are assembled from the pivot
+rows at the end, without it only the pivot columns are found.  ``solve``
+eliminates ``[A | b]`` whole, and b is outside the column space of A
+exactly when the last column takes a pivot.  Each array ends at its
+batch's last column, so a step scans and updates only the arrays that
+reach its column, in their own columns.  Residues are lazy: row updates
+are not reduced mod p.  Each batch is held in the narrowest of int16,
+int32 and int64 that holds the checked bound on how far entries can grow,
+and the reduced arrays come back as int8 residues.
 
 Every matrix filled entry by entry goes through
 ``FpMatrix.batch_from_arrays``, many matrices in one pass (``from_arrays``
@@ -55,10 +60,6 @@ _INVERSES = {p: np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np
 # x mod p for every int16 x, indexed by the bits of x read as uint16: see
 # _residues16.
 _RESIDUES16 = {}
-
-# the index of the pivot among the live rows of a column when they all lie
-# in one array
-_FIRST = np.zeros(1, dtype=np.intp)
 
 # the working dtypes of elimination, narrowest first, with their maxima
 _WORK_DTYPES = ((np.int16, 2**15 - 1), (np.int32, 2**31 - 1), (np.int64, 2**63 - 1))
@@ -96,7 +97,9 @@ class FpMatrix:
     An int8 array is taken as it is, as residues.  Any other input, an
     int64 array or nested lists say, is reduced mod p first and then
     narrowed, so unreduced or negative entries never wrap:
-    ``FpMatrix(7, [[200, -1]])`` holds ``[[4, 6]]``.
+    ``FpMatrix(7, [[200, -1]])`` holds ``[[4, 6]]``.  Float or complex
+    input, which a cast would truncate, and input that is not 2-D raise
+    ValueError.
     """
 
     __slots__ = ("p", "rows", "cols", "data")
@@ -104,6 +107,10 @@ class FpMatrix:
     def __init__(self, p, data):
         check_prime(p)
         data = np.asarray(data)
+        if data.dtype.kind in "fc":
+            raise ValueError(f"FpMatrix: entries must be integers, not {data.dtype}")
+        if data.ndim != 2:
+            raise ValueError(f"FpMatrix: data must be 2-D, not of shape {data.shape}")
         if data.dtype != np.int8:
             data = np.remainder(data, p).astype(np.int8)
         self.p = p
@@ -215,17 +222,22 @@ class FpMatrix:
     # elimination
 
     @staticmethod
-    def eliminate(p, arrays, reduce_above, out=None):
+    def eliminate(p, arrays, out=None):
         """Row-reduce a list of arrays of residues in [0, p), all in lockstep,
-        and return the pivot columns of each.
+        and return the pivot columns of each.  When ``out`` is a list, the
+        reduced row echelon form of each array is appended to it in the
+        order of ``arrays``, as int8 residues.
 
-        Columns are scanned left to right; in each array the pivot of a
-        column is the first row at or below that array's current row with a
-        nonzero entry.  Each pivot row is scaled to 1 and its column cleared
-        below it, and above it too when ``reduce_above`` is set, which gives
-        the unique reduced row echelon form.  When ``out`` is a list, the
-        reduced arrays are appended to it in the order of ``arrays``, as int8
-        residues.
+        Columns are scanned left to right.  In each array the pivot of a
+        column is the last row that has no pivot yet and a nonzero entry
+        there; the column is cleared in that array's other such rows, and
+        the pivot row stays where it is.  Which row takes the pivot does
+        not matter: a column is a pivot column exactly when it is not in the
+        span of the columns before it, whatever row operations reach the
+        echelon form, and the reduced row echelon form is unique.  With
+        ``out``, the pivot rows of each array are gathered in pivot-column
+        order, each scaled by the inverse of its pivot and cleared above
+        its pivot, and written at the top of zeros.
 
         The arrays are sorted by shape and stacked, each at its own height,
         into batches of at most ``BATCH_CELLS`` cells (an array larger than
@@ -240,11 +252,13 @@ class FpMatrix:
 
         Residues are reduced lazily: only the scanned column and the pivot
         rows are reduced when a column is reached, the row updates are not.
-        A pivot moves an entry by at most (p-1)**2, so every entry stays
-        within (p-1) + (p-1)**2 * min(rows, cols) of zero.  A batch is held in
-        the narrowest of int16, int32 and int64 that holds this bound for
-        every array in it.  int64 always does: an array has fewer than 2**63
-        cells, so min(rows, cols) < 2**32.
+        A row is cleared with the residues of the pivot row and a multiplier
+        in [0, p), so a pivot moves an entry by at most (p-1)**2, and every
+        entry stays within (p-1) + (p-1)**2 * min(rows, cols) of zero; so
+        does every entry of the reduced form, built by as many such steps
+        from residues.  A batch is held in the narrowest of int16, int32 and
+        int64 that holds this bound for every array in it.  int64 always
+        does: an array has fewer than 2**63 cells, so min(rows, cols) < 2**32.
         """
         check_prime(p)
         shapes = [x.shape for x in arrays]
@@ -258,18 +272,18 @@ class FpMatrix:
             a = np.zeros((tops[-1], cols), dtype=dtype)
             for b, t, (r, c) in zip(members, tops, sizes):
                 a[t : t + r, cols - c :] = arrays[b]
-            found = _lockstep(p, a, sizes, cols, reduce_above)
-            for b, t, (r, c), piv in zip(members, tops, sizes, found):
+            found, held = _lockstep(p, a, sizes, cols)
+            for b, (r, c), piv, at in zip(members, sizes, found, held):
                 pivots[b] = piv
                 if out is not None:
-                    reduced[b] = (a[t : t + r, cols - c :] % p).astype(np.int8)
+                    reduced[b] = _reduced_form(p, a[at, cols - c :], piv, r)
         if out is not None:
             out.extend(reduced)
         return pivots
 
     def pivot_columns(self):
         """The pivot columns: each column not in the span of those before it."""
-        return FpMatrix.eliminate(self.p, [self.data], reduce_above=False)[0]
+        return FpMatrix.eliminate(self.p, [self.data])[0]
 
     def rank(self):
         """Rank over GF(p)."""
@@ -278,7 +292,7 @@ class FpMatrix:
     def kernel_basis(self):
         """Matrix whose columns span ker(self), in free-column order."""
         reduced = []
-        (pivots,) = FpMatrix.eliminate(self.p, [self.data], reduce_above=True, out=reduced)
+        (pivots,) = FpMatrix.eliminate(self.p, [self.data], out=reduced)
         a = reduced[0]
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -306,7 +320,7 @@ class FpMatrix:
         ab[:, :-1] = self.data
         ab[:, -1] = np.asarray(b, dtype=np.int64) % self.p
         reduced = []
-        (pivots,) = FpMatrix.eliminate(self.p, [ab], reduce_above=True, out=reduced)
+        (pivots,) = FpMatrix.eliminate(self.p, [ab], out=reduced)
         if pivots and pivots[-1] == self.cols:
             return None
         a = reduced[0]
@@ -340,11 +354,13 @@ def _batches(shapes):
         yield batch, cols
 
 
-def _lockstep(p, a, shapes, cols, reduce_above):
+def _lockstep(p, a, shapes, cols):
     """Eliminate the arrays stacked in the rows of a, each at its own height
-    and in order of width, in place and in lockstep; returns the pivot
-    columns of each in its own numbering.  An array c wide fills the last c
-    of the cols columns of its rows."""
+    and in order of width, in place and in lockstep, to an echelon form
+    whose rows are not moved.  Returns the pivot columns of each array in
+    its own numbering, and the rows of a that hold those pivots, in the
+    same order.  An array c wide fills the last c of the cols columns of
+    its rows."""
     count = len(shapes)
     heights = [r for r, c in shapes]
     widths = [c for r, c in shapes]
@@ -355,7 +371,6 @@ def _lockstep(p, a, shapes, cols, reduce_above):
     # nonzero entry of a row that can still take a pivot
     lock = np.zeros(len(a), dtype=a.dtype)
     slot = np.zeros(count, dtype=np.intp)  # which of a step's pivot rows is array k's
-    has = np.zeros(count, dtype=bool)
     inverse = _INVERSES[p]
     if a.dtype == np.int16 and len(a) >= 256:
         table = _residues16(p)
@@ -367,66 +382,80 @@ def _lockstep(p, a, shapes, cols, reduce_above):
         def residues(x):
             return x % p
 
-    pivots = [[] for _ in range(count)]
+    taken = np.full(len(a), -1, dtype=np.intp)  # the pivot column of each row, or -1
     left = sum(r for r, c in shapes if c)  # rows that can still take a pivot
     # the arrays from index active on reach column c: they start at row
-    # base, and sub, sub_lock and sub_owner are their rows
+    # base, and sub, sub_lock, sub_owner and sub_taken are their rows
     active, base = count, top[-1]
-    sub = sub_lock = sub_owner = None
-    nxt = top[:-1] - base  # the current row of each array, from base
+    sub = sub_lock = sub_owner = sub_taken = None
     for c in range(cols - max((c for r, c in shapes if r), default=0), cols):
         if not left:
             break
         if active and cols - widths[active - 1] <= c:
             while active and cols - widths[active - 1] <= c:
                 active -= 1
-            nxt += base - top[active]
             base = top[active]
-            sub, sub_lock, sub_owner = a[base:], lock[base:], owner[base:]
+            sub, sub_lock, sub_owner, sub_taken = a[base:], lock[base:], owner[base:], taken[base:]
         col = residues(sub[:, c])
         at = (col > sub_lock).nonzero()[0]
         if not at.size:
             continue
         own = sub_owner[at]
         if own[0] == own[-1]:
-            # one array has live rows: its first one is the pivot
-            first, rest = _FIRST, at[1:]
+            # one array has live rows: its last one is the pivot
+            src, rest, got = at[-1:], at[:-1], own[-1:]
+            row = residues(sub[src, c:])
+            factor = col[rest] * inverse[row[0, 0]] % p
         else:
-            # the live rows are sorted, so each array's first one starts a run
-            starts = np.empty(at.size, dtype=bool)
-            starts[0] = True
-            np.not_equal(own[1:], own[:-1], out=starts[1:])
-            first, rest = starts.nonzero()[0], at[~starts]
-        got = own[first]
-        src, dst = at[first], nxt[got]
-        # swap the pivot row into the current row; left of column c both
-        # rows are zero mod p, so only c: moves
-        row = residues(sub[src, c:])
-        sub[src, c:] = sub[dst, c:]
-        row *= inverse[row[:, :1]]
-        row = residues(row)
-        sub[dst, c:] = row
-        # clear column c with the reduced entries from before the swap, in
-        # the arrays that have a pivot here: the pivot's own entry is
-        # dropped, and the old current row, now at src, was zero there.
-        # Below the current rows these are the live rows but the pivots.
-        if not reduce_above:
-            rows = rest
-        else:
-            if got.size < count - active:
-                has[got] = True
-                col *= has[sub_owner]
-                has[got] = False
-            col[src] = 0
-            rows = col.nonzero()[0]
-        slot[got] = every[: got.size]
-        sub[rows, c:] -= col[rows][:, None] * row[slot[sub_owner[rows]]]
-        sub_lock[dst] = p
-        nxt[got] = dst + 1
-        for b in got.tolist():
-            pivots[b].append(c - cols + widths[b])
+            # the live rows are sorted, so each array's last one ends a run
+            ends = np.empty(at.size, dtype=bool)
+            ends[-1] = True
+            np.not_equal(own[1:], own[:-1], out=ends[:-1])
+            others = ~ends
+            src, rest, got = at[ends], at[others], own[ends]
+            row = residues(sub[src, c:])
+            slot[got] = every[: got.size]
+            pick = slot[own[others]]
+            factor = col[rest] * inverse[row[pick, 0]] % p
+            row = row[pick]
+        # clear column c in the other live rows with the pivot row's
+        # residues, unscaled: the multiplier carries the pivot's inverse
+        sub[rest, c:] -= factor[:, None] * row
+        sub_lock[src] = p
+        sub_taken[src] = c
         left -= got.size
-    return pivots
+    # the pivot rows, by array and then by pivot column
+    held = (taken >= 0).nonzero()[0]
+    held = held[np.lexsort((taken[held], owner[held]))]
+    ends = np.searchsorted(owner[held], every, side="right")
+    held = np.split(held, ends[:-1])
+    pivots = [(taken[at] - (cols - w)).tolist() for at, w in zip(held, widths)]
+    return pivots, held
+
+
+def _reduced_form(p, rows, pivots, height):
+    """The reduced row echelon form, ``height`` rows as int8 residues, of an
+    echelon form given by its pivot rows in pivot-column order, lazy
+    residues in a working dtype of ``FpMatrix.eliminate``: each row is
+    scaled by the inverse of its pivot, and each pivot column is cleared
+    above its pivot, the last first.  The rows below the pivot rows are
+    zero."""
+    k = len(pivots)
+    rows = rows % p
+    rows *= _INVERSES[p][rows[np.arange(k), pivots]][:, None]
+    rows %= p
+    for i in range(k - 1, 0, -1):
+        # row i is cleared at every later pivot column: reduce it and clear
+        # its pivot column above it
+        c = pivots[i]
+        rows[i, c:] %= p
+        factor = rows[:i, c] % p
+        above = factor.nonzero()[0]
+        if above.size:
+            rows[above, c:] -= factor[above, None] * rows[i, c:]
+    out = np.zeros((height, rows.shape[1]), dtype=np.int8)
+    out[:k] = rows % p
+    return out
 
 
 def _residues16(p):

@@ -190,7 +190,7 @@ class PComplex:
                     blocks.append(power.data)
                     continue
                 blocks.append(power.data[np.ix_(rows, np.searchsorted(on, cols))])
-        for key, cols, piv in zip(keys, columns, FpMatrix.eliminate(self.p, blocks, reduce_above=False)):
+        for key, cols, piv in zip(keys, columns, FpMatrix.eliminate(self.p, blocks)):
             pivots[key] = [cols[k] for k in piv]
         return pivots
 
@@ -378,8 +378,8 @@ def _class_representatives(cx, deg):
     H_[1] in this degree."""
     ker = cx.diff(deg).kernel_basis()
     img = cx.image_of_power(deg - (cx.order - 1) * cx.alpha, cx.order - 1)
-    # first-nonzero pivoting picks each kernel column not in the span of the
-    # image and the kernel columns before it
+    # the pivot columns are the kernel columns not in the span of the image
+    # and the kernel columns before them
     pivots = hstack([img, ker]).pivot_columns()
     return ker.data[:, [c - img.cols for c in pivots if c >= img.cols]]
 

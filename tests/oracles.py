@@ -66,8 +66,11 @@ def invert(m):
 
 def rref_oracle(m, reduce_above, augment=None):
     """Reference elimination on a list of dict rows, independent of the
-    library's numpy routine, with the same first-nonzero pivoting.  Returns
-    (reduced rows, pivot columns, reduced augmented column or None)."""
+    library's numpy routine: first-nonzero pivoting with row swaps, where
+    the library pivots on the last live row and moves no row, which changes
+    neither the pivot columns nor the reduced form.  Returns (rows, pivot
+    columns, augmented column or None): reduced with ``reduce_above``, an
+    echelon form without."""
     p = m.p
     rows = [dict() for _ in range(m.rows)]
     for (i, j), v in m.nonzero_items():
@@ -114,12 +117,12 @@ def rref_oracle(m, reduce_above, augment=None):
     return rows, pivots, aug
 
 
-def eager_rref(m, reduce_above):
+def eager_rref(m):
     """First-nonzero row reduction of an int64 copy of m, with every row
     update reduced mod p at once, so no entry ever leaves [0, p).  Returns
-    (reduced array, pivot columns): the reference for elimination that
-    reduces lazily, near its growth bound, where the dict rows of
-    ``rref_oracle`` are too slow."""
+    (reduced row echelon form, pivot columns): the reference for
+    elimination that reduces lazily, near its growth bound, where the dict
+    rows of ``rref_oracle`` are too slow."""
     p = m.p
     a = m.data.astype(np.int64) % p
     pivots = []
@@ -132,7 +135,7 @@ def eager_rref(m, reduce_above):
             continue
         a[[r, r + nz[0]]] = a[[r + nz[0], r]]
         a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        rows = np.flatnonzero(a[:, c]) if reduce_above else r + 1 + np.flatnonzero(a[r + 1 :, c])
+        rows = np.flatnonzero(a[:, c])
         rows = rows[rows != r]
         # left of column c the pivot row is zero
         a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p

@@ -243,9 +243,9 @@ def test_elimination_matches_rref_oracle():
         assert sub.solve(c) == oracle_solve(sub, c)
 
 
-def _oracle_array(m, reduce_above):
-    """rref_oracle's rows as a dense array."""
-    rows, pivots, _ = rref_oracle(m, reduce_above)
+def _oracle_array(m):
+    """rref_oracle's reduced rows as a dense array, with its pivots."""
+    rows, pivots, _ = rref_oracle(m, reduce_above=True)
     out = np.zeros((m.rows, m.cols), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, v in row.items():
@@ -266,20 +266,34 @@ def test_batched_elimination_matches_single_and_oracle(monkeypatch, cells):
         mats = [random_matrix(rng, p, r, c, density=rng.uniform(0.1, 0.9)) for r, c in shapes]
         # residues in any integer dtype
         arrays = [m.data.astype(rng.choice((np.int8, np.int64))) for m in mats]
-        for reduce_above in (False, True):
-            out = []
-            pivots = FpMatrix.eliminate(p, arrays, reduce_above, out)
-            assert len(pivots) == len(out) == len(mats)
-            for b, m in enumerate(mats):
-                one = []
-                one_pivots = FpMatrix.eliminate(p, [arrays[b]], reduce_above, one)
-                want, want_pivots = _oracle_array(m, reduce_above)
-                assert out[b].dtype == one[0].dtype == np.int8 and out[b].shape == want.shape
-                assert pivots[b] == one_pivots[0] == want_pivots
-                assert out[b].tobytes() == one[0].tobytes()
-                assert out[b].astype(np.int64).tobytes() == want.tobytes()
-            # without out, the same pivots
-            assert FpMatrix.eliminate(p, arrays, reduce_above) == pivots
+        out = []
+        pivots = FpMatrix.eliminate(p, arrays, out)
+        assert len(pivots) == len(out) == len(mats)
+        for b, m in enumerate(mats):
+            one = []
+            one_pivots = FpMatrix.eliminate(p, [arrays[b]], one)
+            want, want_pivots = _oracle_array(m)
+            assert out[b].dtype == one[0].dtype == np.int8 and out[b].shape == want.shape
+            assert pivots[b] == one_pivots[0] == want_pivots
+            assert FpMatrix.eliminate(p, [arrays[b]]) == [want_pivots]
+            assert out[b].tobytes() == one[0].tobytes()
+            assert out[b].astype(np.int64).tobytes() == want.tobytes()
+        # without out, the same pivots
+        assert FpMatrix.eliminate(p, arrays) == pivots
+
+
+def _record_batches(monkeypatch):
+    """A list that collects the shape, dtype and stacked array shapes of
+    every batch that reaches ``_lockstep`` from now on."""
+    lockstep = linalg._lockstep
+    batches = []
+
+    def recording_lockstep(p, a, shapes, *args):
+        batches.append((a.shape, a.dtype, list(shapes)))
+        return lockstep(p, a, shapes, *args)
+
+    monkeypatch.setattr(linalg, "_lockstep", recording_lockstep)
+    return batches
 
 
 @pytest.mark.parametrize("cells", [linalg.BATCH_CELLS, 150])
@@ -287,23 +301,16 @@ def test_batches_stack_arrays_at_their_own_heights(monkeypatch, cells):
     # no row padding: a batch has as many rows as its arrays together, and
     # is as wide as its widest array
     monkeypatch.setattr(linalg, "BATCH_CELLS", cells)
-    lockstep = linalg._lockstep
-    batches = []
-
-    def recording_lockstep(p, a, shapes, *args):
-        batches.append((a.shape, list(shapes)))
-        return lockstep(p, a, shapes, *args)
-
-    monkeypatch.setattr(linalg, "_lockstep", recording_lockstep)
+    batches = _record_batches(monkeypatch)
     rng = random.Random(29)
     for _ in range(20):
         shapes = [(rng.randrange(12), rng.randrange(12)) for _ in range(rng.randrange(1, 10))]
         arrays = [random_matrix(rng, 3, r, c).data for r, c in shapes]
-        for reduce_above in (False, True):
+        for out in (None, []):
             batches.clear()
-            FpMatrix.eliminate(3, arrays, reduce_above)
-            assert sorted(s for _, batch in batches for s in batch) == sorted(shapes)
-            for (rows, width), batch in batches:
+            FpMatrix.eliminate(3, arrays, out)
+            assert sorted(s for _, _, batch in batches for s in batch) == sorted(shapes)
+            for (rows, width), _, batch in batches:
                 assert rows == sum(r for r, c in batch)
                 assert width == max(c for r, c in batch)
                 # in order of width, so the arrays wider than a column are a suffix
@@ -311,15 +318,19 @@ def test_batches_stack_arrays_at_their_own_heights(monkeypatch, cells):
                 assert len(batch) == 1 or rows * width <= cells
 
 
-@pytest.mark.parametrize("reduce_above", [False, True])
-def test_lockstep_keeps_each_array_in_its_own_columns(reduce_above):
+@pytest.mark.parametrize("tall", [False, True])
+def test_lockstep_keeps_each_array_in_its_own_columns(tall):
     # a hand-stacked batch of mixed widths, each array ending at the batch's
     # last column: the sentinel in the padding left of an array is never
     # read (it would be taken as a pivot) or written, and every array comes
-    # out as if eliminated alone, its pivots in its own column numbering
+    # out as if eliminated alone, its pivots in its own column numbering and
+    # held in its own rows, from which its reduced form is built.  A tall
+    # batch, of 256 rows or more, reduces its columns through _residues16.
     rng = random.Random(31)
     p, sentinel = 5, 1
     shapes = [(3, 0), (4, 2), (0, 4), (6, 3), (3, 3), (5, 6), (2, 9)]
+    if tall:
+        shapes.append((240, 9))
     cols = max(c for _, c in shapes)
     mats = [random_matrix(rng, p, r, c, density=0.6) for r, c in shapes]
     tops = [0]
@@ -329,25 +340,32 @@ def test_lockstep_keeps_each_array_in_its_own_columns(reduce_above):
     for t, m in zip(tops, mats):
         a[t : t + m.rows, cols - m.cols : cols] = m.data
     before = a.copy()
-    pivots = linalg._lockstep(p, a, shapes, cols, reduce_above)
+    pivots, held = linalg._lockstep(p, a, shapes, cols)
     assert sum(map(len, pivots)) > 0
-    for t, (r, c), m, got in zip(tops, shapes, mats, pivots):
+    for t, (r, c), m, got, at in zip(tops, shapes, mats, pivots, held):
         assert (a[t : t + r, : cols - c] == before[t : t + r, : cols - c]).all()
         assert (a[t : t + r, : cols - c] == sentinel).all()
+        assert len(at) == len(got) and all(t <= i < t + r for i in at)
         one = []
-        want = FpMatrix.eliminate(p, [m.data], reduce_above, one)
+        want = FpMatrix.eliminate(p, [m.data], one)
         assert got == want[0]
-        assert (a[t : t + r, cols - c :] % p).astype(np.int8).tobytes() == one[0].tobytes()
+        reduced = linalg._reduced_form(p, a[at, cols - c :], got, r)
+        assert reduced.dtype == np.int8 and reduced.tobytes() == one[0].tobytes()
 
 
 @pytest.mark.parametrize("n, dtype", [(910, np.int16), (911, np.int32)])
 def test_elimination_at_the_int16_bound(monkeypatch, n, dtype):
     # p = 7: the bound (p-1) + (p-1)**2 * min(rows, cols) is 32766 at 910,
-    # the last size int16 holds.  In a unit lower triangle whose last row is
-    # p-1 below the diagonal, each of the first n-1 pivots clears the last
-    # row with factor p-1, so the last entry of the all-(p-1) column behind
-    # it falls to (p-1) - (p-1)**2 * (n-1) = -32718 at n = 910 before it is
-    # reduced: the most an entry can grow, short of the bound by 48.
+    # the last size int16 holds.  The matrix is a unit lower triangle whose
+    # last row is p-1 below the diagonal, then an all-(p-1) column.  Column
+    # 0 is nonzero in rows 0 and n-1; the last, n-1, takes the pivot and
+    # clears row 0 with multiplier 1 * (p-1)**-1 = p-1, which leaves p-1 in
+    # row 0's columns 1 to n-2.  Each of those columns takes its pivot in
+    # its own diagonal row, below row 0, and clears row 0 with multiplier
+    # p-1 again.  So n-1 pivots each take (p-1)**2 from the last entry of
+    # row 0, which falls to (p-1) - (p-1)**2 * (n-1) = -32718 at n = 910
+    # before it is reduced: the most an entry can grow, short of the bound
+    # by 48.
     p = 7
     core = np.eye(n, dtype=np.int64)
     core[-1, :-1] = p - 1
@@ -357,17 +375,57 @@ def test_elimination_at_the_int16_bound(monkeypatch, n, dtype):
 
     def recording_lockstep(p, a, *args):
         used.append(a.dtype)
-        return lockstep(p, a, *args)
+        found = lockstep(p, a, *args)
+        assert a.min() == (p - 1) - (p - 1) ** 2 * (n - 1)
+        return found
 
     monkeypatch.setattr(linalg, "_lockstep", recording_lockstep)
-    for reduce_above in (False, True):
-        out = []
-        pivots = FpMatrix.eliminate(p, [m.data], reduce_above, out=out)
-        want, want_pivots = eager_rref(m, reduce_above)
-        assert pivots[0] == want_pivots == list(range(n))
-        assert out[0].dtype == np.int8
-        assert out[0].astype(np.int64).tobytes() == want.tobytes()
+    want, want_pivots = eager_rref(m)
+    assert want_pivots == list(range(n))
+    assert FpMatrix.eliminate(p, [m.data]) == [want_pivots]
+    out = []
+    assert FpMatrix.eliminate(p, [m.data], out) == [want_pivots]
+    assert out[0].dtype == np.int8
+    assert out[0].astype(np.int64).tobytes() == want.tobytes()
     assert used == [dtype, dtype]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tall_int16_batches_match_the_oracle(monkeypatch, p):
+    # a batch of 256 rows or more held as int16 reduces its columns by
+    # lookup in _residues16; here several arrays share each such batch
+    batches = _record_batches(monkeypatch)
+    rng = random.Random(37 + p)
+    for _ in range(3):
+        shapes = [(rng.randrange(60, 130), rng.randrange(1, 25)) for _ in range(rng.randrange(3, 6))]
+        mats = [random_matrix(rng, p, r, c, density=rng.uniform(0.05, 0.6)) for r, c in shapes]
+        # and one of low rank: its rows repeat five rows
+        mats[0] = mats[0].submatrix([rng.randrange(5) for _ in range(mats[0].rows)], range(mats[0].cols))
+        batches.clear()
+        out = []
+        pivots = FpMatrix.eliminate(p, [m.data for m in mats], out)
+        assert [(rows >= 256, dtype, len(s) > 1) for (rows, _), dtype, s in batches] == [(True, np.int16, True)]
+        assert FpMatrix.eliminate(p, [m.data for m in mats]) == pivots
+        for m, got, reduced in zip(mats, pivots, out):
+            want, want_pivots = _oracle_array(m)
+            assert got == want_pivots
+            assert reduced.astype(np.int64).tobytes() == want.tobytes()
+
+
+def test_pivots_and_reduced_form_ignore_the_row_order():
+    # the kernel picks pivot rows by position, but neither the pivot
+    # columns nor the reduced row echelon form depend on the row order
+    rng = random.Random(41)
+    for _ in range(60):
+        p = rng.choice((3, 5, 7))
+        shapes = [(rng.randrange(300 if k == 0 else 30), rng.randrange(20)) for k in range(rng.randrange(1, 5))]
+        mats = [random_matrix(rng, p, r, c, density=rng.uniform(0.05, 0.8)) for r, c in shapes]
+        out = []
+        pivots = FpMatrix.eliminate(p, [m.data for m in mats], out)
+        shuffled = [m.data[rng.sample(range(m.rows), m.rows)] for m in mats]
+        again = []
+        assert FpMatrix.eliminate(p, shuffled, again) == pivots
+        assert [x.tobytes() for x in again] == [x.tobytes() for x in out]
 
 
 def test_submatrix_with_empty_index_lists():
@@ -508,7 +566,7 @@ def test_every_constructor_stores_int8():
     ]
     assert all(m.data.dtype == np.int8 for m in made)
     out = []
-    FpMatrix.eliminate(p, [a.data, b.data], True, out)
+    FpMatrix.eliminate(p, [a.data, b.data], out)
     assert [x.dtype for x in out] == [np.int8, np.int8]
 
 
@@ -524,6 +582,20 @@ def test_unreduced_input_is_reduced_before_narrowing():
     # an int8 array is taken as it is, without a copy
     residues = np.array([[1, 6]], dtype=np.int8)
     assert FpMatrix(7, residues).data is residues
+
+
+def test_inexact_or_not_2d_input_is_refused():
+    # a cast would truncate 1.5 to 1; the message names the dtype
+    for data in (np.array([[1.5]]), np.array([[1.0, 2.0]], dtype=np.float32), np.array([[1 + 0j]]), [[0.5, 1]]):
+        with pytest.raises(ValueError, match=str(np.asarray(data).dtype)):
+            FpMatrix(3, data)
+    # anything but 2-D, named by its shape
+    for data, shape in ((np.array([1, 2], dtype=np.int64), r"\(2,\)"), (np.zeros((1, 2, 2), dtype=np.int8), r"\(1, 2, 2\)"), (5, r"\(\)")):
+        with pytest.raises(ValueError, match=shape):
+            FpMatrix(3, data)
+    # integer and boolean input of any width is still taken
+    assert FpMatrix(3, np.array([[True, False]])).data.tolist() == [[1, 0]]
+    assert FpMatrix(3, np.array([[4, -1]], dtype=np.int16)).data.tolist() == [[1, 2]]
 
 
 def test_int8_arithmetic_sites_match_int64_oracle_at_p7():
